@@ -2,7 +2,7 @@
 //!
 //! The grid runs the full protocol battery (labelling, general broadcast,
 //! topology mapping) on full grounded trees of n ∈ {10³, 10⁴, 10⁵, 10⁶}
-//! nodes under a LIFO schedule, on three engines: the flat CSR + message
+//! nodes under a depth-first schedule, on three engines: the flat CSR + message
 //! arena core, the retained queue-forest reference, and (on the cells where
 //! it finishes in sensible time) the O(E · deliveries) full-scan reference.
 //! Rows carry deterministic outcome and wire columns, so the smoke key diff

@@ -1,5 +1,5 @@
 //! E1 — Theorem 3.1: grounded-tree broadcast upper bound and the naive-rule
-//! ablation. Regenerates the E1 table of EXPERIMENTS.md.
+//! ablation. Prints the E1 table.
 
 use anet_bench::{f3, grounded_tree_workloads, render_table};
 use anet_core::tree_broadcast::run_tree_broadcast;

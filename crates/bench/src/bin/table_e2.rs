@@ -1,5 +1,5 @@
-//! E2 — Theorem 3.2 / Figure 5: the chain family lower bound. Regenerates the E2
-//! table of EXPERIMENTS.md.
+//! E2 — Theorem 3.2 / Figure 5: the chain family lower bound. Prints the E2
+//! table.
 
 use anet_bench::{f3, render_table};
 use anet_core::Pow2Commodity;

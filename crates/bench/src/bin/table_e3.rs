@@ -1,5 +1,5 @@
 //! E3 — Section 3.3: DAG broadcast upper bound (bandwidth O(|E|), total O(|E|²)).
-//! Regenerates the E3 table of EXPERIMENTS.md.
+//! Prints the E3 table.
 
 use anet_bench::{dag_workloads, f3, render_table};
 use anet_core::dag_broadcast::{run_dag_broadcast, ForwardingMode};

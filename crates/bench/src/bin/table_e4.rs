@@ -1,5 +1,5 @@
 //! E4 — Theorem 3.8 / Figure 4: commodity-preserving bandwidth lower bound.
-//! Regenerates the E4 table of EXPERIMENTS.md.
+//! Prints the E4 table.
 
 use anet_bench::render_table;
 use anet_core::Pow2Commodity;

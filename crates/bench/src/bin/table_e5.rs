@@ -1,5 +1,5 @@
-//! E5 — Theorems 4.2 and 4.3: general-graph broadcast complexity. Regenerates the
-//! E5 table of EXPERIMENTS.md.
+//! E5 — Theorems 4.2 and 4.3: general-graph broadcast complexity. Prints the
+//! E5 table.
 
 use anet_bench::{cyclic_workloads, render_table};
 use anet_core::general_broadcast::run_general_broadcast;

@@ -1,5 +1,5 @@
-//! E6 — Theorem 5.1: label assignment complexity and label lengths. Regenerates
-//! the E6 table of EXPERIMENTS.md.
+//! E6 — Theorem 5.1: label assignment complexity and label lengths. Prints
+//! the E6 table.
 
 use anet_bench::{cyclic_workloads, f3, render_table};
 use anet_core::labeling::run_labeling;

@@ -1,5 +1,5 @@
 //! E7 — Theorem 5.2 / Figure 6: the label-length lower bound via pruning.
-//! Regenerates the E7 table of EXPERIMENTS.md.
+//! Prints the E7 table.
 
 use anet_bench::{f3, render_table};
 use anet_lowerbounds::pruning::pruning_experiment;

@@ -1,5 +1,5 @@
-//! E8 — Section 6: topology mapping by flooding local information. Regenerates the
-//! E8 table of EXPERIMENTS.md.
+//! E8 — Section 6: topology mapping by flooding local information. Prints the
+//! E8 table.
 
 use anet_bench::{cyclic_workloads, f3, render_table};
 use anet_core::mapping::run_mapping;

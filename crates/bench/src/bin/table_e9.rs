@@ -1,5 +1,5 @@
 //! E9 — Lemmas 3.3–3.7 / Figures 1–3: linear-cut snapshots and the surgery behind
-//! the grounded-tree lower bound. Regenerates the E9 table of EXPERIMENTS.md.
+//! the grounded-tree lower bound. Prints the E9 table.
 
 use anet_bench::render_table;
 use anet_core::Pow2Commodity;

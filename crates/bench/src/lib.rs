@@ -2,10 +2,10 @@
 //!
 //! The paper is a theory paper: its "tables and figures" are the complexity claims
 //! of Theorems 3.1–5.2 and the constructions in Figures 4–6. Every experiment
-//! `E1`–`E9` listed in `DESIGN.md` has
+//! `E1`–`E9` (the header of each `table_e*` binary names the claim it checks) has
 //!
-//! * a `table_e*` binary (in `src/bin/`) that regenerates the corresponding table
-//!   of `EXPERIMENTS.md`, and
+//! * a `table_e*` binary (in `src/bin/`) that prints the experiment's table to
+//!   standard output, and
 //! * a Criterion bench (in `benches/`) that tracks the wall-clock cost of the
 //!   protocol runs behind it.
 //!
@@ -141,8 +141,8 @@ pub fn recovery_workloads() -> Vec<Workload> {
     ]
 }
 
-/// Renders a plain-text table with aligned columns, in the style used by
-/// `EXPERIMENTS.md`.
+/// Renders a plain-text table with aligned columns, as the `table_e*`
+/// binaries print them.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {

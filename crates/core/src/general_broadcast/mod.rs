@@ -11,7 +11,7 @@
 //! ## Faithfulness notes
 //!
 //! Two corners of the paper's description are tightened here (both are required by
-//! the paper's own correctness proof; see DESIGN.md):
+//! the paper's own correctness proof, as each item states):
 //!
 //! 1. The canonical partition is triggered on the first message with **non-empty
 //!    α**, not merely the first message — a vertex may hear cycle evidence (β)

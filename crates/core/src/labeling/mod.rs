@@ -11,7 +11,9 @@
 //! Vertices with out-degree zero cannot forward anything, so they simply absorb all
 //! interval mass they receive as their label (a union rather than a single
 //! interval); for the terminal this doubles as the stopping-predicate input. The
-//! paper leaves this corner implicit; see DESIGN.md for the reasoning.
+//! paper leaves this corner implicit; a sink has no out-port to pass mass on, so
+//! the mass it received is held by no other vertex and keeping all of it leaves
+//! labels disjoint.
 //!
 //! Message plumbing rides the copy-on-write [`IntervalUnion`]: the α/β
 //! components cloned into each out-port's message (and into trace events) are

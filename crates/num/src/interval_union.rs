@@ -822,7 +822,7 @@ pub fn canonical_partition(
 /// and therefore a non-empty label — on every out-edge of its predecessors. The
 /// paper's literal partition can starve the *last* out-port when the incoming mass
 /// is a single interval, which would leave some vertices unlabelled on certain
-/// topologies; see DESIGN.md ("Substitutions and clarifications").
+/// topologies.
 ///
 /// # Errors
 ///

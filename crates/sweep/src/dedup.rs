@@ -2,31 +2,39 @@
 //! equivalence class.
 //!
 //! A sweep unit's record is a pure function of **(protocol, canonical
-//! topology form, seed, battery position, delivery budget)** — the executor
-//! rebuilds every unit's network in canonical labeling
-//! (see [`execute_unit`](crate::execute_unit)), so even two *differently
-//! labeled* isomorphic topologies drive bit-for-bit the same simulation.
-//! Clustering groups the units of a manifest (or of one shard's pending set)
-//! by that tuple; only the cluster's manifest-first unit — the
-//! **representative** — is executed, and every other member's record is
-//! emitted by rewriting the representative's record with the member's own
-//! key fields ([`RunRecord::rebind`]).
+//! topology form, seed, battery position, delivery budget, scenario)** —
+//! every unit runs on the network rebuilt from its topology's canonical form
+//! (see [`crate::exec`]), so even two *differently labeled* isomorphic
+//! topologies drive bit-for-bit the same simulation. Clustering groups the
+//! units of a manifest (or of one shard's pending set) by that tuple; only
+//! the cluster's manifest-first unit — the **representative** — is executed,
+//! and every other member's record is emitted by rewriting the
+//! representative's record with the member's own key fields
+//! ([`RunRecord::rebind`]).
+//!
+//! Clustering reads the canonical forms from the batch's topology table,
+//! which builds and canonicalizes each distinct topology once and interns
+//! its form to a dense id; a shard builds that table once and executes its
+//! representatives on the same table's networks.
 //!
 //! Two layers of keying, with different stakes:
 //!
-//! * **Correctness** rests on exact equality of [`CanonicalForm`]s (plus the
-//!   scalar key fields) — no hashing involved, so a weak canonical labeling
-//!   can only *miss* dedup opportunities, never merge distinct experiments.
+//! * **Correctness** rests on exact equality of [`CanonicalForm`]s (interned
+//!   to form ids, plus the scalar key fields) — no hashing involved, so a
+//!   weak canonical labeling can only *miss* dedup opportunities, never merge
+//!   distinct experiments.
 //! * The 128-bit [`UnitCluster::fingerprint`] (two FNV-1a passes with
 //!   distinct prefixes over the canonical unit string) merely **names** the
 //!   unit's content-addressed cache entry
 //!   ([`ResultCache`](crate::cache::ResultCache)).
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-use anet_graph::canon::{canonical_form, CanonicalForm};
+use anet_graph::canon::CanonicalForm;
+use anet_num::Fnv1a;
 
-use crate::manifest::{fnv1a, Manifest, SweepUnit};
+use crate::exec::TopologyTable;
+use crate::manifest::{Manifest, SweepUnit};
 use crate::record::RunRecord;
 use crate::spec::SweepSpec;
 use crate::SweepError;
@@ -56,8 +64,16 @@ pub struct UnitCluster {
 /// the execution contract) so a change to the contract invalidates cache
 /// entries instead of aliasing them.
 pub fn unit_fingerprint(spec: &SweepSpec, unit: &SweepUnit, form: &CanonicalForm) -> String {
-    let canonical = format!(
-        "unit-v2 protocol={} seed={} k={} sched={} random={} budget={} scenario={} {}",
+    fingerprint_encoded(spec, unit, &form.encode())
+}
+
+/// [`unit_fingerprint`] from the form's [`CanonicalForm::encode`] text, so a
+/// batch encodes each form once however many clusters share it. The hashes
+/// absorb prefix, unit fields and encoding in turn, which is the same byte
+/// stream as hashing their concatenation.
+fn fingerprint_encoded(spec: &SweepSpec, unit: &SweepUnit, encoding: &str) -> String {
+    let fields = format!(
+        "unit-v2 protocol={} seed={} k={} sched={} random={} budget={} scenario={} ",
         unit.protocol.name(),
         unit.seed,
         unit.battery_index,
@@ -65,11 +81,15 @@ pub fn unit_fingerprint(spec: &SweepSpec, unit: &SweepUnit, form: &CanonicalForm
         spec.random_schedulers,
         spec.max_deliveries,
         unit.scenario.name(),
-        form.encode()
     );
-    let lo = fnv1a(format!("fp-lo|{canonical}").as_bytes());
-    let hi = fnv1a(format!("fp-hi|{canonical}").as_bytes());
-    format!("{hi:016x}{lo:016x}")
+    let pass = |prefix: &str| {
+        let mut hash = Fnv1a::new();
+        hash.write(prefix.as_bytes());
+        hash.write(fields.as_bytes());
+        hash.write(encoding.as_bytes());
+        hash.finish()
+    };
+    format!("{:016x}{:016x}", pass("fp-hi|"), pass("fp-lo|"))
 }
 
 /// Groups `units` into equivalence classes by **(protocol, canonical
@@ -90,39 +110,40 @@ pub fn cluster_units(
     spec: &SweepSpec,
     units: &[&SweepUnit],
 ) -> Result<Vec<UnitCluster>, SweepError> {
-    let mut forms: BTreeMap<String, CanonicalForm> = BTreeMap::new();
-    for unit in units {
-        if let std::collections::btree_map::Entry::Vacant(slot) = forms.entry(unit.topology.name())
-        {
-            let network = unit.topology.build().map_err(SweepError::Topology)?;
-            slot.insert(canonical_form(&network).form);
-        }
-    }
-    type ClusterKey = (String, u64, usize, String, CanonicalForm);
-    let mut classes: BTreeMap<ClusterKey, Vec<usize>> = BTreeMap::new();
+    let table = TopologyTable::new(units.iter().copied())?;
+    Ok(cluster_on(spec, units, &table))
+}
+
+/// [`cluster_units`] over a table already built from `units` (same order).
+pub(crate) fn cluster_on(
+    spec: &SweepSpec,
+    units: &[&SweepUnit],
+    table: &TopologyTable,
+) -> Vec<UnitCluster> {
+    type ClusterKey = (String, u64, usize, String, usize);
+    let mut classes: HashMap<ClusterKey, Vec<usize>> = HashMap::new();
     for (position, unit) in units.iter().enumerate() {
-        let form = forms[&unit.topology.name()].clone();
         classes
             .entry((
                 unit.protocol.name(),
                 unit.seed,
                 unit.battery_index,
                 unit.scenario.name(),
-                form,
+                table.form_id(position),
             ))
             .or_default()
             .push(position);
     }
     let mut clusters: Vec<UnitCluster> = classes
-        .into_iter()
-        .map(|((_, _, _, _, form), members)| UnitCluster {
-            fingerprint: unit_fingerprint(spec, units[members[0]], &form),
+        .into_values()
+        .map(|members| UnitCluster {
+            fingerprint: fingerprint_encoded(spec, units[members[0]], table.encoding(members[0])),
             representative: members[0],
             members,
         })
         .collect();
     clusters.sort_unstable_by_key(|c| c.representative);
-    Ok(clusters)
+    clusters
 }
 
 impl Manifest {
@@ -258,6 +279,7 @@ impl DedupStats {
 mod tests {
     use super::*;
     use crate::spec::{ProtocolSpec, ScenarioSpec, TopologySpec};
+    use anet_graph::canon::canonical_form;
 
     fn spec() -> SweepSpec {
         SweepSpec {
@@ -427,6 +449,60 @@ mod tests {
         assert_eq!(other.battery_index, manifest.units[0].battery_index);
         assert_ne!(other.seed, manifest.units[0].seed);
         let _ = record.rebind(other);
+    }
+
+    /// Two fixed units of one cell, the pristine run and its faulty twin.
+    fn golden_spec() -> SweepSpec {
+        SweepSpec {
+            protocols: vec![ProtocolSpec::GeneralBroadcast { payload_bits: 16 }],
+            topologies: vec![TopologySpec::CycleWithTail { k: 5 }],
+            seeds: vec![3],
+            random_schedulers: 1,
+            max_deliveries: 1_000_000,
+            scenarios: vec![
+                ScenarioSpec::Pristine,
+                ScenarioSpec::Faulty {
+                    drop_pct: 20,
+                    dup_pct: 10,
+                    reorder: 2,
+                    seed: 9,
+                    retry: 4,
+                    crashes: vec![(1, 0, 6)],
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn golden_fingerprints_keep_naming_existing_cache_entries() {
+        // These strings name `--cache-dir` entries already on disk: however
+        // the `unit-v2` text is assembled, its bytes may not change.
+        let spec = golden_spec();
+        let manifest = Manifest::from_spec(&spec);
+        let (pristine, faulty) = (&manifest.units[4], &manifest.units[5]);
+        assert_eq!(pristine.battery_index, 2);
+        assert!(pristine.scenario.is_pristine() && !faulty.scenario.is_pristine());
+        let form = canonical_form(&pristine.topology.build().unwrap()).form;
+        assert_eq!(
+            unit_fingerprint(&spec, pristine, &form),
+            "36c142985c3bf5873ec2e135d6f3b3e9"
+        );
+        assert_eq!(
+            unit_fingerprint(&spec, faulty, &form),
+            "881a9b9bba0d53d38a985f76615f7109"
+        );
+    }
+
+    #[test]
+    fn cluster_fingerprints_are_the_per_unit_fingerprints() {
+        let mut spec = spec();
+        spec.scenarios = golden_spec().scenarios;
+        let manifest = Manifest::from_spec(&spec);
+        for cluster in manifest.cluster_units(&spec).unwrap() {
+            let rep = &manifest.units[cluster.representative];
+            let form = canonical_form(&rep.topology.build().unwrap()).form;
+            assert_eq!(cluster.fingerprint, unit_fingerprint(&spec, rep, &form));
+        }
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Deterministic execution of single sweep units.
 //!
-//! [`execute_unit`] is the only place a sweep touches the simulator: it
-//! rebuilds the unit's network from its [`TopologySpec`](crate::TopologySpec)
-//! (self-seeded, so the
-//! construction is identical in every process), **canonicalizes** it
-//! ([`anet_graph::canon`]), runs exactly one cell of the standard battery via
-//! [`anet_sim::runner::run_battery_cell`] with trace recording on, applies
-//! the protocol's own success check, and distils the result into a canonical
+//! Every record is computed on the unit's **canonical** network: the
+//! topology is rebuilt from its [`TopologySpec`] (self-seeded, so the
+//! construction is identical in every process), canonicalized
+//! ([`anet_graph::canon`]) and rebuilt from its form. A shard
+//! does that once per distinct topology, in a topology table built before
+//! any `--jobs` fan-out and shared by clustering and execution; the public
+//! [`execute_unit`] does it for its one unit and is the per-unit oracle the
+//! differential tests compare the shard paths against. Either way the run
+//! itself is the same crate-private `execute_on`: exactly one cell of the
+//! standard battery via [`anet_sim::runner::run_battery_cell`] with trace
+//! recording on, the protocol's own success check, and a canonical
 //! [`RunRecord`]. Two executions of the same unit — same process, different
 //! process, different host — produce byte-identical records, which is the
 //! invariant the whole shard/merge machinery rests on.
@@ -20,13 +24,18 @@
 //! execution by construction, and `dedup` vs `--no-dedup` byte-identity is a
 //! theorem the differential tests merely re-check. The protocols themselves
 //! are anonymous — they observe degrees and port indices, never vertex ids —
-//! so which isomorphic representative runs is pure bookkeeping.
+//! so which isomorphic representative runs is pure bookkeeping, and so is
+//! which topology of a form built the table's network: a form rebuilds the
+//! same network whatever topology it came from.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use anet_core::general_broadcast::{corrupt_general_states, general_recovered, GeneralBroadcast};
 use anet_core::labeling::{corrupt_labeling_states, labeling_recovered, Labeling};
 use anet_core::mapping::{corrupt_mapping_states, mapping_recovered, Mapping};
 use anet_core::{Payload, StateCorruption};
-use anet_graph::canon::canonical_form;
+use anet_graph::canon::{canonical_form, CanonicalForm};
 use anet_graph::Network;
 use anet_sim::engine::{
     run_corrupted, run_recovering, run_with_config, ExecutionConfig, RunConfig,
@@ -37,10 +46,91 @@ use anet_sim::{FaultyScheduler, Outcome, RefloodProtocol};
 
 use crate::manifest::SweepUnit;
 use crate::record::RunRecord;
-use crate::spec::{ProtocolSpec, ScenarioSpec, SweepSpec};
+use crate::spec::{ProtocolSpec, ScenarioSpec, SweepSpec, TopologySpec};
 use crate::SweepError;
 
+/// The canonical topologies of a batch of units (one shard's pending units,
+/// or the slice [`cluster_units`](crate::cluster_units) is given), each built
+/// and canonicalized once.
+///
+/// Canonical forms are interned to dense ids by exact equality, so two
+/// isomorphic topologies share an id, and each id keeps the form's
+/// [`CanonicalForm::encode`] text (for fingerprints) and the canonical
+/// [`Network`] its units run on.
+pub(crate) struct TopologyTable {
+    /// Form id of each unit, by its position in the batch.
+    ids: Vec<usize>,
+    /// Per form id: the form's `encode()` text.
+    encodings: Vec<String>,
+    /// Per form id: the network rebuilt from the form.
+    networks: Vec<Network>,
+}
+
+impl TopologyTable {
+    /// Builds and canonicalizes each distinct topology of `units` once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SweepError::Topology`] for the first unit (in batch order)
+    /// whose topology parameters its generator rejects.
+    pub(crate) fn new<'a>(
+        units: impl IntoIterator<Item = &'a SweepUnit>,
+    ) -> Result<TopologyTable, SweepError> {
+        let mut table = TopologyTable {
+            ids: Vec::new(),
+            encodings: Vec::new(),
+            networks: Vec::new(),
+        };
+        let mut by_name: HashMap<String, usize> = HashMap::new();
+        let mut by_form: HashMap<CanonicalForm, usize> = HashMap::new();
+        for unit in units {
+            let id = match by_name.entry(unit.topology.name()) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(slot) => {
+                    let id = match by_form.entry(canonical(&unit.topology)?) {
+                        Entry::Occupied(form) => *form.get(),
+                        Entry::Vacant(form) => {
+                            let network = form.key().to_network().map_err(SweepError::Topology)?;
+                            table.encodings.push(form.key().encode());
+                            table.networks.push(network);
+                            *form.insert(table.networks.len() - 1)
+                        }
+                    };
+                    *slot.insert(id)
+                }
+            };
+            table.ids.push(id);
+        }
+        Ok(table)
+    }
+
+    /// The form id of the unit at `position` in the batch.
+    pub(crate) fn form_id(&self, position: usize) -> usize {
+        self.ids[position]
+    }
+
+    /// The `encode()` text of the canonical form of the unit at `position`.
+    pub(crate) fn encoding(&self, position: usize) -> &str {
+        &self.encodings[self.ids[position]]
+    }
+
+    /// The canonical network of the unit at `position`.
+    pub(crate) fn network(&self, position: usize) -> &Network {
+        &self.networks[self.ids[position]]
+    }
+}
+
+/// Builds `topology` and computes its canonical form.
+fn canonical(topology: &TopologySpec) -> Result<CanonicalForm, SweepError> {
+    let built = topology.build().map_err(SweepError::Topology)?;
+    Ok(canonical_form(&built).form)
+}
+
 /// Runs one unit and produces its canonical record.
+///
+/// Builds and canonicalizes the unit's own topology, then runs it exactly as
+/// a shard runs it on its topology table; this is the per-unit oracle the
+/// shard paths are tested against.
 ///
 /// The unit's [`ScenarioSpec`] selects the execution mode: pristine units run
 /// exactly as before scenarios existed ([`run_battery_cell`]); faulty units
@@ -56,11 +146,15 @@ use crate::SweepError;
 /// Returns [`SweepError::Topology`] if the unit's topology parameters are
 /// rejected by the generator (a spec bug, not a runtime condition).
 pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, SweepError> {
-    let built = unit.topology.build().map_err(SweepError::Topology)?;
-    let network = canonical_form(&built)
-        .form
+    let network = canonical(&unit.topology)?
         .to_network()
         .map_err(SweepError::Topology)?;
+    Ok(execute_on(spec, unit, &network))
+}
+
+/// Runs `unit` on `network`, which must be the canonical network of the
+/// unit's topology (a [`TopologyTable`] entry or [`execute_unit`]'s own).
+pub(crate) fn execute_on(spec: &SweepSpec, unit: &SweepUnit, network: &Network) -> RunRecord {
     let config = RunConfig::from(ExecutionConfig {
         max_deliveries: spec.max_deliveries,
         record_trace: true,
@@ -69,7 +163,7 @@ pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, Swe
         ProtocolSpec::Mapping => {
             let protocol = Mapping::new();
             let named = run_scenario_cell(
-                &network,
+                network,
                 &protocol,
                 config,
                 spec,
@@ -77,13 +171,13 @@ pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, Swe
                 corrupt_mapping_states,
             );
             let ok = named.result.outcome.terminated()
-                && mapping_recovered(&network, &named.result.states);
-            Ok(distil(unit, &named, ok))
+                && mapping_recovered(network, &named.result.states);
+            distil(unit, &named, ok)
         }
         ProtocolSpec::Labeling => {
             let protocol = Labeling::new();
             let named = run_scenario_cell(
-                &network,
+                network,
                 &protocol,
                 config,
                 spec,
@@ -91,13 +185,13 @@ pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, Swe
                 corrupt_labeling_states,
             );
             let ok = named.result.outcome.terminated()
-                && labeling_recovered(&network, &named.result.states);
-            Ok(distil(unit, &named, ok))
+                && labeling_recovered(network, &named.result.states);
+            distil(unit, &named, ok)
         }
         ProtocolSpec::GeneralBroadcast { payload_bits } => {
             let protocol = GeneralBroadcast::new(Payload::synthetic(*payload_bits));
             let named = run_scenario_cell(
-                &network,
+                network,
                 &protocol,
                 config,
                 spec,
@@ -105,8 +199,8 @@ pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, Swe
                 corrupt_general_states,
             );
             let ok = named.result.outcome.terminated()
-                && general_recovered(&network, &named.result.states);
-            Ok(distil(unit, &named, ok))
+                && general_recovered(network, &named.result.states);
+            distil(unit, &named, ok)
         }
     }
 }
@@ -222,7 +316,6 @@ fn distil<S, M>(unit: &SweepUnit, named: &NamedRun<S, M>, ok: bool) -> RunRecord
 mod tests {
     use super::*;
     use crate::manifest::Manifest;
-    use crate::spec::TopologySpec;
 
     fn spec() -> SweepSpec {
         SweepSpec {

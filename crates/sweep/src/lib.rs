@@ -26,15 +26,21 @@
 //!    pristine-only scenarios this is exactly the (topology, scheduler) order
 //!    of [`anet_sim::runner::run_battery_grid`]). [`Partition`] assigns each
 //!    unit to one of `n` shards by stable hash or round-robin.
-//! 3. **Execute** ([`exec`]) — [`execute_unit`] rebuilds the unit's network,
-//!    runs one cell of the standard battery
-//!    ([`anet_sim::runner::run_battery_cell`], wrapped in the unit's fault
-//!    plan or corrupted start when the scenario is adversarial) with trace
-//!    recording, applies the protocol's success *and recovery* checks, and
-//!    emits a canonical JSONL [`RunRecord`] (outcome — including `starved`
-//!    for fault-killed quiescence — metrics, wire-bit totals, adversary
-//!    counters and the stable [`anet_sim::trace::Trace::digest`]). Records are
-//!    pure functions of their units: any process, any time, same bytes.
+//! 3. **Execute** ([`exec`]) — before any `--jobs` fan-out, a shard builds a
+//!    topology table of its pending units: each distinct topology is built
+//!    and canonicalized once ([`anet_graph::canon`]), its form interned to a
+//!    dense id and rebuilt into the canonical network its units run on.
+//!    Clustering and execution share that table. Each unit runs one cell of
+//!    the standard battery ([`anet_sim::runner::run_battery_cell`], wrapped in
+//!    the unit's fault plan or corrupted start when the scenario is
+//!    adversarial) with trace recording, applies the protocol's success *and
+//!    recovery* checks, and emits a canonical JSONL [`RunRecord`] (outcome —
+//!    including `starved` for fault-killed quiescence — metrics, wire-bit
+//!    totals, adversary counters and the stable
+//!    [`anet_sim::trace::Trace::digest`]). [`execute_unit`] runs one unit the
+//!    same way on a network it builds and canonicalizes itself: the per-unit
+//!    oracle the shard paths are tested against. Records are pure functions
+//!    of their units: any process, any time, same bytes.
 //! 4. **Checkpoint & resume** ([`merge`]) — a shard's JSONL file is its
 //!    checkpoint: a spec-fingerprint header line followed by record lines.
 //!    [`run_shard_to_file`] with `resume` requires the header to match the
@@ -58,10 +64,12 @@
 //! and generator seeds. The dedup layer (on by default in the CLI) exploits
 //! this in three steps:
 //!
-//! * **Fingerprint** — [`execute_unit`] always runs on the *canonically
-//!   relabeled* network ([`anet_graph::canon`]), so isomorphic topologies
-//!   drive bit-for-bit identical simulations. [`unit_fingerprint`] condenses
-//!   the record's full input tuple into a 128-bit content address.
+//! * **Fingerprint** — every unit runs on the *canonically relabeled*
+//!   network ([`anet_graph::canon`]) of its shard's topology table (or, in
+//!   [`execute_unit`], on its own), so isomorphic topologies drive
+//!   bit-for-bit identical simulations. [`unit_fingerprint`] condenses the
+//!   record's full input tuple into a 128-bit content address; a shard
+//!   encodes each canonical form once for all the clusters that share it.
 //! * **Cluster** — [`Manifest::cluster_units`] / [`cluster_units`] group
 //!   units whose key tuples are **exactly equal** (canonical forms compared
 //!   structurally — the hash only names cache entries, so a weak labeling

@@ -25,22 +25,30 @@
 //! bytes are identical for every shard count — the sweep subsystem's central
 //! correctness contract.
 //!
+//! Every shard path — [`shard_lines`], `--no-dedup` and dedup — first builds
+//! the topology table of its pending units (each distinct topology built and
+//! canonicalized once, [`crate::exec`]) and then runs units on the table's
+//! canonical networks, fanned over `--jobs` workers that share the table.
 //! [`run_shard_to_file_with_opts`] adds the dedup/cache pipeline on top:
-//! pending units are clustered by canonical fingerprint ([`crate::dedup`]),
-//! the content-addressed cache ([`crate::cache`]) resolves whole clusters,
-//! only representatives of missed clusters execute, and member lines are
-//! rewritten from their representative's record. Because the executor runs
-//! every unit on its canonical network, the written file — and therefore the
-//! merged output — is byte-identical whether dedup is on or off.
+//! pending units are clustered by canonical form on the same table
+//! ([`crate::dedup`]), the content-addressed cache ([`crate::cache`])
+//! resolves whole clusters, only representatives of missed clusters execute,
+//! and member lines are rewritten from their representative's record.
+//! Because every unit runs on its canonical network, the written file — and
+//! therefore the merged output — is byte-identical whether dedup is on or
+//! off, and equal to per-unit [`execute_unit`](crate::execute_unit)
+//! records.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use anet_graph::Network;
+
 use crate::cache::{CachePayload, ResultCache};
-use crate::dedup::{cluster_units, DedupStats};
-use crate::exec::execute_unit;
+use crate::dedup::{cluster_on, DedupStats};
+use crate::exec::{execute_on, TopologyTable};
 use crate::manifest::{Manifest, Partition, SweepUnit};
 use crate::record::RunRecord;
 use crate::spec::SweepSpec;
@@ -90,7 +98,7 @@ pub type ShardLines = Vec<(usize, String)>;
 ///
 /// # Errors
 ///
-/// Propagates [`execute_unit`] failures.
+/// Returns [`SweepError::Topology`] for degenerate topology parameters.
 pub fn shard_lines(
     spec: &SweepSpec,
     manifest: &Manifest,
@@ -98,11 +106,12 @@ pub fn shard_lines(
     partition: Partition,
     shard: usize,
 ) -> Result<ShardLines, SweepError> {
-    manifest
+    let pending: Vec<(usize, &SweepUnit)> = manifest
         .shard_units(shards, partition, shard)
         .into_iter()
-        .map(|unit| execute_unit(spec, unit).map(|record| (unit.index, record.to_jsonl_line())))
-        .collect()
+        .map(|unit| (unit.index, unit))
+        .collect();
+    honest_lines(spec, &pending, 1)
 }
 
 /// The spec-fingerprint header written as the first line of every shard file.
@@ -152,7 +161,8 @@ pub fn checkpoint_lines(
 ///
 /// # Errors
 ///
-/// Returns I/O errors from the file system and [`execute_unit`] failures.
+/// Returns I/O errors from the file system and [`SweepError::Topology`] for
+/// degenerate topology parameters.
 pub fn run_shard_to_file(
     spec: &SweepSpec,
     manifest: &Manifest,
@@ -178,7 +188,8 @@ pub fn run_shard_to_file(
 ///
 /// # Errors
 ///
-/// Returns I/O errors from the file system and [`execute_unit`] failures.
+/// Returns I/O errors from the file system and [`SweepError::Topology`] for
+/// degenerate topology parameters.
 ///
 /// # Panics
 ///
@@ -204,48 +215,62 @@ pub fn run_shard_to_file_with_jobs(
         .map(|report| report.outcome)
 }
 
-/// Executes `(tag, unit)` tasks, fanning over `jobs` scoped worker threads
-/// when `jobs > 1`, and returns `(tag, record)` pairs (in worker-stripe
-/// order — callers address results by tag, never by position). This is the
-/// single execution engine behind both the honest and the dedup shard paths.
+/// Executes `(tag, unit, network)` tasks, fanning over `jobs` scoped worker
+/// threads when `jobs > 1`, and returns `(tag, record)` pairs (in
+/// worker-stripe order — callers address results by tag, never by position).
+/// Each network is the unit's entry in its batch's [`TopologyTable`], which
+/// the workers share. This is the single execution engine behind
+/// [`shard_lines`], the honest and the dedup shard paths.
 fn execute_tagged(
     spec: &SweepSpec,
-    tasks: &[(usize, &SweepUnit)],
+    tasks: &[(usize, &SweepUnit, &Network)],
     jobs: usize,
-) -> Result<Vec<(usize, RunRecord)>, SweepError> {
+) -> Vec<(usize, RunRecord)> {
+    let run = |&(tag, unit, network): &(usize, &SweepUnit, &Network)| {
+        (tag, execute_on(spec, unit, network))
+    };
     if jobs <= 1 || tasks.len() <= 1 {
-        return tasks
-            .iter()
-            .map(|&(tag, unit)| execute_unit(spec, unit).map(|record| (tag, record)))
-            .collect();
+        return tasks.iter().map(run).collect();
     }
     let workers = jobs.min(tasks.len());
-    let worker_results: Vec<Result<Vec<(usize, RunRecord)>, SweepError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        tasks
-                            .iter()
-                            .skip(worker)
-                            .step_by(workers)
-                            .map(|&(tag, unit)| {
-                                execute_unit(spec, unit).map(|record| (tag, record))
-                            })
-                            .collect()
-                    })
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                scope.spawn(move || {
+                    tasks
+                        .iter()
+                        .skip(worker)
+                        .step_by(workers)
+                        .map(run)
+                        .collect::<Vec<_>>()
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep job thread panicked"))
-                .collect()
-        });
-    let mut out = Vec::with_capacity(tasks.len());
-    for result in worker_results {
-        out.extend(result?);
-    }
-    Ok(out)
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep job thread panicked"))
+            .collect()
+    })
+}
+
+/// Produces the lines of `pending` `(tag, unit)` tasks by executing every
+/// unit (jobs-parallel) on the batch's topology table: the `--no-dedup`
+/// path.
+fn honest_lines(
+    spec: &SweepSpec,
+    pending: &[(usize, &SweepUnit)],
+    jobs: usize,
+) -> Result<Vec<(usize, String)>, SweepError> {
+    let table = TopologyTable::new(pending.iter().map(|&(_, unit)| unit))?;
+    let tasks: Vec<(usize, &SweepUnit, &Network)> = pending
+        .iter()
+        .enumerate()
+        .map(|(position, &(tag, unit))| (tag, unit, table.network(position)))
+        .collect();
+    Ok(execute_tagged(spec, &tasks, jobs)
+        .into_iter()
+        .map(|(tag, record)| (tag, record.to_jsonl_line()))
+        .collect())
 }
 
 /// Produces the lines of `pending` `(tag, unit)` tasks through the dedup
@@ -256,9 +281,10 @@ fn execute_tagged(
 /// asserts the cluster-key fields agree).
 ///
 /// Returns one `(tag, line)` per task plus the [`DedupStats`] of the batch.
-/// The lines are byte-identical to honest per-unit execution — the executor
-/// runs every unit on its canonical network, so members of a class cannot
-/// differ (the property the differential tests pin).
+/// The lines are byte-identical to honest per-unit execution — every unit
+/// runs on its canonical network, so members of a class cannot differ (the
+/// property the differential tests pin). One topology table serves both the
+/// clustering and the representatives' runs.
 fn execute_tagged_dedup(
     spec: &SweepSpec,
     pending: &[(usize, &SweepUnit)],
@@ -266,7 +292,8 @@ fn execute_tagged_dedup(
     cache_dir: Option<&Path>,
 ) -> Result<(Vec<(usize, String)>, DedupStats), SweepError> {
     let unit_refs: Vec<&SweepUnit> = pending.iter().map(|&(_, unit)| unit).collect();
-    let clusters = cluster_units(spec, &unit_refs)?;
+    let table = TopologyTable::new(unit_refs.iter().copied())?;
+    let clusters = cluster_on(spec, &unit_refs, &table);
     let cache = match cache_dir {
         Some(dir) => Some(ResultCache::new(dir).map_err(SweepError::Io)?),
         None => None,
@@ -279,7 +306,7 @@ fn execute_tagged_dedup(
 
     // Cache pass: resolve whole clusters from the content-addressed store.
     let mut records: Vec<Option<RunRecord>> = vec![None; clusters.len()];
-    let mut to_run: Vec<(usize, &SweepUnit)> = Vec::new();
+    let mut to_run: Vec<(usize, &SweepUnit, &Network)> = Vec::new();
     for (position, cluster) in clusters.iter().enumerate() {
         let representative = pending[cluster.representative].1;
         if let Some(cache) = &cache {
@@ -290,13 +317,17 @@ fn execute_tagged_dedup(
             }
             stats.cache_misses += 1;
         }
-        to_run.push((position, representative));
+        to_run.push((
+            position,
+            representative,
+            table.network(cluster.representative),
+        ));
     }
 
     // Execution pass: representatives of unresolved clusters only.
     stats.representatives_run = to_run.len();
     stats.members_by_reference = pending.len() - to_run.len();
-    for (position, record) in execute_tagged(spec, &to_run, jobs)? {
+    for (position, record) in execute_tagged(spec, &to_run, jobs) {
         if let Some(cache) = &cache {
             cache
                 .store(
@@ -329,7 +360,7 @@ fn execute_tagged_dedup(
 /// # Errors
 ///
 /// Returns I/O errors from the file system (including the cache directory)
-/// and [`execute_unit`] failures.
+/// and [`SweepError::Topology`] for degenerate topology parameters.
 ///
 /// # Panics
 ///
@@ -386,8 +417,8 @@ pub fn run_shard_to_file_with_opts(
         }
         Some(stats)
     } else {
-        for (slot, record) in execute_tagged(spec, &pending, opts.jobs)? {
-            slots[slot] = Some(record.to_jsonl_line());
+        for (slot, line) in honest_lines(spec, &pending, opts.jobs)? {
+            slots[slot] = Some(line);
         }
         None
     };

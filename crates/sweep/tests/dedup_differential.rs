@@ -3,16 +3,21 @@
 //! identical** to the honest one-execution-per-unit path — cold cache, warm
 //! cache, corrupted cache, any shard count, either partition strategy.
 //!
-//! The honest baseline is [`shard_lines`] (exactly what `--no-dedup` runs),
-//! so these tests are the in-process half of the `--no-dedup` differential
+//! The baseline is per-unit [`execute_unit`], which builds and
+//! canonicalizes each unit's topology on its own, so it shares no code path
+//! with the shard's topology table that both `--no-dedup` and dedup run on.
+//! These tests are the in-process half of the `--no-dedup` differential
 //! contract; `dedup_cli.rs` pins the same equality through real processes.
 
 use std::fs;
 use std::path::PathBuf;
 
+use anet_core::StateCorruption;
+use anet_graph::canon::canonical_form;
+use anet_graph::NodeId;
 use anet_sweep::{
-    dedup_shard_lines, execute_unit, merge_lines, run_shard_to_file_with_opts, shard_lines,
-    Manifest, Partition, ProtocolSpec, SweepOptions, SweepSpec, TopologySpec,
+    dedup_shard_lines, execute_unit, merge_lines, run_shard_to_file_with_opts, Manifest, Partition,
+    ProtocolSpec, ScenarioSpec, SweepOptions, SweepSpec, TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -42,19 +47,29 @@ fn redundant_spec() -> SweepSpec {
     }
 }
 
-/// The honest (no-dedup, no-cache) merged output.
-fn honest_merged(spec: &SweepSpec, manifest: &Manifest, shards: usize, p: Partition) -> String {
-    let sets: Result<Vec<_>, _> = (0..shards)
-        .map(|s| shard_lines(spec, manifest, shards, p, s))
-        .collect();
-    merge_lines(manifest.len(), sets.unwrap()).expect("honest merge covers")
+/// The per-unit oracle: each unit's own [`execute_unit`] line, in manifest
+/// order.
+fn oracle_lines(spec: &SweepSpec, manifest: &Manifest) -> Vec<String> {
+    manifest
+        .units
+        .iter()
+        .map(|unit| execute_unit(spec, unit).expect("unit runs").to_jsonl_line())
+        .collect()
+}
+
+/// The oracle as merged JSONL.
+fn oracle_merged(spec: &SweepSpec, manifest: &Manifest) -> String {
+    oracle_lines(spec, manifest)
+        .into_iter()
+        .map(|line| line + "\n")
+        .collect()
 }
 
 #[test]
 fn dedup_merged_output_is_byte_identical_to_honest() {
     let spec = redundant_spec();
     let manifest = Manifest::from_spec(&spec);
-    let baseline = honest_merged(&spec, &manifest, 1, Partition::Hash);
+    let baseline = oracle_merged(&spec, &manifest);
 
     for partition in [Partition::Hash, Partition::RoundRobin] {
         for shards in [1usize, 2, 3] {
@@ -91,7 +106,7 @@ fn dedup_merged_output_is_byte_identical_to_honest() {
 fn cold_then_warm_cache_stay_byte_identical_and_warm_pass_hits() {
     let spec = redundant_spec();
     let manifest = Manifest::from_spec(&spec);
-    let baseline = honest_merged(&spec, &manifest, 1, Partition::Hash);
+    let baseline = oracle_merged(&spec, &manifest);
     let cache = temp_dir("warm");
 
     let (cold_lines, cold) =
@@ -129,7 +144,7 @@ fn cold_then_warm_cache_stay_byte_identical_and_warm_pass_hits() {
 fn corrupted_cache_entries_degrade_to_misses_not_wrong_output() {
     let spec = redundant_spec();
     let manifest = Manifest::from_spec(&spec);
-    let baseline = honest_merged(&spec, &manifest, 1, Partition::Hash);
+    let baseline = oracle_merged(&spec, &manifest);
     let cache = temp_dir("corrupt");
 
     let (_, cold) =
@@ -230,6 +245,104 @@ fn dedup_resume_recovers_a_truncated_checkpoint_byte_identically() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Every scenario kind over an isomorphic pair whose generators label it
+/// differently (`nested-cycles 1 4` ≅ `cycle-with-tail 4`) and a star, each
+/// topology run by all three protocols.
+fn every_scenario_spec() -> SweepSpec {
+    SweepSpec {
+        protocols: vec![
+            ProtocolSpec::Mapping,
+            ProtocolSpec::Labeling,
+            ProtocolSpec::GeneralBroadcast { payload_bits: 16 },
+        ],
+        topologies: vec![
+            TopologySpec::NestedCycles { count: 1, len: 4 },
+            TopologySpec::CycleWithTail { k: 4 },
+            TopologySpec::Star { leaves: 3 },
+        ],
+        seeds: vec![3],
+        random_schedulers: 1,
+        max_deliveries: 1_000_000,
+        scenarios: vec![
+            ScenarioSpec::Pristine,
+            ScenarioSpec::Faulty {
+                drop_pct: 20,
+                dup_pct: 10,
+                reorder: 2,
+                seed: 9,
+                retry: 0,
+                crashes: vec![],
+            },
+            ScenarioSpec::Faulty {
+                drop_pct: 20,
+                dup_pct: 0,
+                reorder: 0,
+                seed: 7,
+                retry: 4,
+                crashes: vec![],
+            },
+            ScenarioSpec::Corrupt(StateCorruption::ScrambledLabels { seed: 11 }),
+            ScenarioSpec::Corrupt(StateCorruption::LostPartition),
+            ScenarioSpec::Corrupt(StateCorruption::StaleTerminal),
+        ],
+    }
+}
+
+#[test]
+fn shard_files_equal_the_per_unit_oracle_with_dedup_on_and_off_and_any_jobs() {
+    let spec = every_scenario_spec();
+    // `nested-cycles` and `star` are generated with their edges numbered in
+    // another order than their canonical networks (sorted), and the engine
+    // sees edge and port numbers, so a shard that ran them on anything but
+    // the canonical network would change their records.
+    for topology in [&spec.topologies[0], &spec.topologies[2]] {
+        let built = topology.build().unwrap();
+        let labeling = canonical_form(&built);
+        let relabel = |v: NodeId| labeling.permutation[v.index()];
+        let edges: Vec<(usize, usize)> = built
+            .graph()
+            .edges()
+            .map(|e| built.graph().edge_endpoints(e))
+            .map(|(a, b)| (relabel(a), relabel(b)))
+            .collect();
+        assert_ne!(edges, labeling.form.edges, "{}", topology.name());
+    }
+    let manifest = Manifest::from_spec(&spec);
+    let oracle = oracle_lines(&spec, &manifest);
+    let dir = temp_dir("oracle");
+    for dedup in [false, true] {
+        for jobs in [1usize, 2] {
+            let path = dir.join(format!("shard-dedup-{dedup}-jobs-{jobs}.jsonl"));
+            let opts = SweepOptions {
+                jobs,
+                resume: false,
+                dedup,
+                cache_dir: None,
+            };
+            let report =
+                run_shard_to_file_with_opts(&spec, &manifest, 1, Partition::Hash, 0, &path, &opts)
+                    .unwrap();
+            assert_eq!(report.outcome.executed, manifest.len());
+            if dedup {
+                let stats = report.stats.expect("dedup path reports stats");
+                assert!(stats.members_by_reference > 0, "the pair must dedup");
+            }
+            let contents = fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = contents.lines().skip(1).collect();
+            assert_eq!(lines.len(), oracle.len());
+            for (index, (line, expected)) in lines.iter().zip(&oracle).enumerate() {
+                assert_eq!(
+                    line,
+                    expected,
+                    "unit {} (dedup {dedup}, jobs {jobs})",
+                    manifest.units[index].key()
+                );
+            }
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // --- randomized specs: the same strategy space as merge_equivalence.rs ---
 
 fn protocol(choice: u32, bits: u64) -> ProtocolSpec {
@@ -296,7 +409,7 @@ proptest! {
             scenarios: vec![anet_sweep::ScenarioSpec::Pristine],
         };
         let manifest = Manifest::from_spec(&spec);
-        let baseline = honest_merged(&spec, &manifest, 1, Partition::Hash);
+        let baseline = oracle_merged(&spec, &manifest);
         let cache = temp_dir(&format!("prop-{case:016x}"));
 
         for partition in [Partition::Hash, Partition::RoundRobin] {

@@ -12,8 +12,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use anet_sweep::{
-    dedup_shard_lines, merge_lines, run_shard_to_file_with_opts, shard_lines, Manifest, Partition,
-    ProtocolSpec, RunRecord, ScenarioSpec, SweepOptions, SweepSpec, TopologySpec,
+    dedup_shard_lines, execute_unit, merge_lines, run_shard_to_file_with_opts, shard_lines,
+    Manifest, Partition, ProtocolSpec, RunRecord, ScenarioSpec, SweepOptions, SweepSpec,
+    TopologySpec,
 };
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -62,6 +63,17 @@ fn fault_spec() -> SweepSpec {
     }
 }
 
+/// The per-unit oracle: each unit's own [`execute_unit`] line, in manifest
+/// order. It builds and canonicalizes every unit's topology itself, apart
+/// from the topology table the shard paths share.
+fn oracle_merged(spec: &SweepSpec, manifest: &Manifest) -> String {
+    manifest
+        .units
+        .iter()
+        .map(|unit| execute_unit(spec, unit).expect("unit runs").to_jsonl_line() + "\n")
+        .collect()
+}
+
 fn honest_merged(spec: &SweepSpec, manifest: &Manifest, shards: usize, p: Partition) -> String {
     let sets: Result<Vec<_>, _> = (0..shards)
         .map(|s| shard_lines(spec, manifest, shards, p, s))
@@ -73,9 +85,9 @@ fn honest_merged(spec: &SweepSpec, manifest: &Manifest, shards: usize, p: Partit
 fn sharded_merge_under_faults_is_byte_identical() {
     let spec = fault_spec();
     let manifest = Manifest::from_spec(&spec);
-    let baseline = honest_merged(&spec, &manifest, 1, Partition::Hash);
+    let baseline = oracle_merged(&spec, &manifest);
     for partition in [Partition::Hash, Partition::RoundRobin] {
-        for shards in [2usize, 3] {
+        for shards in [1usize, 2, 3] {
             assert_eq!(
                 honest_merged(&spec, &manifest, shards, partition),
                 baseline,
@@ -124,8 +136,8 @@ fn adversarial_scenarios_do_not_perturb_the_pristine_runs() {
     };
     let manifest = Manifest::from_spec(&spec);
     let pristine_manifest = Manifest::from_spec(&pristine_spec);
-    let full = honest_merged(&spec, &manifest, 1, Partition::Hash);
-    let plain = honest_merged(&pristine_spec, &pristine_manifest, 1, Partition::Hash);
+    let full = oracle_merged(&spec, &manifest);
+    let plain = oracle_merged(&pristine_spec, &pristine_manifest);
     let strip_index = |jsonl: &str, keep_pristine_only: bool| -> Vec<RunRecord> {
         jsonl
             .lines()
@@ -144,7 +156,7 @@ fn adversarial_scenarios_do_not_perturb_the_pristine_runs() {
 fn dedup_and_cache_equal_honest_under_faults() {
     let spec = fault_spec();
     let manifest = Manifest::from_spec(&spec);
-    let baseline = honest_merged(&spec, &manifest, 1, Partition::Hash);
+    let baseline = oracle_merged(&spec, &manifest);
     let cache = temp_dir("dedup");
 
     let (cold_lines, cold) =
@@ -261,8 +273,12 @@ fn committed_recovery_spec_parses_and_round_trips() {
 fn recovery_sweep_is_byte_identical_and_quantifies_recovery() {
     let spec = recovery_spec();
     let manifest = Manifest::from_spec(&spec);
-    let baseline = honest_merged(&spec, &manifest, 1, Partition::Hash);
-    for (shards, partition) in [(2, Partition::Hash), (3, Partition::RoundRobin)] {
+    let baseline = oracle_merged(&spec, &manifest);
+    for (shards, partition) in [
+        (1, Partition::Hash),
+        (2, Partition::Hash),
+        (3, Partition::RoundRobin),
+    ] {
         assert_eq!(
             honest_merged(&spec, &manifest, shards, partition),
             baseline,
@@ -358,7 +374,7 @@ fn recovery_sweep_is_byte_identical_and_quantifies_recovery() {
         ..spec.clone()
     };
     let pristine_manifest = Manifest::from_spec(&pristine_spec);
-    let plain = honest_merged(&pristine_spec, &pristine_manifest, 1, Partition::Hash);
+    let plain = oracle_merged(&pristine_spec, &pristine_manifest);
     let plain_records: Vec<RunRecord> = plain
         .lines()
         .map(|l| strip(&RunRecord::parse_line(l).expect("canonical line")))
@@ -375,7 +391,7 @@ fn recovery_sweep_is_byte_identical_and_quantifies_recovery() {
 fn dedup_cache_and_resume_reproduce_the_recovery_sweep() {
     let spec = recovery_spec();
     let manifest = Manifest::from_spec(&spec);
-    let baseline = honest_merged(&spec, &manifest, 1, Partition::Hash);
+    let baseline = oracle_merged(&spec, &manifest);
 
     let cache = temp_dir("recovery-dedup");
     let (cold_lines, _) =

@@ -4,8 +4,8 @@
 //! The paper's correctness claims are universally quantified over delivery
 //! orders; a sweep approximates that quantifier at scale. This example drives
 //! the same machinery the `sweep` CLI runs across OS *processes*
-//! ([`anet_sweep::run_sweep_threaded`] shares `execute_unit` and the merge
-//! with the process path), so its output is byte-identical no matter how many
+//! ([`anet_sweep::run_sweep_threaded`] shares the shard executor and the
+//! merge with the process path), so its output is byte-identical no matter how many
 //! shards — or which machines — executed the units. Results come back in
 //! canonical (protocol, topology, seed, scheduler) manifest order regardless
 //! of thread timing, so the printed table is reproducible run to run.
