@@ -12,10 +12,16 @@
 //!
 //! The quadratic reference difference is capped at 1 000 intervals to keep the
 //! bench runnable; the fast paths run at every size.
+//!
+//! The `interval_algebra_delta` group times the protocols' per-delivery shape
+//! instead (see [`anet_bench::delta_operands`]): a one-interval delta merged
+//! into, or carved by, a state of 100 to 10 000 intervals. The in-place
+//! union runs on a freshly built, unshared state per iteration (built outside
+//! the timed region), as a protocol state is when a delivery reaches it.
 
-use anet_bench::striped_union;
+use anet_bench::{delta_operands, striped_union};
 use anet_num::{reference, IntervalUnion};
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::time::Duration;
 
 const SIZES: &[usize] = &[10, 100, 1_000, 10_000];
@@ -111,5 +117,47 @@ fn bench_interval_algebra(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_interval_algebra);
+fn bench_delta_against_state(c: &mut Criterion) {
+    let mut group = c.benchmark_group("interval_algebra_delta");
+    // Every timed union needs a fresh copy of the state, so keep the timed
+    // budget small: the copies, not the unions, dominate the wall time.
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(20))
+        .measurement_time(Duration::from_millis(20));
+    for &n in &[100, 1_000, 10_000] {
+        for (heap, repr) in [(false, "inline"), (true, "heap")] {
+            let (state, delta) = delta_operands(n, heap);
+            group.bench_with_input(
+                BenchmarkId::new(format!("union_in_place/fast/{repr}"), n),
+                &(&state, &delta),
+                |bencher, (state, delta)| {
+                    bencher.iter_batched_ref(
+                        || state.deep_clone(),
+                        |acc| acc.union_in_place(delta),
+                        BatchSize::LargeInput,
+                    )
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("union_in_place/reference/{repr}"), n),
+                &(&state, &delta),
+                |bencher, (state, delta)| bencher.iter(|| reference::union(state, delta)),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("difference/fast/{repr}"), n),
+                &(&state, &delta),
+                |bencher, (state, delta)| bencher.iter(|| delta.difference(state)),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("difference/reference/{repr}"), n),
+                &(&state, &delta),
+                |bencher, (state, delta)| bencher.iter(|| reference::difference(delta, state)),
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_interval_algebra, bench_delta_against_state);
 criterion_main!(benches);

@@ -125,7 +125,45 @@ pub fn median_ns(cfg: &SampleConfig, mut f: impl FnMut()) -> u64 {
     samples[samples.len() / 2]
 }
 
+/// Like [`median_ns`], for a routine that needs a fresh input per call:
+/// each sample builds `iters` inputs with `setup`, in batches of at most 16,
+/// outside the timed region and times `routine` on each. The iteration count
+/// is fixed rather than calibrated, because building an input (a copy of a
+/// large state) can cost far more than the routine itself; a smoke config
+/// runs one iteration.
+pub fn median_ns_batched<T>(
+    cfg: &SampleConfig,
+    iters: usize,
+    mut setup: impl FnMut() -> T,
+    mut routine: impl FnMut(&mut T),
+) -> u64 {
+    let iters = if cfg.min_sample_micros == 0 { 1 } else { iters };
+    let mut samples: Vec<u64> = (0..cfg.samples.max(1))
+        .map(|_| {
+            let mut elapsed = std::time::Duration::ZERO;
+            let mut left = iters;
+            while left > 0 {
+                let batch = left.min(16);
+                let mut inputs: Vec<T> = (0..batch).map(|_| setup()).collect();
+                let start = Instant::now();
+                for input in &mut inputs {
+                    routine(input);
+                }
+                elapsed += start.elapsed();
+                left -= batch;
+            }
+            (elapsed.as_nanos() as u64) / iters as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
 const INTERVAL_SIZES: &[usize] = &[10, 100, 1_000, 10_000];
+/// State sizes of the delta-versus-state rows.
+const DELTA_STATE_SIZES: &[usize] = &[100, 1_000, 10_000];
+/// Timed in-place unions per sample of a delta-versus-state row.
+const DELTA_UNION_ITERS: usize = 64;
 const REFERENCE_DIFFERENCE_CAP: usize = 1_000;
 
 /// A binary interval-set operation.
@@ -147,7 +185,10 @@ fn interval_operands(op: &str, n: usize, heap: bool) -> (IntervalUnion, Interval
 
 /// Generates the `BENCH_interval_algebra.json` contents: the interval-algebra
 /// fast paths versus the retained reference implementations over the striped
-/// workload sweep.
+/// workload sweep, then the per-delivery shape ([`crate::delta_operands`]): a
+/// one-interval delta merged into an unshared state in place
+/// (`union_in_place/delta`) and carved by it (`difference/delta`, the delta
+/// minus the state), against states of 100 to 10 000 intervals.
 pub fn interval_algebra_json(cfg: &SampleConfig) -> String {
     struct Record {
         op: &'static str,
@@ -200,6 +241,61 @@ pub fn interval_algebra_json(cfg: &SampleConfig) -> String {
                     });
                 }
             }
+        }
+    }
+
+    for &n in DELTA_STATE_SIZES {
+        for (heap, repr) in [(false, "inline"), (true, "heap")] {
+            let (state, delta) = crate::delta_operands(n, heap);
+            if cfg.cross_check {
+                let mut merged = state.deep_clone();
+                assert!(merged.union_in_place(&delta));
+                assert_eq!(merged, num_reference::union(&state, &delta));
+                assert_eq!(
+                    delta.difference(&state),
+                    num_reference::difference(&delta, &state)
+                );
+            }
+            let row = |op, implementation, median_ns| Record {
+                op,
+                implementation,
+                endpoints: repr,
+                intervals: n,
+                median_ns,
+            };
+            records.push(row(
+                "union_in_place/delta",
+                "fast",
+                median_ns_batched(
+                    cfg,
+                    DELTA_UNION_ITERS,
+                    || state.deep_clone(),
+                    |acc| {
+                        std::hint::black_box(acc.union_in_place(&delta));
+                    },
+                ),
+            ));
+            records.push(row(
+                "union_in_place/delta",
+                "reference",
+                median_ns(cfg, || {
+                    std::hint::black_box(num_reference::union(&state, &delta));
+                }),
+            ));
+            records.push(row(
+                "difference/delta",
+                "fast",
+                median_ns(cfg, || {
+                    std::hint::black_box(delta.difference(&state));
+                }),
+            ));
+            records.push(row(
+                "difference/delta",
+                "reference",
+                median_ns(cfg, || {
+                    std::hint::black_box(num_reference::difference(&delta, &state));
+                }),
+            ));
         }
     }
 

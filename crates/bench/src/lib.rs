@@ -218,6 +218,28 @@ pub fn striped_union(
     }))
 }
 
+/// The per-delivery shape of the interval protocols: a state of `count`
+/// stripes (`striped_union(count, 4, 0, 2, heap)`, width 2 cells with gaps
+/// of 2) and a one-interval delta near its middle that overlaps one stripe
+/// and reaches into the following gap, so merging it changes the state and
+/// carving it by the state leaves one piece.
+pub fn delta_operands(
+    count: usize,
+    heap_endpoints: bool,
+) -> (anet_num::IntervalUnion, anet_num::IntervalUnion) {
+    let state = striped_union(count, 4, 0, 2, heap_endpoints);
+    let middle = state.endpoints().len() / 4 * 2;
+    let (lo, hi) = (&state.endpoints()[middle], &state.endpoints()[middle + 1]);
+    // The stripe [lo, hi) has width 2 cells: the delta starts one cell in and
+    // ends one cell past the stripe's end, inside the gap.
+    let cell = &hi
+        .checked_sub(lo)
+        .expect("stripe endpoints are ordered")
+        .halve();
+    let delta = anet_num::Interval::new(lo + cell, hi + cell).expect("ordered");
+    (state, anet_num::IntervalUnion::from(delta))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +288,20 @@ mod tests {
                 assert_eq!(iv.lo().is_inline(), !heap);
                 assert_eq!(iv.hi().is_inline(), !heap);
             }
+        }
+    }
+
+    #[test]
+    fn delta_operands_change_the_state_and_leave_one_piece() {
+        for heap in [false, true] {
+            let (state, delta) = delta_operands(100, heap);
+            assert_eq!(state.interval_count(), 100);
+            assert_eq!(delta.interval_count(), 1);
+            let merged = state.union(&delta);
+            assert_ne!(merged, state, "heap = {heap}");
+            assert_eq!(merged.interval_count(), 100, "heap = {heap}");
+            assert_eq!(delta.difference(&state).interval_count(), 1);
+            assert_eq!(delta.intersection(&state).interval_count(), 1);
         }
     }
 

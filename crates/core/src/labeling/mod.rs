@@ -377,21 +377,30 @@ fn report_from_run<M>(
 ///
 /// This is the labelling protocol's success predicate — the sweep's `ok`
 /// column and [`LabelingReport::labels_unique`] are both this function.
+///
+/// One sort-and-sweep over every participant's intervals, O(k log k) for `k`
+/// intervals in all: a participant's own intervals never overlap (canonical
+/// form), so in order of lower endpoint any interval starting below the
+/// highest upper endpoint seen so far overlaps another participant's label.
 pub fn labels_unique(network: &Network, labels: &[IntervalUnion]) -> bool {
-    let participants: Vec<NodeId> = network
-        .graph()
-        .nodes()
-        .filter(|&n| n != network.root())
-        .collect();
-    for (i, &a) in participants.iter().enumerate() {
-        if labels[a.index()].is_empty() {
+    let mut intervals = Vec::new();
+    for node in network.graph().nodes() {
+        if node == network.root() {
+            continue;
+        }
+        let ends = labels[node.index()].endpoints();
+        if ends.is_empty() {
             return false;
         }
-        for &b in &participants[i + 1..] {
-            if labels[a.index()].intersects(&labels[b.index()]) {
-                return false;
-            }
+        intervals.extend(ends.chunks_exact(2).map(|pair| (&pair[0], &pair[1])));
+    }
+    intervals.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut reach = None;
+    for (lo, hi) in intervals {
+        if reach.is_some_and(|reach| lo < reach) {
+            return false;
         }
+        reach = reach.max(Some(hi));
     }
     true
 }

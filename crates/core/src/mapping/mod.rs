@@ -37,14 +37,16 @@
 //! time any vertex creates or learns it, and from then on the record travels as a
 //! dense `u32` [`RecordId`]:
 //!
-//! * `known` and `sent` are [`IdBag`]s — an occupancy-chosen id set: the
-//!   terminal (which eventually absorbs every record) uses the dense bitset
+//! * `known` is an [`IdBag`] — an occupancy-chosen id set: the terminal
+//!   (which eventually absorbs every record) uses the dense bitset
 //!   representation, while internal vertices (which see only the records
 //!   flooded through them) use a sorted id vector, so per-vertex memory is
 //!   proportional to what the vertex actually knows rather than to the run's
-//!   whole record arena. The per-activation "what's new" diff (`known \
-//!   sent`, the records to flood) is one representation-aware
-//!   [`IdBag::difference_drain`] pass instead of a `BTreeSet` difference
+//!   whole record arena. A vertex with out-edges floods, in ascending id
+//!   order, exactly the ids its activation inserted into `known`: every
+//!   earlier activation flooded all it inserted, so these are the records
+//!   not yet sent (the reference's `known \ sent`), found in time
+//!   proportional to the activation's own inserts rather than by a difference
 //!   walking every record the vertex has ever seen;
 //! * flooded messages carry one [`SharedSlice<RecordId>`] shared by every
 //!   out-port (an `Arc` slice — cloning it per port or per trace event is O(1)),
@@ -77,6 +79,7 @@
 
 pub mod reference;
 
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use anet_graph::{DiGraph, Network, NodeId};
@@ -457,10 +460,9 @@ pub struct MappingState {
     /// Dense (bitset) at the terminal, which absorbs every record of the run;
     /// sparse (sorted vector) everywhere else, so per-vertex memory scales
     /// with what the vertex actually saw, not with the run's record arena.
+    /// A vertex with out-edges floods every id in the activation that inserts
+    /// it, so its `known` is also exactly what it has sent.
     pub known: IdBag,
-    /// Ids of records already flooded on the out-ports (same representation
-    /// split as [`MappingState::known`]).
-    pub sent: IdBag,
     /// Announcements received before this vertex had a label.
     pub pending_announces: Vec<Announce>,
     /// This vertex's own degrees (recorded for report extraction).
@@ -605,11 +607,6 @@ impl AnonymousProtocol for Mapping {
             } else {
                 IdBag::sparse()
             },
-            sent: if ctx.out_degree == 0 {
-                IdBag::dense()
-            } else {
-                IdBag::sparse()
-            },
             pending_announces: Vec::new(),
             in_degree: ctx.in_degree,
             out_degree: ctx.out_degree,
@@ -647,11 +644,15 @@ impl AnonymousProtocol for Mapping {
         // message composition.
         let mut table = self.table.lock().expect("record table lock poisoned");
 
+        // Ids this activation inserts into `known`: the batch to flood.
+        let mut new_ids: Vec<RecordId> = Vec::new();
+
         // 1. Absorb flooded records — id inserts; only the memoised meta (and
         //    per label, once, its interval) is consulted if this vertex
         //    maintains the terminal index.
         for &id in message.records.items() {
             if state.known.insert(id) {
+                new_ids.push(id);
                 if let Some(view) = state.terminal_view.as_mut() {
                     view.absorb(table.meta_of(id), &table);
                 }
@@ -716,6 +717,7 @@ impl AnonymousProtocol for Mapping {
                 };
                 let id = table.intern(&record);
                 if state.known.insert(id) {
+                    new_ids.push(id);
                     if let Some(view) = state.terminal_view.as_mut() {
                         view.absorb(table.meta_of(id), &table);
                     }
@@ -738,7 +740,9 @@ impl AnonymousProtocol for Mapping {
                 out_degree: d,
             };
             let id = table.intern(&record);
-            state.known.insert(id);
+            if state.known.insert(id) {
+                new_ids.push(id);
+            }
             let pending = std::mem::take(&mut state.pending_announces);
             for announce in pending {
                 let record = MapRecord::Edge {
@@ -747,7 +751,9 @@ impl AnonymousProtocol for Mapping {
                     dst: state.own_ref(),
                 };
                 let id = table.intern(&record);
-                state.known.insert(id);
+                if state.known.insert(id) {
+                    new_ids.push(id);
+                }
             }
         }
 
@@ -755,11 +761,11 @@ impl AnonymousProtocol for Mapping {
             return;
         }
 
-        // 5. Compose per-port outgoing messages. The "what's new" diff is one
-        //    representation-aware pass that simultaneously marks the ids as
-        //    sent, and the resulting batch is shared by every out-port.
-        let mut new_ids: Vec<RecordId> = Vec::new();
-        state.known.difference_drain(&mut state.sent, &mut new_ids);
+        // 5. Compose per-port outgoing messages. Every earlier activation
+        //    flooded all it inserted, so the ids inserted by this one are
+        //    exactly the unsent ones; flooded in ascending order, the batch is
+        //    shared by every out-port.
+        new_ids.sort_unstable();
         let records_bits = bits::elias_gamma_bits(new_ids.len() as u64)
             + new_ids.iter().map(|&id| table.bits_of(id)).sum::<u64>();
         drop(table);
@@ -803,8 +809,8 @@ impl RefloodProtocol for Mapping {
     /// copy of the label announcement (if the vertex is labelled — the
     /// neighbour re-derives the identical edge record, which interns to the
     /// same id and is absorbed idempotently), and **all** records the vertex
-    /// knows — not just `known \ sent`, since previously flooded batches may
-    /// have been destroyed.
+    /// knows — not just the latest activation's batch, since previously
+    /// flooded batches may have been destroyed.
     fn reflood(&self, ctx: &NodeContext, state: &MappingState) -> Vec<(usize, MappingMessage)> {
         if ctx.out_degree == 0 {
             return Vec::new();
@@ -930,6 +936,16 @@ impl ReconstructedTopology {
         self.edges.len()
     }
 
+    /// Position of each vertex reference in [`ReconstructedTopology::vertices`];
+    /// a repeated reference keeps its first position.
+    fn vertex_positions(&self) -> HashMap<&VertexRef, usize> {
+        let mut positions = HashMap::with_capacity(self.vertices.len());
+        for (i, v) in self.vertices.iter().enumerate() {
+            positions.entry(&v.reference).or_insert(i);
+        }
+        positions
+    }
+
     /// Rebuilds the topology as a [`Network`] (vertex ids follow the order of
     /// [`ReconstructedTopology::vertices`], with the root first and the terminal
     /// last).
@@ -941,9 +957,8 @@ impl ReconstructedTopology {
     pub fn to_network(&self) -> Result<Network, anet_graph::NetworkError> {
         let mut g = DiGraph::new();
         let ids: Vec<NodeId> = self.vertices.iter().map(|_| g.add_node()).collect();
-        let find = |r: &VertexRef| -> Option<usize> {
-            self.vertices.iter().position(|v| &v.reference == r)
-        };
+        let positions = self.vertex_positions();
+        let find = |r: &VertexRef| positions.get(r).copied();
         // Edges must be added in (source, port) order so the rebuilt graph has the
         // same port structure as the original.
         let mut ordered: Vec<&ReconEdge> = self.edges.iter().collect();
@@ -966,6 +981,11 @@ impl ReconstructedTopology {
     /// there is a reconstructed edge between the correspondingly labelled vertices
     /// at the same port. `labels` maps original node ids to the labels assigned
     /// during the run (empty for the root).
+    ///
+    /// The reconstruction is indexed once — vertices by reference (a repeated
+    /// reference answers with its first vertex), edges by
+    /// `(src, port, dst)` — so the check is O(V + E) lookups rather than a
+    /// scan of the reconstruction per original vertex and edge.
     pub fn matches_exactly(&self, network: &Network, labels: &[IntervalUnion]) -> bool {
         if self.vertex_count() != network.node_count() {
             return false;
@@ -984,14 +1004,22 @@ impl ReconstructedTopology {
                     .map(VertexRef::Labeled)
             }
         };
+        let positions = self.vertex_positions();
+        let edges: HashSet<(&VertexRef, usize, &VertexRef)> = self
+            .edges
+            .iter()
+            .map(|e| (&e.src, e.src_port, &e.dst))
+            .collect();
         let g = network.graph();
         for node in g.nodes() {
             let Some(node_ref) = refer(node) else {
                 return false;
             };
             // Degree bookkeeping must match.
-            let found = self.vertices.iter().find(|v| v.reference == node_ref);
-            let Some(found) = found else { return false };
+            let Some(&at) = positions.get(&node_ref) else {
+                return false;
+            };
+            let found = &self.vertices[at];
             if found.out_degree != g.out_degree(node) || found.in_degree != g.in_degree(node) {
                 return false;
             }
@@ -1000,11 +1028,7 @@ impl ReconstructedTopology {
                 let Some(dst_ref) = refer(g.edge_dst(edge)) else {
                     return false;
                 };
-                let present = self
-                    .edges
-                    .iter()
-                    .any(|e| e.src == node_ref && e.src_port == port && e.dst == dst_ref);
-                if !present {
+                if !edges.contains(&(&node_ref, port, &dst_ref)) {
                     return false;
                 }
             }

@@ -98,6 +98,23 @@ impl BigUint {
         None
     }
 
+    /// Bits `[start, start + 64)` of the value as a `u64`; positions below
+    /// zero or at or above [`BigUint::bit_len`] read as zero. A limb window
+    /// lets differently aligned values be compared a word at a time without
+    /// materialising shifted copies.
+    pub(crate) fn window64(&self, start: i64) -> u64 {
+        if start <= -64 {
+            return 0;
+        }
+        if start < 0 {
+            return self.window64(0) << -start;
+        }
+        let limb = (start / i64::from(LIMB_BITS)) as usize;
+        let off = (start % i64::from(LIMB_BITS)) as u32;
+        let get = |i: usize| u128::from(self.limbs.get(i).copied().unwrap_or(0));
+        ((get(limb) | get(limb + 1) << LIMB_BITS | get(limb + 2) << (2 * LIMB_BITS)) >> off) as u64
+    }
+
     /// Builds a value from a `u128` (the widest intermediate the inline dyadic
     /// fast path produces).
     pub fn from_u128(v: u128) -> Self {
@@ -749,6 +766,23 @@ mod tests {
         assert!(!v.bit(101));
         assert_eq!(v.trailing_zeros(), Some(100));
         assert_eq!(BigUint::zero().trailing_zeros(), None);
+    }
+
+    #[test]
+    fn window64_reads_shifted_bits_with_zero_padding() {
+        let low64 = |x: &BigUint| (x - &((x >> 64) << 64)).to_u64().expect("fits");
+        let v = &(BigUint::from(0xDEAD_BEEF_u64) << 90) + &BigUint::from(0x1234_5678_9ABC_DEF0_u64);
+        for start in -70i64..200 {
+            let expected = if start >= 0 {
+                low64(&(&v >> start as u32))
+            } else {
+                low64(&(&v << (-start) as u32))
+            };
+            assert_eq!(v.window64(start), expected, "start {start}");
+        }
+        assert_eq!(v.window64(-1), 0x2468_ACF1_3579_BDE0);
+        assert_eq!(v.window64(90), 0xDEAD_BEEF);
+        assert_eq!(BigUint::zero().window64(5), 0);
     }
 
     #[test]

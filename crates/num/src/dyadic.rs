@@ -44,10 +44,12 @@ enum Mantissa {
 /// repeated halvings and canonical partitions stay within a machine word for
 /// all practical network depths, so comparisons, `+`, `-` and normalisation
 /// run branch-cheap inline `u64`/`u128` arithmetic and **never allocate**. The
-/// `BigUint` spill path preserves exactness for adversarially deep values; the
-/// two representations never coexist for the same value, so equality and
-/// hashing stay value-based. The always-heap implementations are retained in
-/// [`crate::reference`] for differential testing.
+/// `BigUint` spill path preserves exactness for adversarially deep values, and
+/// comparing a spilled value never allocates either: operands with one
+/// leading-bit position compare their top-aligned mantissa bits a word at a
+/// time. The two representations never coexist for the same value, so
+/// equality and hashing stay value-based. The always-heap implementations are
+/// retained in [`crate::reference`] for differential testing.
 ///
 /// # Example
 ///
@@ -63,6 +65,22 @@ enum Mantissa {
 pub struct Dyadic {
     mantissa: Mantissa,
     exponent: u32,
+}
+
+impl Mantissa {
+    /// Bits `[start, start + 64)` of the mantissa; positions below zero or
+    /// above the top bit read as zero.
+    #[inline]
+    fn window64(&self, start: i64) -> u64 {
+        match self {
+            Mantissa::Small(m) => match start {
+                s if s <= -64 || s >= 64 => 0,
+                s if s < 0 => m << -s,
+                s => m >> s,
+            },
+            Mantissa::Big(b) => b.window64(start),
+        }
+    }
 }
 
 /// Bit length of a non-zero `u64` mantissa.
@@ -265,8 +283,8 @@ impl Dyadic {
     }
 
     /// The aligned big-mantissa pair `(a << (e - ea), b << (e - eb))` with
-    /// `e = max(ea, eb)` — the slow path shared by comparison, addition and
-    /// subtraction when either operand has spilled to the heap.
+    /// `e = max(ea, eb)` — the slow path shared by addition and subtraction
+    /// when either operand has spilled to the heap.
     fn aligned_big(&self, other: &Dyadic) -> (BigUint, BigUint, u32) {
         let exp = self.exponent.max(other.exponent);
         let a = self.mantissa() << (exp - self.exponent);
@@ -412,59 +430,78 @@ impl Default for Dyadic {
 }
 
 impl Ord for Dyadic {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        match (&self.mantissa, &other.mantissa) {
-            (Mantissa::Small(ma), Mantissa::Small(mb)) => {
-                let (ma, mb) = (*ma, *mb);
-                if self.exponent == other.exponent || ma == 0 || mb == 0 {
-                    return ma.cmp(&mb);
-                }
-                // Compare the binary-point position of the leading bit first;
-                // only equal magnitudes need aligned mantissas, and then the
-                // exponent difference equals the bit-length difference, < 64.
-                let pa = i64::from(bit_len_u64(ma)) - i64::from(self.exponent);
-                let pb = i64::from(bit_len_u64(mb)) - i64::from(other.exponent);
-                if pa != pb {
-                    return pa.cmp(&pb);
-                }
-                if self.exponent >= other.exponent {
-                    u128::from(ma).cmp(&(u128::from(mb) << (self.exponent - other.exponent)))
-                } else {
-                    (u128::from(ma) << (other.exponent - self.exponent)).cmp(&u128::from(mb))
-                }
+        let (Mantissa::Small(ma), Mantissa::Small(mb)) = (&self.mantissa, &other.mantissa) else {
+            if self.exponent == other.exponent {
+                // Equal scales compare by mantissa alone; a spilled mantissa
+                // always exceeds an inline one (> 64 significant bits vs at
+                // most 64).
+                return match (&self.mantissa, &other.mantissa) {
+                    (Mantissa::Big(a), Mantissa::Big(b)) => a.cmp(b),
+                    (Mantissa::Big(_), _) => Ordering::Greater,
+                    _ => Ordering::Less,
+                };
             }
-            // Equal scales compare by mantissa alone; a spilled mantissa always
-            // exceeds an inline one (> 64 significant bits vs at most 64).
-            (Mantissa::Small(_), Mantissa::Big(_)) if self.exponent == other.exponent => {
-                Ordering::Less
-            }
-            (Mantissa::Big(_), Mantissa::Small(_)) if self.exponent == other.exponent => {
-                Ordering::Greater
-            }
-            (Mantissa::Big(a), Mantissa::Big(b)) if self.exponent == other.exponent => a.cmp(b),
-            _ => {
-                // At least one operand spilled to the heap, so it is non-zero;
-                // the inline side may still be zero, which the leading-bit
-                // position formula below does not cover.
-                if self.is_zero() {
-                    return Ordering::Less;
-                }
-                if other.is_zero() {
-                    return Ordering::Greater;
-                }
-                // Mixed scales: the magnitude pre-check usually decides without
-                // allocating aligned mantissas.
-                let pa = i128::from(self.mantissa_bit_len()) - i128::from(self.exponent);
-                let pb = i128::from(other.mantissa_bit_len()) - i128::from(other.exponent);
-                match pa.cmp(&pb) {
-                    Ordering::Equal => {
-                        let (a, b, _) = self.aligned_big(other);
-                        a.cmp(&b)
-                    }
-                    ord => ord,
-                }
+            return self.cmp_spilled(other);
+        };
+        let (ma, mb) = (*ma, *mb);
+        if self.exponent == other.exponent || ma == 0 || mb == 0 {
+            return ma.cmp(&mb);
+        }
+        // Compare the binary-point position of the leading bit first; only
+        // equal magnitudes need aligned mantissas, and then the exponent
+        // difference equals the bit-length difference, < 64.
+        let pa = i64::from(bit_len_u64(ma)) - i64::from(self.exponent);
+        let pb = i64::from(bit_len_u64(mb)) - i64::from(other.exponent);
+        if pa != pb {
+            return pa.cmp(&pb);
+        }
+        if self.exponent >= other.exponent {
+            u128::from(ma).cmp(&(u128::from(mb) << (self.exponent - other.exponent)))
+        } else {
+            (u128::from(ma) << (other.exponent - self.exponent)).cmp(&u128::from(mb))
+        }
+    }
+}
+
+impl Dyadic {
+    /// [`Ord::cmp`] when at least one mantissa spilled to the heap and the
+    /// exponents differ — kept out of line so the common comparisons stay
+    /// small enough to inline into the interval merges. Allocation-free.
+    #[inline(never)]
+    fn cmp_spilled(&self, other: &Dyadic) -> Ordering {
+        // The spilled operand is non-zero; the inline side may still be zero,
+        // which the leading-bit position formula below does not cover.
+        if self.is_zero() {
+            return Ordering::Less;
+        }
+        if other.is_zero() {
+            return Ordering::Greater;
+        }
+        // Mixed scales: the magnitude pre-check usually decides.
+        let (la, lb) = (self.mantissa_bit_len(), other.mantissa_bit_len());
+        let pa = i128::from(la) - i128::from(self.exponent);
+        let pb = i128::from(lb) - i128::from(other.exponent);
+        if pa != pb {
+            return pa.cmp(&pb);
+        }
+        // Same leading-bit position: the values compare as their mantissas'
+        // bit strings aligned at the top, read 64 bits at a time through limb
+        // windows — no aligned copies allocated.
+        let (la, lb) = (la as i64, lb as i64);
+        let mut below_top = 0i64;
+        while below_top < la.max(lb) {
+            below_top += 64;
+            let ord = self
+                .mantissa
+                .window64(la - below_top)
+                .cmp(&other.mantissa.window64(lb - below_top));
+            if ord != Ordering::Equal {
+                return ord;
             }
         }
+        Ordering::Equal
     }
 }
 
@@ -691,6 +728,33 @@ mod tests {
         assert!(heap > Dyadic::zero());
         assert_eq!(Dyadic::zero().cmp(&heap), Ordering::Less);
         assert_eq!(heap.cmp(&Dyadic::zero()), Ordering::Greater);
+    }
+
+    #[test]
+    fn equal_magnitude_comparisons_read_below_the_top_word() {
+        // Pairs sharing a leading-bit position that first differ 1, 64, 65
+        // and 150 bits below it, inline against heap and heap against heap.
+        let top = BigUint::pow2(160);
+        for gap in [1u32, 63, 64, 65, 150] {
+            let a = Dyadic::from_parts(&top + &BigUint::one(), 170);
+            let b = Dyadic::from_parts(&(&top + &BigUint::pow2(160 - gap)) + &BigUint::one(), 170);
+            assert_eq!(a.cmp(&b), Ordering::Less, "gap {gap}");
+            assert_eq!(b.cmp(&a), Ordering::Greater, "gap {gap}");
+            // The same values with the exponent scaled differently.
+            let wide = Dyadic::from_parts(&b.mantissa() << 7, 177);
+            assert_eq!(wide, b);
+            assert_eq!(a.cmp(&wide), Ordering::Less, "gap {gap}");
+        }
+        // An inline value against a heap value of the same magnitude.
+        let inline = Dyadic::from_u64_parts(5, 4); // 0.0101
+        let just_above = Dyadic::from_parts(&(BigUint::from(5u64) << 80) + &BigUint::one(), 84);
+        let just_below = Dyadic::from_parts(&(BigUint::from(5u64) << 80) - &BigUint::one(), 84);
+        assert!(!just_above.is_inline() && !just_below.is_inline());
+        assert_eq!(inline.cmp(&just_above), Ordering::Less);
+        assert_eq!(just_above.cmp(&inline), Ordering::Greater);
+        assert_eq!(inline.cmp(&just_below), Ordering::Greater);
+        assert_eq!(just_below.cmp(&inline), Ordering::Less);
+        assert_eq!(just_above.cmp(&just_above.clone()), Ordering::Equal);
     }
 
     #[test]

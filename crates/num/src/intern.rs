@@ -10,13 +10,13 @@
 //!   id; every later occurrence resolves to the same id. Density (ids are
 //!   exactly `0..len`) is what makes the companion bitset representation work.
 //! * [`IdSet`] — a growable bitset over such dense ids with the word-level set
-//!   operations a flooding protocol needs: `insert`, `contains`, and the fused
-//!   [`difference_drain`](IdSet::difference_drain) that computes "what is new"
-//!   and marks it as seen in a single pass (the combination the mapping
-//!   protocol runs per activation). The bulk
-//!   [`union_with`](IdSet::union_with) is provision for the protocols named in
-//!   the ROADMAP follow-up (`labeling`/`general_broadcast`), which merge whole
-//!   sets rather than drain diffs.
+//!   operations a flooding protocol needs: `insert` (reporting whether the id
+//!   is new — the mapping protocol floods exactly those) and `contains`. The
+//!   bulk [`union_with`](IdSet::union_with) is provision for the protocols
+//!   named in the ROADMAP follow-up (`labeling`/`general_broadcast`), which
+//!   merge whole sets.
+//! * [`IdBag`] — an id set whose representation (sorted vector or bitset) is
+//!   chosen by expected occupancy.
 //!
 //! # Invariants
 //!
@@ -147,9 +147,9 @@ impl<T: Clone + Eq + Hash> Interner<T> {
 
 /// A growable bitset over dense `u32` ids.
 ///
-/// Built for the flooding pattern `new = known \ sent; sent ∪= known`, which
-/// [`difference_drain`](Self::difference_drain) performs word-by-word in one
-/// pass. Equality is *logical*: trailing zero words do not distinguish sets.
+/// Built for the flooding pattern "insert what arrived, forward what was
+/// new": [`insert`](Self::insert) reports whether the id was absent.
+/// Equality is *logical*: trailing zero words do not distinguish sets.
 ///
 /// # Example
 ///
@@ -157,14 +157,10 @@ impl<T: Clone + Eq + Hash> Interner<T> {
 /// use anet_num::intern::IdSet;
 ///
 /// let mut known = IdSet::new();
-/// known.insert(3);
-/// known.insert(70);
-/// let mut sent = IdSet::new();
-/// sent.insert(3);
-/// let mut fresh = Vec::new();
-/// known.difference_drain(&mut sent, &mut fresh);
-/// assert_eq!(fresh, vec![70]); // only the unseen id drains out…
-/// assert!(sent.contains(70)); // …and is now marked as seen
+/// assert!(known.insert(70)); // new: forward it…
+/// assert!(!known.insert(70)); // …once
+/// assert!(known.contains(70) && !known.contains(3));
+/// assert_eq!(known.iter().collect::<Vec<_>>(), vec![70]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IdSet {
@@ -241,25 +237,6 @@ impl IdSet {
         }
     }
 
-    /// The fused flooding step: pushes every id in `self` but **not** in `sink`
-    /// into `out` (ascending), and inserts those ids into `sink` — a single
-    /// word-level pass over both bitsets, O(words + new ids) instead of the
-    /// O(|self|) value-set difference it replaces.
-    pub fn difference_drain(&self, sink: &mut IdSet, out: &mut Vec<u32>) {
-        if sink.words.len() < self.words.len() {
-            sink.words.resize(self.words.len(), 0);
-        }
-        for (w, (&a, b)) in self.words.iter().zip(&mut sink.words).enumerate() {
-            let mut fresh = a & !*b;
-            sink.len += fresh.count_ones() as usize;
-            *b |= a;
-            while fresh != 0 {
-                out.push(w as u32 * 64 + fresh.trailing_zeros());
-                fresh &= fresh - 1;
-            }
-        }
-    }
-
     /// Iterates the ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
@@ -314,10 +291,10 @@ impl FromIterator<u32> for IdSet {
 ///   (the terminal, which absorbs every record in the run).
 ///
 /// All operations observe **identical semantics** in both representations —
-/// in particular [`difference_drain`](IdBag::difference_drain) drains fresh
-/// ids in ascending order exactly like [`IdSet::difference_drain`], so a
-/// protocol switching a state field from `IdSet` to `IdBag` produces
-/// bit-identical message batches. Equality is logical (representation-blind).
+/// `insert` reports a new id identically and `iter` yields ascending ids in
+/// both — so a protocol switching a state field from `IdSet` to `IdBag`
+/// produces bit-identical message batches. Equality is logical
+/// (representation-blind).
 #[derive(Debug, Clone)]
 pub enum IdBag {
     /// Sorted vector of ids — memory proportional to the ids actually held.
@@ -377,54 +354,6 @@ impl IdBag {
         match self {
             IdBag::Sparse(ids) => Box::new(ids.iter().copied()),
             IdBag::Dense(set) => Box::new(set.iter()),
-        }
-    }
-
-    /// The fused flooding step of [`IdSet::difference_drain`], representation
-    /// aware: pushes every id in `self` but **not** in `sink` into `out` (in
-    /// ascending order) and inserts those ids into `sink`.
-    ///
-    /// Matched representations use the fast path (word-level for dense pairs,
-    /// a two-pointer merge for sparse pairs); mismatched pairs fall back to
-    /// per-id lookups with the same observable behaviour.
-    pub fn difference_drain(&self, sink: &mut IdBag, out: &mut Vec<u32>) {
-        match (self, sink) {
-            (IdBag::Dense(a), IdBag::Dense(b)) => a.difference_drain(b, out),
-            (IdBag::Sparse(a), IdBag::Sparse(b)) => {
-                let start = out.len();
-                let mut i = 0;
-                for &id in a {
-                    while i < b.len() && b[i] < id {
-                        i += 1;
-                    }
-                    if i >= b.len() || b[i] != id {
-                        out.push(id);
-                    }
-                }
-                if out.len() > start {
-                    let mut merged = Vec::with_capacity(b.len() + out.len() - start);
-                    let (mut i, mut j) = (0, start);
-                    while i < b.len() && j < out.len() {
-                        if b[i] < out[j] {
-                            merged.push(b[i]);
-                            i += 1;
-                        } else {
-                            merged.push(out[j]);
-                            j += 1;
-                        }
-                    }
-                    merged.extend_from_slice(&b[i..]);
-                    merged.extend_from_slice(&out[j..]);
-                    *b = merged;
-                }
-            }
-            (a, sink) => {
-                for id in a.iter() {
-                    if sink.insert(id) {
-                        out.push(id);
-                    }
-                }
-            }
         }
     }
 }
@@ -519,32 +448,6 @@ mod tests {
         assert_eq!(u, v);
     }
 
-    #[test]
-    fn difference_drain_reports_and_marks_new_ids() {
-        let known: IdSet = [0u32, 3, 64, 130, 131].into_iter().collect();
-        let mut sent: IdSet = [3u32, 130].into_iter().collect();
-        let mut fresh = Vec::new();
-        known.difference_drain(&mut sent, &mut fresh);
-        assert_eq!(fresh, vec![0, 64, 131]);
-        assert_eq!(sent.len(), 5);
-        // Idempotent: nothing new on a second pass.
-        fresh.clear();
-        known.difference_drain(&mut sent, &mut fresh);
-        assert!(fresh.is_empty());
-        assert_eq!(sent, known);
-    }
-
-    #[test]
-    fn difference_drain_into_longer_sink() {
-        let known: IdSet = [1u32].into_iter().collect();
-        let mut sent: IdSet = [700u32].into_iter().collect();
-        let mut fresh = Vec::new();
-        known.difference_drain(&mut sent, &mut fresh);
-        assert_eq!(fresh, vec![1]);
-        assert!(sent.contains(700) && sent.contains(1));
-        assert_eq!(sent.len(), 2);
-    }
-
     fn bag_from(ids: &[u32], dense: bool) -> IdBag {
         let mut bag = if dense {
             IdBag::dense()
@@ -572,32 +475,5 @@ mod tests {
         // Logical equality crosses representations.
         assert_eq!(bag_from(&[1, 2, 130], false), bag_from(&[130, 1, 2], true));
         assert_ne!(bag_from(&[1, 2], false), bag_from(&[1, 3], true));
-    }
-
-    #[test]
-    fn idbag_difference_drain_matches_idset_in_every_pairing() {
-        let known_ids = [0u32, 3, 64, 130, 131];
-        let sent_ids = [3u32, 130, 700];
-        // Ground truth from the bitset implementation.
-        let known_set: IdSet = known_ids.into_iter().collect();
-        let mut sent_set: IdSet = sent_ids.into_iter().collect();
-        let mut expect = Vec::new();
-        known_set.difference_drain(&mut sent_set, &mut expect);
-        for (kd, sd) in [(false, false), (true, true), (false, true), (true, false)] {
-            let known = bag_from(&known_ids, kd);
-            let mut sent = bag_from(&sent_ids, sd);
-            let mut fresh = vec![99u32]; // pre-existing scratch content survives
-            known.difference_drain(&mut sent, &mut fresh);
-            assert_eq!(fresh[0], 99, "dense = {kd}/{sd}");
-            assert_eq!(fresh[1..], expect[..], "dense = {kd}/{sd}");
-            assert_eq!(sent.len(), 6, "dense = {kd}/{sd}");
-            for id in known.iter() {
-                assert!(sent.contains(id), "dense = {kd}/{sd}");
-            }
-            // Idempotent: a second pass drains nothing.
-            fresh.clear();
-            known.difference_drain(&mut sent, &mut fresh);
-            assert!(fresh.is_empty(), "dense = {kd}/{sd}");
-        }
     }
 }

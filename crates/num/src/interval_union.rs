@@ -2,6 +2,7 @@
 //! general-graph protocols (Definition 4.1).
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -28,16 +29,28 @@ use crate::{bits, Dyadic, Interval, NumError};
 ///    zero-length one, so `is_empty` is a null check.
 ///
 /// Two values compare equal with `==` exactly when they denote the same point
-/// set. The set operations *rely* on canonicity: [`IntervalUnion::union`],
-/// [`IntervalUnion::intersection`] and [`IntervalUnion::difference`] are
-/// linear two-pointer merges that walk the two flat buffers in one pass
-/// (O(n + m) endpoint comparisons, no sorting, no re-canonicalisation, and —
-/// because the buffer is one contiguous allocation of endpoints — half the
-/// pointer traffic of the former `Vec<Interval>`-of-pairs layout). Strict
-/// non-adjacency is what makes that work: a merge never needs to look more
-/// than one emitted pair back. The original collect-sort-merge
-/// implementations are retained in [`crate::reference`] for differential
-/// testing.
+/// set. The set operations *rely* on canonicity: they walk the two flat
+/// buffers in one pass with no sorting and no re-canonicalisation, and strict
+/// non-adjacency means a merge never needs to look more than one emitted pair
+/// back. They cost in proportion to the **smaller** operand, not to the
+/// receiver's whole state, because the protocols apply a delta of a pair or
+/// two to a state of tens to thousands of pairs on every delivery:
+///
+/// * [`IntervalUnion::intersection`] skips runs of either operand's pairs
+///   that lie before the other operand's current pair by an
+///   exponential-then-binary search, so a `k`-pair operand against an
+///   `n`-pair one costs O(k log n) comparisons plus the output;
+///   [`IntervalUnion::difference`] skips the subtrahend's pairs the same
+///   way, so carving a `k`-pair delta by an `n`-pair state costs the same;
+/// * [`IntervalUnion::union_in_place`] with an operand of at most a quarter
+///   of `self`'s size binary-searches, per part, the window of own pairs the
+///   part overlaps or touches, and splices the merged pair into the buffer in
+///   place (O(k log n) comparisons and one tail move per part that adds or
+///   absorbs pairs); operands of comparable size, and the out-of-place
+///   [`IntervalUnion::union`], take one linear merge of both arrays.
+///
+/// The original collect-sort-merge implementations are retained in
+/// [`crate::reference`] for differential testing.
 ///
 /// # Copy-on-write aliasing contract
 ///
@@ -49,11 +62,13 @@ use crate::{bits, Dyadic, Interval, NumError};
 ///
 /// Writers respect the aliasing: the in-place operations
 /// ([`IntervalUnion::union_in_place`], [`IntervalUnion::intersect_assign`],
-/// [`IntervalUnion::subtract_assign`]) merge into a scratch buffer and then
-/// *adopt* the result — reusing the existing allocation when this handle is
-/// the buffer's sole owner, and allocating a fresh buffer (leaving every
-/// sibling handle untouched) when the buffer is shared. Mutating through one
-/// handle therefore **never** changes the value observed through another;
+/// [`IntervalUnion::subtract_assign`]) either merge into a scratch buffer and
+/// then *adopt* the result, or (a small operand's union) splice it into the
+/// buffer itself — reusing the existing allocation when this handle is the
+/// buffer's sole owner, and detaching onto a fresh buffer (leaving every
+/// sibling handle untouched) when the buffer is shared. A write that changes
+/// nothing never detaches. Mutating through one handle therefore **never**
+/// changes the value observed through another;
 /// sharing is an invisible optimisation, observable only through
 /// [`IntervalUnion::shares_storage_with`] (and the allocator). Steady-state
 /// unshared traffic performs no allocation beyond endpoint clones (which are
@@ -94,6 +109,11 @@ pub struct IntervalUnion {
     /// (non-empty, even length, strictly increasing).
     endpoints: Option<Arc<Vec<Dyadic>>>,
 }
+
+/// [`IntervalUnion::union_in_place`] splices the other operand's parts into
+/// place when `self` has at least this many times its endpoints, and merges
+/// the two arrays linearly when their sizes are comparable.
+const SPLICE_RATIO: usize = 4;
 
 thread_local! {
     /// Reusable merge buffer for the in-place ops without an explicit scratch.
@@ -156,7 +176,53 @@ fn union_into(a: &[Dyadic], b: &[Dyadic], out: &mut Vec<Dyadic>) {
     out.push(hi.clone());
 }
 
-/// Linear merge of two canonical endpoint arrays into their intersection.
+/// Which endpoint of a pair [`skip_pairs`] tests.
+const START: usize = 0;
+/// See [`START`].
+const END: usize = 1;
+
+/// The first pair at or after the pair index `from` whose endpoint `side`
+/// ([`START`] or [`END`]) fails `holds` (`e.len()` if none does), for a
+/// predicate on endpoints that holds on a prefix of `e` — every pair skipped
+/// satisfies it.
+///
+/// Pairs are probed one, two, four, … ahead and the answer is then
+/// binary-searched inside the last stride, so a skip of `d` pairs costs
+/// O(log d) comparisons — and a skip of none costs one comparison, inline,
+/// which keeps merges of comparable operands as cheap as a plain two-pointer
+/// walk.
+#[inline(always)]
+fn skip_pairs(e: &[Dyadic], from: usize, side: usize, holds: impl Fn(&Dyadic) -> bool) -> usize {
+    if from == e.len() || !holds(&e[from + side]) {
+        return from;
+    }
+    gallop_pairs(e, from, side, holds)
+}
+
+/// [`skip_pairs`] past its first step: the pair at `from` is known to be
+/// skipped.
+#[inline(never)]
+fn gallop_pairs(e: &[Dyadic], from: usize, side: usize, holds: impl Fn(&Dyadic) -> bool) -> usize {
+    // The pair at `done` is skipped.
+    let (mut done, mut step) = (from, 2);
+    loop {
+        let probe = done + step;
+        if probe >= e.len() || !holds(&e[probe + side]) {
+            let rest = &e[done + 2..probe.min(e.len())];
+            // An odd count of endpoints that hold means the predicate changes
+            // inside a pair: that pair fails on its end, holds on its start.
+            let count = rest.partition_point(&holds);
+            return done + 2 + ((count + 1 - side) & !1);
+        }
+        done = probe;
+        step *= 2;
+    }
+}
+
+/// Intersection of two canonical endpoint arrays. Runs of pairs of either
+/// operand that end before the other's current pair starts are skipped by
+/// [`skip_pairs`], so a small operand against a large one costs
+/// O(small · log large) comparisons plus the output.
 ///
 /// Output pieces inherit sortedness, and consecutive pieces are separated by a
 /// strict gap (whichever operand interval ended starts its successor strictly
@@ -167,32 +233,38 @@ fn intersection_into(a: &[Dyadic], b: &[Dyadic], out: &mut Vec<Dyadic>) {
     while i < a.len() && j < b.len() {
         let (xl, xh) = (&a[i], &a[i + 1]);
         let (yl, yh) = (&b[j], &b[j + 1]);
-        let lo = if xl >= yl { xl } else { yl };
-        let hi = if xh <= yh { xh } else { yh };
-        if lo < hi {
-            out.push(lo.clone());
-            out.push(hi.clone());
-        }
-        if xh <= yh {
-            i += 2;
+        if xh <= yl {
+            i = skip_pairs(a, i + 2, END, |x| x <= yl);
+        } else if yh <= xl {
+            j = skip_pairs(b, j + 2, END, |x| x <= xl);
         } else {
-            j += 2;
+            let x_ends_first = xh <= yh;
+            out.push(if xl >= yl { xl } else { yl }.clone());
+            if x_ends_first {
+                out.push(xh.clone());
+                i += 2;
+            } else {
+                out.push(yh.clone());
+                j += 2;
+            }
         }
     }
 }
 
-/// Linear sweep computing `a \ b` for canonical endpoint arrays; `out` is
-/// canonical by construction (pieces of one `a`-interval are strictly
-/// separated by carved `b`-mass, and distinct `a`-intervals by `a`'s own gaps).
+/// `a \ b` for canonical endpoint arrays. The `b`-pairs ending before the
+/// current `a`-pair starts are skipped by [`skip_pairs`], so a small `a`
+/// against a large `b` — a delta carved by a state — costs
+/// O(small · log large) comparisons plus the output. `out` is canonical by
+/// construction (pieces of one `a`-interval are strictly separated by carved
+/// `b`-mass, and distinct `a`-intervals by `a`'s own gaps).
 fn difference_into(a: &[Dyadic], b: &[Dyadic], out: &mut Vec<Dyadic>) {
     debug_assert!(out.is_empty());
-    let mut j = 0usize;
-    let mut i = 0usize;
+    let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() {
         let (xl, xh) = (&a[i], &a[i + 1]);
-        // b-intervals entirely before x cannot affect x or any later a-interval.
-        while j < b.len() && &b[j + 1] <= xl {
-            j += 2;
+        // b-intervals ending by x's start cannot affect x or any later a-interval.
+        if j < b.len() && b[j + 1] <= *xl {
+            j = skip_pairs(b, j + 2, END, |x| x <= xl);
         }
         // The sweep cursor is a reference into the operands; endpoints are
         // cloned only when a surviving piece is emitted.
@@ -439,8 +511,11 @@ impl IntervalUnion {
     /// The general-graph protocol sends a message on an edge *iff* the relevant
     /// state component changed (Section 4), so change detection is part of the API.
     ///
-    /// Merges through a reusable thread-local scratch buffer; steady-state calls
-    /// on unshared values do not allocate, and a call on a *shared* value
+    /// An operand of at most a quarter of `self`'s endpoints is spliced into
+    /// the buffer in place, at O(log n) comparisons per part (see the type
+    /// docs); comparable operands merge through a reusable thread-local
+    /// scratch buffer. Steady-state calls on unshared values allocate nothing
+    /// beyond endpoint clones and buffer growth, and a call on a *shared* value
     /// detaches this handle only (copy-on-write — every sibling handle keeps
     /// the old value). Use [`IntervalUnion::union_in_place_with`] to thread an
     /// explicit scratch buffer instead.
@@ -464,66 +539,81 @@ impl IntervalUnion {
             self.endpoints = other.endpoints.clone();
             return true;
         }
-        // Accumulator fast path: `other` splits into a (possibly empty) prefix
-        // of parts already contained in `self` and a (possibly empty) suffix of
-        // parts lying entirely at or above `self`'s top endpoint. The union is
-        // then `self` with the suffix appended (coalescing the boundary pair
-        // when the two touch) — O(|other| log |self|) binary searches and an
-        // O(|suffix|) amortised append instead of the O(|self| + |other|)
-        // merge below. This is the shape of a monotonically growing
-        // accumulator: a terminal absorbing mass in ascending positional order
-        // receives deltas whose parts are either re-deliveries it already
-        // covers (the same mass routed over another path) or fresh mass above
-        // everything seen so far. `other`'s parts are ascending, so once one
-        // part starts at or above the top, all later parts do too.
-        {
-            let own = self.endpoints.as_mut().expect("checked non-empty");
-            let other_buf = other.endpoints();
-            let top = own.len() - 1;
-            let mut append_from = None;
-            let mut fits = true;
-            for (k, part) in other_buf.chunks_exact(2).enumerate() {
-                if part[0] >= own[top] {
-                    append_from = Some(2 * k);
-                    break;
-                }
-                // `pos` = number of own endpoints ≤ part start. Odd means the
-                // start falls inside own part `(pos - 1) / 2` (half-open: a
-                // start equal to an own *end* lands in the gap, `pos` even),
-                // and the part is covered iff its end stays at or below that
-                // own part's end.
-                let pos = own.partition_point(|e| *e <= part[0]);
-                if pos % 2 == 0 || part[1] > own[pos] {
-                    fits = false;
-                    break;
-                }
-            }
-            if fits {
-                let Some(from) = append_from else {
-                    // Every part of `other` was already covered: no-op union.
-                    return false;
-                };
-                let suffix = &other_buf[from..];
-                let touching = suffix[0] == own[top];
-                let buf = Arc::make_mut(own);
-                if touching {
-                    *buf.last_mut().expect("non-empty buffer") = suffix[1].clone();
-                    buf.extend_from_slice(&suffix[2..]);
-                } else {
-                    buf.extend_from_slice(suffix);
-                }
-                self.debug_assert_canonical();
-                // The suffix holds mass at or above `self`'s old top endpoint,
-                // none of which `self` covered: the union strictly grew.
-                return true;
-            }
+        if other.endpoints().len() * SPLICE_RATIO <= self.endpoints().len() {
+            return self.splice_union(other.endpoints());
         }
         scratch.clear();
         union_into(self.endpoints(), other.endpoints(), scratch);
         self.adopt_if_changed(scratch)
     }
 
-    /// Set intersection — a linear merge of the two canonical operands.
+    /// The in-place union for an operand much smaller than `self`, the shape
+    /// of every protocol delivery (a delta of a pair or two merged into an
+    /// accumulated state of tens to thousands of pairs).
+    ///
+    /// Each part of `parts` (a canonical endpoint array) finds the window of
+    /// own pairs it overlaps or touches — by binary search for the first part,
+    /// by [`skip_pairs`] onward from there for the rest — and that window is
+    /// replaced in place by the one merged pair: O(|parts| · log |self|)
+    /// comparisons plus one tail move per part that inserts or absorbs pairs,
+    /// instead of a merge over the whole own array and a full-array change
+    /// check. Parts at or above the top endpoint (the shape of an accumulator
+    /// absorbing mass in ascending order) need no search and move nothing.
+    ///
+    /// Copy-on-write is unchanged: the leading parts `self` already covers are
+    /// checked without writing, so a no-op union never detaches a shared
+    /// buffer, and the first uncovered part detaches it (leaving every sibling
+    /// handle on the old value) before anything is written.
+    fn splice_union(&mut self, parts: &[Dyadic]) -> bool {
+        let own = self.endpoints();
+        // The first own pair ending at or after a part's start is the only one
+        // that can cover the part. A first part at or above the top endpoint
+        // (an accumulator absorbing mass in ascending order) needs no search;
+        // one below lands anywhere (a binary search); later parts land at or
+        // after it (a galloping skip).
+        let last = own.len() - 1;
+        let mut start = match parts[0].cmp(&own[last]) {
+            Ordering::Greater => own.len(),
+            Ordering::Equal => last - 1,
+            Ordering::Less => own.partition_point(|x| x < &parts[0]) & !1,
+        };
+        let mut k = 0;
+        while start < own.len() && own[start] <= parts[k] && parts[k + 1] <= own[start + 1] {
+            k += 2;
+            if k == parts.len() {
+                return false;
+            }
+            start = skip_pairs(own, start, END, |x| x < &parts[k]);
+        }
+        let buf = Arc::make_mut(self.endpoints.as_mut().expect("checked non-empty"));
+        for part in parts[k..].chunks_exact(2) {
+            let (lo, hi) = (&part[0], &part[1]);
+            // Window [start, end): own pairs ending at or after `lo` and
+            // starting at or before `hi` (touching pairs merge, as the
+            // canonical gap rule demands).
+            start = skip_pairs(buf, start, END, |x| x < lo);
+            let end = skip_pairs(buf, start, START, |x| x <= hi);
+            if start == end {
+                buf.splice(start..start, [lo.clone(), hi.clone()]);
+            } else {
+                if lo < &buf[start] {
+                    buf[start] = lo.clone();
+                }
+                if hi > &buf[end - 1] {
+                    buf[end - 1] = hi.clone();
+                }
+                buf.drain(start + 1..end - 1);
+            }
+            // The next part starts above `hi` but may still touch the pair at
+            // `start`, so its search starts there.
+        }
+        self.debug_assert_canonical();
+        true
+    }
+
+    /// Set intersection — one pass over the two canonical operands, skipping
+    /// runs of either operand's pairs by galloping search (O(k log n) for a
+    /// `k`-pair operand against an `n`-pair one, plus the output).
     pub fn intersection(&self, other: &IntervalUnion) -> IntervalUnion {
         if self.is_empty() || other.is_empty() {
             return IntervalUnion::empty();
@@ -564,8 +654,10 @@ impl IntervalUnion {
         self.adopt_if_changed(scratch)
     }
 
-    /// Set difference `self \ other` — a linear sweep over the two canonical
-    /// operands.
+    /// Set difference `self \ other` — one pass over the two canonical
+    /// operands, skipping runs of `other`'s pairs by galloping search
+    /// (O(k log n) for a `k`-pair `self` against an `n`-pair `other`, plus
+    /// the output).
     pub fn difference(&self, other: &IntervalUnion) -> IntervalUnion {
         if self.is_empty() || other.is_empty() {
             return self.clone();
@@ -892,45 +984,74 @@ mod tests {
         assert!(!v.is_unit());
     }
 
-    /// Every shape the accumulator fast path in
-    /// [`IntervalUnion::union_in_place_with`] distinguishes — pure append
-    /// (touching and gapped), contained no-op, contained-prefix + append-
-    /// suffix, and the fall-through cases the general merge must still own —
-    /// checked against the out-of-place [`IntervalUnion::union`].
+    /// Every shape [`IntervalUnion::splice_union`] distinguishes — append
+    /// above the top (touching and gapped), covered no-op, covered prefix
+    /// then append, insertion into an interior gap, absorption of one or
+    /// several own pairs, bridging a gap, touching on either side, and parts
+    /// below the bottom — checked against the linear merge. The cases call
+    /// the splice directly: their states are too small for
+    /// `union_in_place` to pick it.
     #[test]
-    fn union_in_place_accumulator_fast_paths_match_union() {
+    fn splice_union_matches_the_linear_merge() {
         type Parts = &'static [(u64, u64, u32)];
         let cases: &[(Parts, Parts)] = &[
-            // Append, gapped: other strictly above self's top.
+            // Append, gapped and touching (the boundary pair coalesces).
             (&[(0, 1, 3)], &[(4, 5, 3)]),
-            // Append, touching: boundary pair must coalesce.
             (&[(0, 2, 3)], &[(2, 3, 3), (5, 6, 3)]),
-            // Contained no-op: every part re-delivers covered mass.
+            // Covered no-op, and covered prefix + appended suffix.
             (&[(0, 4, 3), (5, 7, 3)], &[(1, 2, 3), (5, 6, 3)]),
-            // Contained prefix + appended suffix (the β-delta shape: old
-            // ancestor labels below, one fresh label above).
             (&[(0, 2, 3), (3, 4, 3)], &[(0, 1, 3), (5, 6, 3)]),
-            // Fall-through: a part overlaps self's top part but pokes past
-            // its end.
+            // Overlaps the top pair and pokes past its end.
             (&[(0, 2, 3), (4, 6, 3)], &[(5, 7, 3)]),
-            // Fall-through: a fresh part inside an interior gap.
+            // Fresh part inside an interior gap, and below the bottom.
             (&[(0, 1, 3), (6, 7, 3)], &[(3, 4, 3)]),
-            // Fall-through: a part straddles a gap between self's parts.
+            (&[(2, 3, 4), (6, 7, 4)], &[(0, 1, 4)]),
+            // Straddles a gap; bridges two pairs exactly (touching both).
             (&[(0, 2, 3), (4, 6, 3)], &[(1, 5, 3)]),
+            (&[(0, 2, 3), (4, 6, 3)], &[(2, 4, 3)]),
+            // Touches one pair on the left or on the right only.
+            (&[(1, 2, 4), (6, 8, 4)], &[(0, 1, 4)]),
+            (&[(1, 2, 4), (6, 8, 4)], &[(2, 3, 4), (9, 10, 4)]),
+            // Swallows several pairs, and several parts into one pair.
+            (&[(1, 2, 5), (3, 4, 5), (5, 6, 5), (9, 10, 5)], &[(0, 7, 5)]),
+            (&[(0, 16, 5)], &[(1, 2, 5), (3, 4, 5), (17, 18, 5)]),
+            // Later parts merge into the pair an earlier part widened.
+            (&[(0, 1, 5), (8, 9, 5)], &[(1, 3, 5), (4, 6, 5), (6, 8, 5)]),
         ];
         for (a_parts, b_parts) in cases {
             let a = union_of(a_parts);
             let b = union_of(b_parts);
             let expected = a.union(&b);
+            let shared = a.clone();
             let mut acc = a.clone();
-            let changed = acc.union_in_place(&b);
+            let changed = acc.splice_union(b.endpoints());
             assert_eq!(acc, expected, "a = {a:?}, b = {b:?}");
             assert_eq!(changed, acc != a, "a = {a:?}, b = {b:?}");
+            assert_eq!(shared, a, "a = {a:?}, b = {b:?}: sibling handle changed");
+            assert_eq!(acc.shares_storage_with(&a), !changed);
         }
     }
 
-    /// The append arm of the fast path must copy-on-write, never mutate a
-    /// buffer other handles still see.
+    /// `union_in_place` picks the splice for a small operand against a large
+    /// state, and the result matches the linear merge.
+    #[test]
+    fn union_in_place_splices_small_operands() {
+        let state: Vec<(u64, u64, u32)> = (0..40).map(|k| (4 * k, 4 * k + 2, 8)).collect();
+        let state = IntervalUnion::from_intervals(state.iter().map(|&(l, h, e)| iv(l, h, e)));
+        for delta in [(2, 4, 8), (81, 83, 8), (158, 200, 8), (0, 1, 8)] {
+            let delta = union_of(&[delta]);
+            assert!(delta.endpoints().len() * SPLICE_RATIO <= state.endpoints().len());
+            let mut acc = state.clone();
+            let changed = acc.union_in_place(&delta);
+            let mut scratch = Vec::new();
+            union_into(state.endpoints(), delta.endpoints(), &mut scratch);
+            assert_eq!(acc.endpoints(), &scratch[..], "delta = {delta:?}");
+            assert_eq!(changed, acc != state, "delta = {delta:?}");
+        }
+    }
+
+    /// The splice writes through copy-on-write, never into a buffer other
+    /// handles still see.
     #[test]
     fn union_in_place_append_respects_shared_storage() {
         let a = union_of(&[(0, 1, 3)]);
@@ -939,6 +1060,29 @@ mod tests {
         assert!(acc.union_in_place(&union_of(&[(2, 3, 3)])));
         assert_eq!(shared, a, "shared handle must keep the pre-append value");
         assert_eq!(acc, union_of(&[(0, 1, 3), (2, 3, 3)]));
+    }
+
+    /// The galloping skip agrees with a linear scan from every start, on
+    /// either side of a pair, for the predicates the merges use.
+    #[test]
+    fn skip_pairs_matches_a_linear_scan() {
+        let e: Vec<Dyadic> = (0..38u64).map(|k| Dyadic::from_u64_parts(k, 6)).collect();
+        for from in (0..=e.len()).step_by(2) {
+            for key in 0..40u64 {
+                let key = Dyadic::from_u64_parts(key, 6);
+                for side in [START, END] {
+                    for strict in [false, true] {
+                        let holds = |x: &Dyadic| if strict { x < &key } else { x <= &key };
+                        let mut linear = from;
+                        while linear < e.len() && holds(&e[linear + side]) {
+                            linear += 2;
+                        }
+                        let got = skip_pairs(&e, from, side, holds);
+                        assert_eq!(got, linear, "from {from}, side {side}, strict {strict}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

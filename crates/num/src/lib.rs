@@ -16,16 +16,18 @@
 //!   general-graph broadcasting and labelling protocols (Definition 4.1), stored
 //!   as one flattened endpoint array behind a copy-on-write handle: cloning a
 //!   value — the protocols' per-out-port hot path — is an O(1) refcount bump,
-//!   and the two-pointer set merges walk dense endpoint buffers.
+//!   and the set operations walk dense endpoint buffers at a cost that follows
+//!   the smaller operand (galloping search, and in-place splices of small
+//!   unions), so merging a delivery's delta costs O(delta · log state).
 //! * [`partition`] — the paper's splitting rules: the power-of-two scalar rule of
 //!   Section 3.1 and the canonical interval partition of Section 4.
 //! * [`bits`] — self-delimiting integer codes used to account for wire sizes.
 //! * [`Fnv1a`] — the workspace's stable 64-bit FNV-1a hasher: trace digests,
 //!   sweep fingerprints and graph canonical fingerprints all share its
 //!   constants, so equal hashes mean the same bytes on every platform.
-//! * [`intern`] — hash-consing [`Interner`] arenas (values → dense `u32` ids) and
-//!   [`IdSet`] bitsets, the identifier economy behind the record-flooding
-//!   protocols.
+//! * [`intern`] — hash-consing [`Interner`] arenas (values → dense `u32` ids),
+//!   [`IdSet`] bitsets and occupancy-chosen [`IdBag`]s, the identifier economy
+//!   behind the record-flooding protocols.
 //!
 //! # Example
 //!

@@ -1,9 +1,11 @@
 //! Specification-grade reference implementations of the commodity algebra.
 //!
 //! The production paths are optimised: [`crate::Dyadic`] arithmetic runs on an
-//! inline `u64` mantissa whenever the value fits in a machine word, and the
-//! [`crate::IntervalUnion`] set operations are linear two-pointer merges over
-//! the canonical operands. This module keeps the original, slower-but-obvious
+//! inline `u64` mantissa whenever the value fits in a machine word (and
+//! compares heap mantissas word by word without allocating), and the
+//! [`crate::IntervalUnion`] set operations are single passes over the
+//! canonical operands that gallop over the larger one or splice a small
+//! operand in place. This module keeps the original, slower-but-obvious
 //! implementations alive:
 //!
 //! * the dyadic operations always widen both operands to [`BigUint`] mantissas

@@ -8,8 +8,13 @@
 //! always-heap / collect-sort-merge implementations, across
 //!
 //! * random interval soups (overlapping, unordered, empty),
-//! * boundary-touching and adjacent-merge grids, and
-//! * deep-exponent dyadics crossing the inline→heap mantissa boundary.
+//! * boundary-touching and adjacent-merge grids,
+//! * deep-exponent dyadics crossing the inline→heap mantissa boundary,
+//!   including pairs with one leading-bit position (the comparisons decided
+//!   word by word below the top bit), and
+//! * skewed operands: deltas of a few intervals against states of hundreds,
+//!   the shape every protocol delivery merges (galloping skips and in-place
+//!   splices).
 
 use anet_num::{reference, BigUint, Dyadic, Interval, IntervalUnion};
 use proptest::prelude::*;
@@ -27,6 +32,26 @@ fn boundary_dyadic() -> impl Strategy<Value = Dyadic> {
             _ => &BigUint::pow2(bits - 1) + &BigUint::from(low),
         };
         Dyadic::from_parts(mantissa, exp)
+    })
+}
+
+/// Strategy: a pair `(a, b)` with `b` derived from `a` so the two usually
+/// share a leading-bit position: `a`'s mantissa widened by 0–80 extra low
+/// bits (scaling the exponent to match), then nudged by −1, 0 or +1 in the
+/// last place. Operands drawn independently share a leading-bit position in
+/// about 1 % of cases; these pairs reach the word-by-word comparison of
+/// top-aligned mantissas almost always, inline and heap, equal and off by
+/// one unit in the last place.
+fn equal_magnitude_pair() -> impl Strategy<Value = (Dyadic, Dyadic)> {
+    (boundary_dyadic(), 0u32..81, 0u8..3).prop_map(|(a, extra, nudge)| {
+        let widened = a.mantissa() << extra;
+        let mantissa = match nudge {
+            0 => widened.checked_sub(&BigUint::one()).unwrap_or(widened),
+            1 => widened,
+            _ => &widened + &BigUint::one(),
+        };
+        let b = Dyadic::from_parts(mantissa, a.exponent() + extra);
+        (a, b)
     })
 }
 
@@ -97,6 +122,55 @@ fn heap_union() -> impl Strategy<Value = IntervalUnion> {
     soup_union().prop_map(|u| widen_to_heap(&u))
 }
 
+/// Strategy: a skewed pair `(state, delta, heap)`: a state of exactly 50–299
+/// maximal intervals on a `2^-12` grid (gaps of at least one cell keep every
+/// stripe maximal) and a delta of 1–3 intervals whose endpoints are state
+/// endpoints shifted by −1, 0 or +1 cells, so deltas touch, overlap, bridge
+/// and nest in state intervals far more often than random placement would.
+/// With `heap`, every third grid cell maps to a heap mantissa a fraction of a
+/// cell above its inline value instead: the map stays a strictly increasing
+/// function of the cell (touching cells still touch), and neighbouring inline
+/// and heap endpoints share a leading-bit position, so the searches compare
+/// across representations at equal magnitude.
+fn skewed_operands() -> impl Strategy<Value = (IntervalUnion, IntervalUnion, bool)> {
+    let stripes = prop::collection::vec((1u64..4, 1u64..4), 50..300);
+    let delta = prop::collection::vec((0usize..1 << 16, 0u64..3, 0usize..9, 0u64..3), 1..4);
+    (stripes, delta, 0u8..2).prop_map(|(stripes, delta, heap)| {
+        let heap = heap == 1;
+        let mut cells = Vec::with_capacity(2 * stripes.len());
+        let mut at = 0u64;
+        for (gap, len) in stripes {
+            at += gap;
+            cells.push(at);
+            at += len;
+            cells.push(at);
+        }
+        let tail = &BigUint::pow2(65) + &BigUint::one();
+        let cell = |c: u64| {
+            if heap && c.is_multiple_of(3) {
+                Dyadic::from_parts(&(BigUint::from(c) << 70) + &tail, 12 + 70)
+            } else {
+                Dyadic::from_u64_parts(c, 12)
+            }
+        };
+        let interval = |lo: u64, hi: u64| Interval::new(cell(lo), cell(hi)).expect("ordered");
+        let state =
+            IntervalUnion::from_intervals(cells.chunks_exact(2).map(|p| interval(p[0], p[1])));
+        // Each delta interval starts at a state endpoint (±1 cell) and ends at
+        // one a few endpoints later (±1 cell), possibly across gaps.
+        let delta = IntervalUnion::from_intervals(delta.into_iter().map(
+            |(anchor, lo_shift, reach, hi_shift)| {
+                let i = anchor % cells.len();
+                let j = (i + reach).min(cells.len() - 1);
+                let lo = (cells[i] + lo_shift).saturating_sub(1);
+                let hi = (cells[j] + hi_shift).saturating_sub(1).max(lo + 1);
+                interval(lo, hi)
+            },
+        ));
+        (state, delta, heap)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -105,6 +179,14 @@ proptest! {
     #[test]
     fn dyadic_cmp_matches_reference(a in boundary_dyadic(), b in boundary_dyadic()) {
         prop_assert_eq!(a.cmp(&b), reference::dyadic_cmp(&a, &b));
+    }
+
+    #[test]
+    fn dyadic_cmp_matches_reference_at_equal_magnitude(pair in equal_magnitude_pair()) {
+        let (a, b) = pair;
+        prop_assert_eq!(a.cmp(&b), reference::dyadic_cmp(&a, &b));
+        prop_assert_eq!(b.cmp(&a), reference::dyadic_cmp(&b, &a));
+        prop_assert_eq!(a.cmp(&a), std::cmp::Ordering::Equal);
     }
 
     #[test]
@@ -242,6 +324,54 @@ proptest! {
         prop_assert_eq!(a.intersection(&hb), reference::intersection(&a, &hb));
         prop_assert_eq!(a.difference(&hb), reference::difference(&a, &hb));
         prop_assert_eq!(hb.difference(&a), reference::difference(&hb, &a));
+    }
+
+    // ---- Skewed operands: small deltas against large states ----------------
+
+    #[test]
+    fn skewed_set_ops_match_reference(operands in skewed_operands()) {
+        let (state, delta, heap) = operands;
+        prop_assert!(state.interval_count() >= 50);
+        prop_assert!((1..=3).contains(&delta.interval_count()));
+        prop_assert_eq!(state.endpoints().iter().any(|e| !e.is_inline()), heap);
+        let union = reference::union(&state, &delta);
+        let meet = reference::intersection(&delta, &state);
+        let fresh = reference::difference(&delta, &state);
+        let carved = reference::difference(&state, &delta);
+
+        // The delivery shapes: a delta spliced into the state (with a sibling
+        // handle sharing the state's buffer), carved by it and cut against
+        // it, and the state carved and cut by the delta.
+        let sibling = state.clone();
+        let frozen = state.deep_clone();
+        let mut merged = state.clone();
+        let changed = merged.union_in_place(&delta);
+        prop_assert_eq!(&merged, &union);
+        prop_assert_eq!(changed, merged != state);
+        assert_canonical(&merged)?;
+        prop_assert_eq!(&sibling, &frozen);
+        prop_assert!(sibling.shares_storage_with(&state));
+        // A no-op splice keeps sharing; a real one detached the writer.
+        prop_assert_eq!(merged.shares_storage_with(&state), !changed);
+        let mut covered = state.clone();
+        prop_assert!(!covered.union_in_place(&meet));
+        prop_assert!(covered.shares_storage_with(&state));
+
+        let mut delta_left = delta.clone();
+        prop_assert_eq!(delta_left.subtract_assign(&state), fresh != delta);
+        prop_assert_eq!(&delta_left, &fresh);
+        assert_canonical(&delta_left)?;
+        let mut state_left = state.clone();
+        prop_assert_eq!(state_left.subtract_assign(&delta), carved != state);
+        prop_assert_eq!(&state_left, &carved);
+        prop_assert_eq!(&sibling, &frozen);
+
+        prop_assert_eq!(&delta.intersection(&state), &meet);
+        prop_assert_eq!(&state.intersection(&delta), &meet);
+        assert_canonical(&state.intersection(&delta))?;
+        prop_assert_eq!(&delta.difference(&state), &fresh);
+        prop_assert_eq!(&state.difference(&delta), &carved);
+        assert_canonical(&state.difference(&delta))?;
     }
 
     // ---- Copy-on-write aliasing contract ------------------------------------

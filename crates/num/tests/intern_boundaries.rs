@@ -1,7 +1,6 @@
 //! Direct coverage of `IdSet` word-boundary behaviour and edge cases that the
 //! mapping protocol only exercises indirectly: sets straddling the 64-bit word
-//! boundary (sizes 63/64/65), `difference_drain` with empty operands, and
-//! `union_with` growth in both directions.
+//! boundary (sizes 63/64/65) and `union_with` growth in both directions.
 
 use anet_num::intern::IdSet;
 
@@ -50,49 +49,6 @@ fn boundary_ids_alone() {
         assert!(!set.contains(id + 1));
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![id]);
     }
-}
-
-#[test]
-fn difference_drain_with_empty_self_is_a_no_op() {
-    let empty = IdSet::new();
-    // Into an empty sink.
-    let mut sink = IdSet::new();
-    let mut out = Vec::new();
-    empty.difference_drain(&mut sink, &mut out);
-    assert!(out.is_empty());
-    assert!(sink.is_empty());
-    assert_eq!(sink, IdSet::new());
-    // Into a populated sink: the sink is untouched.
-    let mut sink: IdSet = [5u32, 64, 700].into_iter().collect();
-    let before = sink.clone();
-    empty.difference_drain(&mut sink, &mut out);
-    assert!(out.is_empty());
-    assert_eq!(sink, before);
-    assert_eq!(sink.len(), 3);
-}
-
-#[test]
-fn difference_drain_into_empty_sink_drains_everything() {
-    for n in [63u32, 64, 65] {
-        let known = dense(n);
-        let mut sink = IdSet::new();
-        let mut out = Vec::new();
-        known.difference_drain(&mut sink, &mut out);
-        assert_eq!(out, (0..n).collect::<Vec<_>>(), "size {n}");
-        assert_eq!(sink, known, "size {n}: sink must equal the drained set");
-        assert_eq!(sink.len(), n as usize);
-    }
-}
-
-#[test]
-fn difference_drain_straddling_the_boundary() {
-    // known covers both sides of the 64-bit boundary; sent covers one side.
-    let known: IdSet = [62u32, 63, 64, 65].into_iter().collect();
-    let mut sent: IdSet = [62u32, 63].into_iter().collect();
-    let mut out = Vec::new();
-    known.difference_drain(&mut sent, &mut out);
-    assert_eq!(out, vec![64, 65]);
-    assert_eq!(sent, known);
 }
 
 #[test]
