@@ -1,5 +1,9 @@
 //! E6/E7 bench — label assignment (Theorem 5.1) and the pruned-tree label growth
 //! (Theorem 5.2).
+//!
+//! The copy-on-write labelling against its retained reference, over the
+//! record-bound grid, is `BENCH_labeling.json`
+//! (`cargo run --release -p anet-bench --bin baseline -- labeling`).
 
 use anet_bench::cyclic_workloads;
 use anet_core::labeling::run_labeling;

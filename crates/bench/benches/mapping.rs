@@ -1,4 +1,8 @@
 //! E8 bench — topology mapping (Section 6).
+//!
+//! The interned mapping against its retained reference, over the record-bound
+//! grid, is `BENCH_mapping.json`
+//! (`cargo run --release -p anet-bench --bin baseline -- mapping`).
 
 use anet_bench::cyclic_workloads;
 use anet_core::mapping::run_mapping;

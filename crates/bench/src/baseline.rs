@@ -2,44 +2,40 @@
 //! smoke check.
 //!
 //! The vendored criterion shim cannot compare runs against a stored baseline,
-//! so the workspace keeps hand-rolled JSON baselines regenerated by the
-//! `bench_interval_algebra` and `bench_mapping` binaries. This module holds the
-//! shared pieces:
-//!
-//! * [`SampleConfig`] — how hard to measure: [`SampleConfig::full`] for real
-//!   baselines, [`SampleConfig::smoke`] for a single-iteration pass whose
-//!   *numbers* are meaningless but whose *structure* is identical;
-//! * the JSON generators themselves ([`interval_algebra_json`],
-//!   [`mapping_json`], [`labeling_json`], [`faults_json`], [`scaling_json`]),
-//!   used by both the regeneration binaries and the `bench_smoke` /
-//!   `bench_scaling --smoke` CI steps;
-//! * [`result_keys`] — extracts the identity of every benchmark row (all
-//!   fields except the measured `*_ns` values), so CI can detect baseline
-//!   drift — a bench grid that gained, lost or renamed entries without the
-//!   committed baseline being regenerated — without real criterion.
+//! so the workspace commits hand-rolled JSON baselines at its root. Each file
+//! is one [`Baseline`]: a header, rows of deterministic key columns followed
+//! by the measured `median_ns`, and named trailers derived from the rows,
+//! written by the single [`Baseline::to_json`]. [`BASELINES`] registers every
+//! committed file with its generator and its full-effort [`SampleConfig`];
+//! the `baseline` binary regenerates files from it and, with `--smoke`,
+//! regenerates them at [`SampleConfig::smoke`] effort — one run per row, so
+//! the *numbers* are noise but the *rows* are identical — and compares the
+//! [`result_keys`] of both with [`keys_match`]. A grid that gained, lost or
+//! renamed rows, or a deterministic column (outcomes, message counts, wire
+//! bits) that moved, fails the check.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::hint::black_box;
 use std::time::Instant;
 
 use anet_core::{general_broadcast, labeling, mapping, Payload};
 use anet_num::{reference as num_reference, IntervalUnion};
-use anet_sim::engine::{run_recovering, run_with_config, ExecutionConfig, RunConfig};
+use anet_sim::engine::{run_recovering, run_with_config, ExecutionConfig, RunConfig, RunResult};
 use anet_sim::scheduler::FifoScheduler;
 use anet_sim::{FaultPlan, FaultyScheduler, Outcome, RefloodProtocol};
 
-use crate::{mapping_flood_workloads, striped_union};
+use crate::{mapping_flood_workloads, recovery_workloads, striped_union, Workload};
 
 /// Sampling effort for [`median_ns`].
 #[derive(Debug, Clone, Copy)]
 pub struct SampleConfig {
     /// Number of timed samples (the median is reported).
     pub samples: usize,
-    /// Calibration target: iterations are doubled until one sample takes at
-    /// least this long. Zero skips calibration entirely (no warm-up run).
+    /// Calibration target: iterations are doubled, up to 2²⁰, until one
+    /// sample takes at least this long. Zero skips calibration entirely (no
+    /// warm-up run, one iteration per sample).
     pub min_sample_micros: u128,
-    /// Upper bound on the calibrated per-sample iteration count.
-    pub max_iters: u64,
     /// Whether to cross-check fast/reference agreement before timing each
     /// workload. The differential test suites own equivalence; the smoke pass
     /// only checks baseline *structure*, so it skips the extra runs.
@@ -47,20 +43,21 @@ pub struct SampleConfig {
     /// Skip *executing* the owned-record mapping reference on workloads with
     /// more than this many edges, emitting their rows with a zero placeholder
     /// instead (keys are unaffected). The reference is quadratic and costs
-    /// ~50 s per run on the largest grid cell; the smoke pass caps it — the
-    /// same economy as `REFERENCE_EDGE_CAP` in the `mapping_flood` bench —
-    /// while real baselines measure everything.
+    /// ~50 s per run on the largest grid cell; the smoke pass caps it, while
+    /// real baselines measure everything.
     pub reference_edge_cap: Option<usize>,
 }
+
+/// Upper bound on the calibrated per-sample iteration count.
+const MAX_ITERS: u64 = 1 << 20;
 
 impl SampleConfig {
     /// Real-baseline effort: 9 samples of ≥ 1 ms each, cross-checked, nothing
     /// capped.
-    pub fn full() -> Self {
+    pub const fn full() -> Self {
         SampleConfig {
             samples: 9,
             min_sample_micros: 1_000,
-            max_iters: 1 << 20,
             cross_check: true,
             reference_edge_cap: None,
         }
@@ -70,11 +67,10 @@ impl SampleConfig {
     /// no cross-check, quadratic reference capped on the biggest cells). The
     /// emitted JSON has the same rows as a full run; only the numbers are
     /// noise.
-    pub fn smoke() -> Self {
+    pub const fn smoke() -> Self {
         SampleConfig {
             samples: 1,
             min_sample_micros: 0,
-            max_iters: 1,
             cross_check: false,
             reference_edge_cap: Some(300),
         }
@@ -84,29 +80,29 @@ impl SampleConfig {
     /// there is no iteration calibration (each sample is one run) and five
     /// samples per cell suffice for a stable median; the flat / reference
     /// cross-check stays on.
-    pub fn scaling() -> Self {
+    pub const fn scaling() -> Self {
         SampleConfig {
             samples: 5,
             min_sample_micros: 0,
-            max_iters: 1,
             cross_check: true,
             reference_edge_cap: None,
         }
     }
 }
 
-/// Median wall-clock nanoseconds per call over `cfg.samples` samples, with an
-/// iteration count calibrated per `cfg`.
-pub fn median_ns(cfg: &SampleConfig, mut f: impl FnMut()) -> u64 {
+/// Median wall-clock nanoseconds per call of `f` over `cfg.samples`
+/// samples, with an iteration count calibrated per `cfg`. Every result of
+/// `f` passes through [`std::hint::black_box`].
+pub fn median_ns<T>(cfg: &SampleConfig, mut f: impl FnMut() -> T) -> u64 {
     let mut iters = 1u64;
     if cfg.min_sample_micros > 0 {
         loop {
             let start = Instant::now();
             for _ in 0..iters {
-                f();
+                black_box(f());
             }
             let elapsed = start.elapsed();
-            if elapsed.as_micros() >= cfg.min_sample_micros || iters >= cfg.max_iters {
+            if elapsed.as_micros() >= cfg.min_sample_micros || iters >= MAX_ITERS {
                 break;
             }
             iters *= 2;
@@ -116,7 +112,7 @@ pub fn median_ns(cfg: &SampleConfig, mut f: impl FnMut()) -> u64 {
         .map(|_| {
             let start = Instant::now();
             for _ in 0..iters {
-                f();
+                black_box(f());
             }
             (start.elapsed().as_nanos() as u64) / iters.max(1)
         })
@@ -131,11 +127,11 @@ pub fn median_ns(cfg: &SampleConfig, mut f: impl FnMut()) -> u64 {
 /// is fixed rather than calibrated, because building an input (a copy of a
 /// large state) can cost far more than the routine itself; a smoke config
 /// runs one iteration.
-pub fn median_ns_batched<T>(
+pub fn median_ns_batched<T, R>(
     cfg: &SampleConfig,
     iters: usize,
     mut setup: impl FnMut() -> T,
-    mut routine: impl FnMut(&mut T),
+    mut routine: impl FnMut(&mut T) -> R,
 ) -> u64 {
     let iters = if cfg.min_sample_micros == 0 { 1 } else { iters };
     let mut samples: Vec<u64> = (0..cfg.samples.max(1))
@@ -147,7 +143,7 @@ pub fn median_ns_batched<T>(
                 let mut inputs: Vec<T> = (0..batch).map(|_| setup()).collect();
                 let start = Instant::now();
                 for input in &mut inputs {
-                    routine(input);
+                    black_box(routine(input));
                 }
                 elapsed += start.elapsed();
                 left -= batch;
@@ -159,16 +155,250 @@ pub fn median_ns_batched<T>(
     samples[samples.len() / 2]
 }
 
+/// A key column of a [`Row`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Value {
+    /// A string, escaped with [`escape_json`] when written.
+    Str(String),
+    /// An unsigned integer.
+    Int(u64),
+    /// A boolean.
+    Bool(bool),
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_owned())
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Int(n)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Int(n as u64)
+    }
+}
+
+/// The bare value, as trailer keys spell it (strings unquoted).
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Str(s) => f.write_str(s),
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
+
+/// One row of a baseline's `results` array.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row {
+    /// The deterministic columns in output order: the row's identity for
+    /// [`result_keys`].
+    pub key: Vec<(&'static str, Value)>,
+    /// The measured median, written as the row's last column.
+    pub median_ns: u64,
+}
+
+impl Row {
+    /// The value of key column `column`; panics if the row has none.
+    pub fn get(&self, column: &str) -> &Value {
+        let found = self.key.iter().find(|(name, _)| *name == column);
+        &found
+            .unwrap_or_else(|| panic!("baseline row has no {column:?} column"))
+            .1
+    }
+
+    /// The values of `columns` joined with `/`: the key of a trailer entry.
+    fn joined(&self, columns: &[&str]) -> String {
+        let values: Vec<String> = columns.iter().map(|c| self.get(c).to_string()).collect();
+        values.join("/")
+    }
+}
+
+/// A named value after a baseline's `results` array.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Trailer {
+    /// A JSON object: ordered (key, rendered JSON value) entries.
+    Map(Vec<(String, String)>),
+    /// One rendered JSON value.
+    Scalar(String),
+}
+
+/// The contents of one `BENCH_*.json` file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Baseline {
+    /// Benchmark name (the `bench` field).
+    pub bench: &'static str,
+    /// What `median_ns` measures (the `unit` field).
+    pub unit: &'static str,
+    /// One-line workload description.
+    pub workload: String,
+    /// The measured rows.
+    pub rows: Vec<Row>,
+    /// Named trailers, in output order.
+    pub trailers: Vec<(&'static str, Trailer)>,
+}
+
+impl Baseline {
+    /// Renders the baseline in the committed files' layout: one row per
+    /// line, trailers after the `results` array.
+    pub fn to_json(&self) -> String {
+        let mut json = format!(
+            "{{\n  \"bench\": \"{}\",\n  \"unit\": \"{}\",\n  \"workload\": \"{}\",\n  \"results\": [\n",
+            self.bench,
+            self.unit,
+            escape_json(&self.workload)
+        );
+        for (i, row) in self.rows.iter().enumerate() {
+            json.push_str("    {");
+            for (name, value) in &row.key {
+                let _ = match value {
+                    Value::Str(s) => write!(json, "\"{name}\": \"{}\", ", escape_json(s)),
+                    value => write!(json, "\"{name}\": {value}, "),
+                };
+            }
+            let _ = write!(json, "\"median_ns\": {}}}", row.median_ns);
+            json.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
+        }
+        json.push_str("  ]");
+        for (name, trailer) in &self.trailers {
+            let _ = write!(json, ",\n  \"{name}\": ");
+            match trailer {
+                Trailer::Scalar(value) => json.push_str(value),
+                Trailer::Map(entries) => {
+                    let entries: Vec<String> = entries
+                        .iter()
+                        .map(|(key, value)| format!("    \"{}\": {value}", escape_json(key)))
+                        .collect();
+                    let _ = write!(json, "{{\n{}\n  }}", entries.join(",\n"));
+                }
+            }
+        }
+        json.push_str("\n}\n");
+        json
+    }
+}
+
+/// Pairs each row whose `column` is `base` with every row, in row order,
+/// whose `column` is one of `partners` and that agrees with it on each `on`
+/// column: the row pairs behind every `speedup_*` and `overhead_*` trailer.
+fn pairs<'a>(
+    rows: &'a [Row],
+    column: &str,
+    base: &str,
+    partners: &[&str],
+    on: &[&str],
+) -> Vec<(&'a Row, &'a Row)> {
+    let is = |row: &Row, value: &str| matches!(row.get(column), Value::Str(s) if s == value);
+    let mut pairs = Vec::new();
+    for row in rows.iter().filter(|row| is(row, base)) {
+        for other in rows {
+            if partners.iter().any(|p| is(other, p))
+                && on.iter().all(|c| row.get(c) == other.get(c))
+            {
+                pairs.push((row, other));
+            }
+        }
+    }
+    pairs
+}
+
+/// `num / den` of two rows' medians, to two decimals: every timing ratio a
+/// trailer reports.
+fn ratio(num: &Row, den: &Row) -> String {
+    format!("{:.2}", num.median_ns as f64 / den.median_ns.max(1) as f64)
+}
+
+/// The map from each `base` row's `on` columns to how many times slower its
+/// `partner` row ran.
+fn ratios(rows: &[Row], column: &str, base: &str, partner: &str, on: &[&str]) -> Trailer {
+    let pairs = pairs(rows, column, base, &[partner], on);
+    Trailer::Map(
+        pairs
+            .into_iter()
+            .map(|(b, p)| (b.joined(on), ratio(p, b)))
+            .collect(),
+    )
+}
+
+/// One committed baseline file.
+#[derive(Debug, Clone, Copy)]
+pub struct Entry {
+    /// Short name; the file is `BENCH_<name>.json` at the workspace root.
+    pub name: &'static str,
+    /// The effort a regeneration measures at.
+    pub full: SampleConfig,
+    /// Builds the baseline at a given effort.
+    pub generate: fn(&SampleConfig) -> Baseline,
+}
+
+impl Entry {
+    /// The file's path relative to the workspace root.
+    pub fn path(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+}
+
+/// Every committed `BENCH_*.json`, in the order the smoke check runs them.
+pub const BASELINES: &[Entry] = &[
+    Entry {
+        name: "interval_algebra",
+        full: SampleConfig::full(),
+        generate: interval_algebra_baseline,
+    },
+    Entry {
+        name: "mapping",
+        full: SampleConfig::full(),
+        generate: |cfg| mapping_baseline(&mapping_flood_workloads(), cfg),
+    },
+    Entry {
+        name: "labeling",
+        full: SampleConfig::full(),
+        generate: |cfg| labeling_baseline(&mapping_flood_workloads(), cfg),
+    },
+    Entry {
+        name: "faults",
+        full: SampleConfig::full(),
+        generate: |cfg| faults_baseline(&mapping_flood_workloads(), cfg),
+    },
+    Entry {
+        name: "recovery",
+        full: SampleConfig::full(),
+        generate: |cfg| recovery_baseline(&recovery_workloads(), cfg),
+    },
+    Entry {
+        name: "scaling",
+        full: SampleConfig::scaling(),
+        generate: scaling_baseline,
+    },
+    Entry {
+        name: "sweep_dedup",
+        full: SampleConfig::full(),
+        generate: sweep_dedup_baseline,
+    },
+];
+
 const INTERVAL_SIZES: &[usize] = &[10, 100, 1_000, 10_000];
 /// State sizes of the delta-versus-state rows.
 const DELTA_STATE_SIZES: &[usize] = &[100, 1_000, 10_000];
 /// Timed in-place unions per sample of a delta-versus-state row.
 const DELTA_UNION_ITERS: usize = 64;
+/// The quadratic reference difference is only timed up to this size.
 const REFERENCE_DIFFERENCE_CAP: usize = 1_000;
 
 /// A binary interval-set operation.
 type SetOp = fn(&IntervalUnion, &IntervalUnion) -> IntervalUnion;
 
+/// The operands of the striped rows: `union` merges two fully interleaved
+/// stripings (the merge collapses everything), `intersection` and
+/// `difference` run over half-overlapping stripings that fragment into one
+/// piece per stripe.
 fn interval_operands(op: &str, n: usize, heap: bool) -> (IntervalUnion, IntervalUnion) {
     if op == "union" {
         (
@@ -183,21 +413,17 @@ fn interval_operands(op: &str, n: usize, heap: bool) -> (IntervalUnion, Interval
     }
 }
 
-/// Generates the `BENCH_interval_algebra.json` contents: the interval-algebra
-/// fast paths versus the retained reference implementations over the striped
-/// workload sweep, then the per-delivery shape ([`crate::delta_operands`]): a
-/// one-interval delta merged into an unshared state in place
-/// (`union_in_place/delta`) and carved by it (`difference/delta`, the delta
-/// minus the state), against states of 100 to 10 000 intervals.
-pub fn interval_algebra_json(cfg: &SampleConfig) -> String {
-    struct Record {
-        op: &'static str,
-        implementation: &'static str,
-        endpoints: &'static str,
-        intervals: usize,
-        median_ns: u64,
-    }
-
+/// `BENCH_interval_algebra.json`: the interval-algebra fast paths versus the
+/// retained reference implementations over the striped workload sweep, with
+/// inline and heap endpoints, then the per-delivery shape
+/// ([`crate::delta_operands`]): a one-interval delta merged into an unshared
+/// state in place (`union_in_place/delta`) and carved by it
+/// (`difference/delta`, the delta minus the state), against states of 100 to
+/// 10 000 intervals.
+///
+/// With `cfg.cross_check`, every operation is checked equal to its reference
+/// on its operands before they are timed.
+pub fn interval_algebra_baseline(cfg: &SampleConfig) -> Baseline {
     let ops: &[(&'static str, SetOp, SetOp)] = &[
         ("union", |a, b| a.union(b), num_reference::union),
         (
@@ -211,8 +437,17 @@ pub fn interval_algebra_json(cfg: &SampleConfig) -> String {
             num_reference::difference,
         ),
     ];
+    let row = |op: &str, implementation: &str, endpoints: &str, intervals: usize, median_ns| Row {
+        key: vec![
+            ("op", op.into()),
+            ("impl", implementation.into()),
+            ("endpoints", endpoints.into()),
+            ("intervals", intervals.into()),
+        ],
+        median_ns,
+    };
 
-    let mut records: Vec<Record> = Vec::new();
+    let mut rows = Vec::new();
     for &(op, fast, slow) in ops {
         for &n in INTERVAL_SIZES {
             for (heap, repr) in [(false, "inline"), (true, "heap")] {
@@ -220,25 +455,15 @@ pub fn interval_algebra_json(cfg: &SampleConfig) -> String {
                 if cfg.cross_check {
                     assert_eq!(fast(&a, &b), slow(&a, &b), "fast/reference divergence");
                 }
-                records.push(Record {
-                    op,
-                    implementation: "fast",
-                    endpoints: repr,
-                    intervals: n,
-                    median_ns: median_ns(cfg, || {
-                        std::hint::black_box(fast(&a, &b));
-                    }),
-                });
+                rows.push(row(op, "fast", repr, n, median_ns(cfg, || fast(&a, &b))));
                 if op != "difference" || n <= REFERENCE_DIFFERENCE_CAP {
-                    records.push(Record {
+                    rows.push(row(
                         op,
-                        implementation: "reference",
-                        endpoints: repr,
-                        intervals: n,
-                        median_ns: median_ns(cfg, || {
-                            std::hint::black_box(slow(&a, &b));
-                        }),
-                    });
+                        "reference",
+                        repr,
+                        n,
+                        median_ns(cfg, || slow(&a, &b)),
+                    ));
                 }
             }
         }
@@ -256,115 +481,88 @@ pub fn interval_algebra_json(cfg: &SampleConfig) -> String {
                     num_reference::difference(&delta, &state)
                 );
             }
-            let row = |op, implementation, median_ns| Record {
-                op,
-                implementation,
-                endpoints: repr,
-                intervals: n,
-                median_ns,
-            };
-            records.push(row(
-                "union_in_place/delta",
-                "fast",
-                median_ns_batched(
-                    cfg,
-                    DELTA_UNION_ITERS,
-                    || state.deep_clone(),
-                    |acc| {
-                        std::hint::black_box(acc.union_in_place(&delta));
-                    },
+            let timed = [
+                (
+                    "union_in_place/delta",
+                    "fast",
+                    median_ns_batched(
+                        cfg,
+                        DELTA_UNION_ITERS,
+                        || state.deep_clone(),
+                        |acc| acc.union_in_place(&delta),
+                    ),
                 ),
-            ));
-            records.push(row(
-                "union_in_place/delta",
-                "reference",
-                median_ns(cfg, || {
-                    std::hint::black_box(num_reference::union(&state, &delta));
-                }),
-            ));
-            records.push(row(
-                "difference/delta",
+                (
+                    "union_in_place/delta",
+                    "reference",
+                    median_ns(cfg, || num_reference::union(&state, &delta)),
+                ),
+                (
+                    "difference/delta",
+                    "fast",
+                    median_ns(cfg, || delta.difference(&state)),
+                ),
+                (
+                    "difference/delta",
+                    "reference",
+                    median_ns(cfg, || num_reference::difference(&delta, &state)),
+                ),
+            ];
+            for (op, implementation, median_ns) in timed {
+                rows.push(row(op, implementation, repr, n, median_ns));
+            }
+        }
+    }
+
+    Baseline {
+        bench: "interval_algebra",
+        unit: "ns_per_call_median",
+        workload: "striped_union fragmentation sweep (see crates/bench)".to_owned(),
+        trailers: vec![(
+            "speedup_reference_over_fast",
+            ratios(
+                &rows,
+                "impl",
                 "fast",
-                median_ns(cfg, || {
-                    std::hint::black_box(delta.difference(&state));
-                }),
-            ));
-            records.push(row(
-                "difference/delta",
                 "reference",
-                median_ns(cfg, || {
-                    std::hint::black_box(num_reference::difference(&delta, &state));
-                }),
-            ));
-        }
+                &["op", "endpoints", "intervals"],
+            ),
+        )],
+        rows,
     }
-
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"interval_algebra\",\n");
-    json.push_str("  \"unit\": \"ns_per_call_median\",\n");
-    json.push_str("  \"workload\": \"striped_union fragmentation sweep (see crates/bench)\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"op\": \"{}\", \"impl\": \"{}\", \"endpoints\": \"{}\", \"intervals\": {}, \"median_ns\": {}}}{}",
-            escape_json(r.op),
-            escape_json(r.implementation),
-            escape_json(r.endpoints),
-            r.intervals,
-            r.median_ns,
-            if i + 1 < records.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"speedup_reference_over_fast\": {\n");
-    let mut speedups: Vec<String> = Vec::new();
-    for r in records.iter().filter(|r| r.implementation == "fast") {
-        if let Some(slow) = records.iter().find(|s| {
-            s.implementation == "reference"
-                && s.op == r.op
-                && s.endpoints == r.endpoints
-                && s.intervals == r.intervals
-        }) {
-            speedups.push(format!(
-                "    \"{}/{}/{}\": {:.2}",
-                r.op,
-                r.endpoints,
-                r.intervals,
-                slow.median_ns as f64 / r.median_ns.max(1) as f64
-            ));
-        }
-    }
-    json.push_str(&speedups.join(",\n"));
-    json.push_str("\n  }\n}\n");
-    json
 }
 
-/// Generates the `BENCH_mapping.json` contents: full interned mapping runs
-/// versus the retained owned-record reference (`anet_core::mapping::reference`)
-/// over the record-bound topology grid, FIFO delivery.
+/// [`median_ns`] of a quadratic reference run on `w`, or a zero placeholder
+/// where `cfg.reference_edge_cap` skips it.
+fn reference_ns<T>(cfg: &SampleConfig, w: &Workload, run: impl FnMut() -> T) -> u64 {
+    let capped = cfg
+        .reference_edge_cap
+        .is_some_and(|cap| w.network.edge_count() > cap);
+    if capped {
+        0
+    } else {
+        median_ns(cfg, run)
+    }
+}
+
+/// `BENCH_mapping.json`: full interned mapping runs versus the retained
+/// owned-record reference (`anet_core::mapping::reference`) over
+/// `workloads` (the record-bound grid, [`mapping_flood_workloads`]), FIFO
+/// delivery.
 ///
-/// Every workload is cross-checked once before timing: both implementations
-/// must terminate and report identical total wire bits.
-pub fn mapping_json(cfg: &SampleConfig) -> String {
-    mapping_json_for(&mapping_flood_workloads(), cfg)
-}
-
-/// [`mapping_json`] over an explicit workload list (the baselines always use
-/// [`mapping_flood_workloads`]; tests use tiny grids).
-pub fn mapping_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> String {
-    struct Record {
-        topology: String,
-        implementation: &'static str,
-        median_ns: u64,
-    }
-
-    let mut records: Vec<Record> = Vec::new();
+/// With `cfg.cross_check`, both implementations must terminate with
+/// identical total wire bits on every workload before it is timed.
+pub fn mapping_baseline(workloads: &[Workload], cfg: &SampleConfig) -> Baseline {
+    let mut rows = Vec::new();
     for w in workloads {
+        let interned =
+            || mapping::run_mapping(&w.network, &mut FifoScheduler::new()).expect("run completes");
+        let reference = || {
+            mapping::reference::run_mapping(&w.network, &mut FifoScheduler::new())
+                .expect("run completes")
+        };
         if cfg.cross_check {
-            let a = mapping::run_mapping(&w.network, &mut FifoScheduler::new())
-                .expect("interned run completes");
-            let b = mapping::reference::run_mapping(&w.network, &mut FifoScheduler::new())
-                .expect("reference run completes");
+            let (a, b) = (interned(), reference());
             assert!(a.terminated && b.terminated, "workload {}", w.name);
             assert_eq!(
                 a.metrics.total_bits, b.metrics.total_bits,
@@ -372,104 +570,73 @@ pub fn mapping_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> St
                 w.name
             );
         }
-        records.push(Record {
-            topology: w.name.clone(),
-            implementation: "interned",
-            median_ns: median_ns(cfg, || {
-                std::hint::black_box(
-                    mapping::run_mapping(&w.network, &mut FifoScheduler::new())
-                        .expect("run completes"),
-                );
-            }),
-        });
-        let reference_capped = cfg
-            .reference_edge_cap
-            .is_some_and(|cap| w.network.edge_count() > cap);
-        records.push(Record {
-            topology: w.name.clone(),
-            implementation: "reference",
-            median_ns: if reference_capped {
-                0
-            } else {
-                median_ns(cfg, || {
-                    std::hint::black_box(
-                        mapping::reference::run_mapping(&w.network, &mut FifoScheduler::new())
-                            .expect("run completes"),
-                    );
-                })
-            },
-        });
+        let row = |implementation: &str, median_ns| Row {
+            key: vec![
+                ("topology", w.name.as_str().into()),
+                ("impl", implementation.into()),
+            ],
+            median_ns,
+        };
+        rows.push(row("interned", median_ns(cfg, interned)));
+        rows.push(row("reference", reference_ns(cfg, w, reference)));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"mapping_flood\",\n");
-    json.push_str("  \"unit\": \"ns_per_run_median\",\n");
-    json.push_str(
-        "  \"workload\": \"FIFO topology-mapping runs over the record-bound grid (see crates/bench)\",\n",
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"topology\": \"{}\", \"impl\": \"{}\", \"median_ns\": {}}}{}",
-            escape_json(&r.topology),
-            escape_json(r.implementation),
-            r.median_ns,
-            if i + 1 < records.len() { "," } else { "" }
-        );
+    Baseline {
+        bench: "mapping_flood",
+        unit: "ns_per_run_median",
+        workload: "FIFO topology-mapping runs over the record-bound grid (see crates/bench)"
+            .to_owned(),
+        trailers: vec![(
+            "speedup_reference_over_interned",
+            ratios(&rows, "impl", "interned", "reference", &["topology"]),
+        )],
+        rows,
     }
-    json.push_str("  ],\n  \"speedup_reference_over_interned\": {\n");
-    let mut speedups: Vec<String> = Vec::new();
-    for r in records.iter().filter(|r| r.implementation == "interned") {
-        if let Some(slow) = records
-            .iter()
-            .find(|s| s.implementation == "reference" && s.topology == r.topology)
-        {
-            speedups.push(format!(
-                "    \"{}\": {:.2}",
-                escape_json(&r.topology),
-                slow.median_ns as f64 / r.median_ns.max(1) as f64
-            ));
-        }
-    }
-    json.push_str(&speedups.join(",\n"));
-    json.push_str("\n  }\n}\n");
-    json
 }
 
-/// Payload size used by the general-broadcast rows of the labeling baseline.
+/// Payload size used by the general-broadcast rows of the labeling, recovery
+/// and scaling baselines.
 const LABELING_PAYLOAD_BITS: u64 = 64;
 
-/// Generates the `BENCH_labeling.json` contents: full protocol runs of the
-/// copy-on-write endpoint-array implementations of the **labelling** and
-/// **general-broadcast** protocols versus their retained deep-clone references
-/// (`anet_core::labeling::reference`, `anet_core::general_broadcast::reference`)
-/// over the record-bound topology grid, FIFO delivery.
+/// `BENCH_labeling.json`: full protocol runs of the copy-on-write
+/// endpoint-array implementations of the **labelling** and
+/// **general-broadcast** protocols versus their retained deep-clone
+/// references (`anet_core::labeling::reference`,
+/// `anet_core::general_broadcast::reference`) over `workloads` (the
+/// record-bound grid), FIFO delivery.
 ///
-/// Every workload is cross-checked once before timing: both implementations
-/// must terminate and report identical total wire bits (and, for labelling,
-/// identical labels).
-pub fn labeling_json(cfg: &SampleConfig) -> String {
-    labeling_json_for(&mapping_flood_workloads(), cfg)
-}
-
-/// [`labeling_json`] over an explicit workload list (the baselines always use
-/// [`mapping_flood_workloads`]; tests use tiny grids).
-pub fn labeling_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> String {
-    struct Record {
-        protocol: &'static str,
-        topology: String,
-        implementation: &'static str,
-        median_ns: u64,
-    }
-
-    let mut records: Vec<Record> = Vec::new();
+/// With `cfg.cross_check`, both implementations must terminate with
+/// identical total wire bits (and, for labelling, identical labels) on every
+/// workload before it is timed.
+pub fn labeling_baseline(workloads: &[Workload], cfg: &SampleConfig) -> Baseline {
+    let mut rows = Vec::new();
     for w in workloads {
+        let labeling_cow = || {
+            labeling::run_labeling(&w.network, &mut FifoScheduler::new()).expect("run completes")
+        };
+        let labeling_reference = || {
+            labeling::reference::run_labeling(&w.network, &mut FifoScheduler::new())
+                .expect("run completes")
+        };
+        let payload = || Payload::synthetic(LABELING_PAYLOAD_BITS);
+        let broadcast_cow = || {
+            general_broadcast::run_general_broadcast(
+                &w.network,
+                payload(),
+                &mut FifoScheduler::new(),
+            )
+            .expect("run completes")
+        };
+        let broadcast_reference = || {
+            general_broadcast::reference::run_general_broadcast(
+                &w.network,
+                payload(),
+                &mut FifoScheduler::new(),
+            )
+            .expect("run completes")
+        };
         if cfg.cross_check {
-            let a = labeling::run_labeling(&w.network, &mut FifoScheduler::new())
-                .expect("cow labeling run completes");
-            let b = labeling::reference::run_labeling(&w.network, &mut FifoScheduler::new())
-                .expect("reference labeling run completes");
+            let (a, b) = (labeling_cow(), labeling_reference());
             assert!(a.terminated && b.terminated, "workload {}", w.name);
             assert_eq!(
                 a.metrics.total_bits, b.metrics.total_bits,
@@ -477,19 +644,7 @@ pub fn labeling_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> S
                 w.name
             );
             assert_eq!(a.labels, b.labels, "labels diverged on {}", w.name);
-            let payload = Payload::synthetic(LABELING_PAYLOAD_BITS);
-            let ga = general_broadcast::run_general_broadcast(
-                &w.network,
-                payload.clone(),
-                &mut FifoScheduler::new(),
-            )
-            .expect("cow broadcast run completes");
-            let gb = general_broadcast::reference::run_general_broadcast(
-                &w.network,
-                payload,
-                &mut FifoScheduler::new(),
-            )
-            .expect("reference broadcast run completes");
+            let (ga, gb) = (broadcast_cow(), broadcast_reference());
             assert!(ga.terminated && gb.terminated, "workload {}", w.name);
             assert_eq!(
                 ga.metrics.total_bits, gb.metrics.total_bits,
@@ -497,97 +652,41 @@ pub fn labeling_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> S
                 w.name
             );
         }
-        let reference_capped = cfg
-            .reference_edge_cap
-            .is_some_and(|cap| w.network.edge_count() > cap);
-        let mut push = |protocol: &'static str,
-                        implementation: &'static str,
-                        capped: bool,
-                        run: &mut dyn FnMut()| {
-            records.push(Record {
-                protocol,
-                topology: w.name.clone(),
-                implementation,
-                median_ns: if capped { 0 } else { median_ns(cfg, run) },
-            });
+        let row = |protocol: &str, implementation: &str, median_ns| Row {
+            key: vec![
+                ("protocol", protocol.into()),
+                ("topology", w.name.as_str().into()),
+                ("impl", implementation.into()),
+            ],
+            median_ns,
         };
-        push("labeling", "cow", false, &mut || {
-            std::hint::black_box(
-                labeling::run_labeling(&w.network, &mut FifoScheduler::new())
-                    .expect("run completes"),
-            );
-        });
-        push("labeling", "reference", reference_capped, &mut || {
-            std::hint::black_box(
-                labeling::reference::run_labeling(&w.network, &mut FifoScheduler::new())
-                    .expect("run completes"),
-            );
-        });
-        push("general-broadcast", "cow", false, &mut || {
-            std::hint::black_box(
-                general_broadcast::run_general_broadcast(
-                    &w.network,
-                    Payload::synthetic(LABELING_PAYLOAD_BITS),
-                    &mut FifoScheduler::new(),
-                )
-                .expect("run completes"),
-            );
-        });
-        push(
+        rows.push(row("labeling", "cow", median_ns(cfg, labeling_cow)));
+        let ns = reference_ns(cfg, w, labeling_reference);
+        rows.push(row("labeling", "reference", ns));
+        rows.push(row(
             "general-broadcast",
-            "reference",
-            reference_capped,
-            &mut || {
-                std::hint::black_box(
-                    general_broadcast::reference::run_general_broadcast(
-                        &w.network,
-                        Payload::synthetic(LABELING_PAYLOAD_BITS),
-                        &mut FifoScheduler::new(),
-                    )
-                    .expect("run completes"),
-                );
-            },
-        );
+            "cow",
+            median_ns(cfg, broadcast_cow),
+        ));
+        let ns = reference_ns(cfg, w, broadcast_reference);
+        rows.push(row("general-broadcast", "reference", ns));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"label_algebra\",\n");
-    json.push_str("  \"unit\": \"ns_per_run_median\",\n");
-    json.push_str(
-        "  \"workload\": \"FIFO labeling and general-broadcast runs over the record-bound grid (see crates/bench)\",\n",
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"topology\": \"{}\", \"impl\": \"{}\", \"median_ns\": {}}}{}",
-            escape_json(r.protocol),
-            escape_json(&r.topology),
-            escape_json(r.implementation),
-            r.median_ns,
-            if i + 1 < records.len() { "," } else { "" }
-        );
+    Baseline {
+        bench: "label_algebra",
+        unit: "ns_per_run_median",
+        workload:
+            "FIFO labeling and general-broadcast runs over the record-bound grid (see crates/bench)"
+                .to_owned(),
+        trailers: vec![(
+            "speedup_reference_over_cow",
+            ratios(&rows, "impl", "cow", "reference", &["protocol", "topology"]),
+        )],
+        rows,
     }
-    json.push_str("  ],\n  \"speedup_reference_over_cow\": {\n");
-    let mut speedups: Vec<String> = Vec::new();
-    for r in records.iter().filter(|r| r.implementation == "cow") {
-        if let Some(slow) = records.iter().find(|s| {
-            s.implementation == "reference" && s.protocol == r.protocol && s.topology == r.topology
-        }) {
-            speedups.push(format!(
-                "    \"{}/{}\": {:.2}",
-                escape_json(r.protocol),
-                escape_json(&r.topology),
-                slow.median_ns as f64 / r.median_ns.max(1) as f64
-            ));
-        }
-    }
-    json.push_str(&speedups.join(",\n"));
-    json.push_str("\n  }\n}\n");
-    json
 }
 
-/// Fault plans measured by the [`faults_json`] baseline, keyed by mode name.
+/// Fault plans measured by [`faults_baseline`], keyed by mode name.
 ///
 /// `wrapped-reliable` is the adapter-overhead row: a [`FaultyScheduler`]
 /// around FIFO with the all-zero plan, whose run is cross-checked
@@ -620,25 +719,13 @@ fn fault_modes() -> Vec<(&'static str, Option<FaultPlan>)> {
     ]
 }
 
-/// Generates the `BENCH_faults.json` contents: full FIFO mapping runs under
-/// the fault-injection layer ([`FaultyScheduler`]) versus the bare scheduler,
-/// over the record-bound topology grid. The `wrapped-reliable` rows measure
-/// the pure adapter overhead (no RNG draws on the zero-fault plan); the
+/// `BENCH_faults.json`: full FIFO mapping runs under the fault-injection
+/// layer ([`FaultyScheduler`]) versus the bare scheduler, over `workloads`
+/// (the record-bound grid). The `wrapped-reliable` rows measure the pure
+/// adapter overhead (no RNG draws on the zero-fault plan); the
 /// `lossy`/`heavy` rows measure adversarial plans that actually drop,
 /// duplicate and reorder.
-pub fn faults_json(cfg: &SampleConfig) -> String {
-    faults_json_for(&mapping_flood_workloads(), cfg)
-}
-
-/// [`faults_json`] over an explicit workload list (the baseline always uses
-/// [`mapping_flood_workloads`]; tests use tiny grids).
-pub fn faults_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> String {
-    struct Record {
-        topology: String,
-        mode: &'static str,
-        median_ns: u64,
-    }
-
+pub fn faults_baseline(workloads: &[Workload], cfg: &SampleConfig) -> Baseline {
     let run_mode = |network: &anet_graph::Network, plan: &Option<FaultPlan>| match plan {
         None => mapping::run_mapping(network, &mut FifoScheduler::new()),
         Some(plan) => mapping::run_mapping(
@@ -648,19 +735,15 @@ pub fn faults_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> Str
     };
 
     let modes = fault_modes();
-    let mut records: Vec<Record> = Vec::new();
+    let mut rows = Vec::new();
     for w in workloads {
         if cfg.cross_check {
             // The zero-fault plan must be invisible: identical termination,
             // identical metrics (every counter and per-edge total), identical
             // labels.
-            let bare = mapping::run_mapping(&w.network, &mut FifoScheduler::new())
-                .expect("bare run completes");
-            let wrapped = mapping::run_mapping(
-                &w.network,
-                &mut FaultyScheduler::new(FifoScheduler::new(), FaultPlan::reliable()),
-            )
-            .expect("wrapped run completes");
+            let bare = run_mode(&w.network, &None).expect("bare run completes");
+            let wrapped =
+                run_mode(&w.network, &Some(FaultPlan::reliable())).expect("wrapped run completes");
             assert!(bare.terminated, "workload {}", w.name);
             assert_eq!(
                 bare.terminated, wrapped.terminated,
@@ -679,79 +762,38 @@ pub fn faults_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> Str
             );
         }
         for (mode, plan) in &modes {
-            records.push(Record {
-                topology: w.name.clone(),
-                mode,
+            rows.push(Row {
+                key: vec![
+                    ("topology", w.name.as_str().into()),
+                    ("mode", (*mode).into()),
+                ],
                 median_ns: median_ns(cfg, || {
-                    std::hint::black_box(
-                        run_mode(&w.network, plan).expect("faulted run completes"),
-                    );
+                    run_mode(&w.network, plan).expect("faulted run completes")
                 }),
             });
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"fault_injection\",\n");
-    json.push_str("  \"unit\": \"ns_per_run_median\",\n");
-    json.push_str(
-        "  \"workload\": \"FIFO mapping runs under fault-injection plans over the record-bound grid (see crates/bench)\",\n",
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"topology\": \"{}\", \"mode\": \"{}\", \"median_ns\": {}}}{}",
-            escape_json(&r.topology),
-            escape_json(r.mode),
-            r.median_ns,
-            if i + 1 < records.len() { "," } else { "" }
-        );
+    Baseline {
+        bench: "fault_injection",
+        unit: "ns_per_run_median",
+        workload: "FIFO mapping runs under fault-injection plans over the record-bound grid (see crates/bench)"
+            .to_owned(),
+        trailers: vec![(
+            "overhead_wrapped_reliable_over_reliable",
+            ratios(&rows, "mode", "reliable", "wrapped-reliable", &["topology"]),
+        )],
+        rows,
     }
-    json.push_str("  ],\n  \"overhead_wrapped_reliable_over_reliable\": {\n");
-    let mut overheads: Vec<String> = Vec::new();
-    for r in records.iter().filter(|r| r.mode == "wrapped-reliable") {
-        if let Some(bare) = records
-            .iter()
-            .find(|s| s.mode == "reliable" && s.topology == r.topology)
-        {
-            overheads.push(format!(
-                "    \"{}\": {:.2}",
-                escape_json(&r.topology),
-                r.median_ns as f64 / bare.median_ns.max(1) as f64
-            ));
-        }
-    }
-    json.push_str(&overheads.join(",\n"));
-    json.push_str("\n  }\n}\n");
-    json
 }
 
-/// Drop-intensity ramp measured by [`recovery_json`], in percent.
+/// Drop-intensity ramp measured by [`recovery_baseline`], in percent.
 const RECOVERY_RAMP: &[u8] = &[0, 10, 20, 30];
 /// Plan-stream seed shared by every ramp point (the same seed the committed
 /// `crates/sweep/specs/recovery.spec` uses for its ramp).
 const RECOVERY_SEED: u64 = 7;
 /// Re-flood budget of the retry variants.
 const RECOVERY_RETRY_BUDGET: u32 = 6;
-
-/// One row of the recovery baseline. Everything except `median_ns` is a pure
-/// function of the (protocol, topology, ramp point, variant) cell — the wire
-/// and outcome columns are part of the row *key*, so `bench_smoke` flags any
-/// behavioural drift of the recovery layer, not just grid drift.
-struct RecoveryRecord {
-    protocol: &'static str,
-    topology: String,
-    drop_pct: u8,
-    variant: &'static str,
-    outcome: &'static str,
-    recovered: bool,
-    sent: u64,
-    delivered: u64,
-    total_bits: u64,
-    reflood_bits: u64,
-    median_ns: u64,
-}
 
 fn recovery_outcome(outcome: Outcome, lost: u64) -> &'static str {
     match outcome {
@@ -771,33 +813,45 @@ fn recovery_config() -> RunConfig {
 
 /// Runs one protocol over the recovery grid, appending its rows.
 ///
-/// Before any timing on a workload (full mode), the reliable-plan retry run
-/// is cross-checked **bit-identical** to the pristine single-shot run — zero
-/// re-flood rounds, equal outcome, equal full metrics — which is what makes
-/// the overhead columns attributable to recovery rather than to the wrapper.
+/// Everything except `median_ns` is a pure function of the (protocol,
+/// topology, ramp point, variant) cell: the wire and outcome columns are part
+/// of the row *key*, so the smoke check flags any behavioural drift of the
+/// recovery layer, not just grid drift.
+///
+/// Before any timing on a workload (with `cfg.cross_check`), the
+/// reliable-plan retry run is cross-checked **bit-identical** to the pristine
+/// single-shot run — zero re-flood rounds, equal outcome, equal full metrics
+/// — which is what makes the overhead columns attributable to recovery
+/// rather than to the wrapper.
 fn recovery_rows<P: RefloodProtocol>(
     protocol_name: &'static str,
     protocol: &P,
     recovered: &dyn Fn(&anet_graph::Network, &[P::State]) -> bool,
-    workloads: &[crate::Workload],
+    workloads: &[Workload],
     cfg: &SampleConfig,
-    records: &mut Vec<RecoveryRecord>,
+    rows: &mut Vec<Row>,
 ) {
     for w in workloads {
-        let pristine = run_with_config(
-            &w.network,
-            protocol,
-            &mut FifoScheduler::new(),
-            recovery_config(),
-        );
-        if cfg.cross_check {
-            let rel = run_recovering(
+        let single_shot = |plan: &FaultPlan| {
+            let mut scheduler = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
+            run_with_config(&w.network, protocol, &mut scheduler, recovery_config())
+        };
+        let retry = |plan: &FaultPlan| {
+            let mut scheduler = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
+            let (config, budget) = (recovery_config(), RECOVERY_RETRY_BUDGET);
+            run_recovering(&w.network, protocol, &mut scheduler, config, budget)
+        };
+        let pristine_run = || {
+            run_with_config(
                 &w.network,
                 protocol,
-                &mut FaultyScheduler::new(FifoScheduler::new(), FaultPlan::reliable()),
+                &mut FifoScheduler::new(),
                 recovery_config(),
-                RECOVERY_RETRY_BUDGET,
-            );
+            )
+        };
+        let pristine = pristine_run();
+        if cfg.cross_check {
+            let rel = retry(&FaultPlan::reliable());
             assert_eq!(
                 rel.reflood_rounds, 0,
                 "reliable plan re-flooded on {}/{}",
@@ -820,119 +874,69 @@ fn recovery_rows<P: RefloodProtocol>(
                 w.name
             );
         }
-        records.push(RecoveryRecord {
-            protocol: protocol_name,
-            topology: w.name.clone(),
-            drop_pct: 0,
-            variant: "pristine",
-            outcome: recovery_outcome(pristine.outcome, pristine.metrics.messages_lost()),
-            recovered: pristine.outcome == Outcome::Terminated
-                && recovered(&w.network, &pristine.states),
-            sent: pristine.metrics.messages_sent,
-            delivered: pristine.metrics.messages_delivered,
-            total_bits: pristine.metrics.total_bits,
-            reflood_bits: 0,
-            median_ns: median_ns(cfg, || {
-                std::hint::black_box(run_with_config(
-                    &w.network,
-                    protocol,
-                    &mut FifoScheduler::new(),
-                    recovery_config(),
-                ));
-            }),
-        });
+        let mut push = |drop: u8,
+                        variant: &str,
+                        run: &RunResult<P::State, P::Message>,
+                        reflood_bits: u64,
+                        median_ns| {
+            let ok = run.outcome == Outcome::Terminated && recovered(&w.network, &run.states);
+            let lost = run.metrics.messages_lost();
+            rows.push(Row {
+                key: vec![
+                    ("protocol", protocol_name.into()),
+                    ("topology", w.name.as_str().into()),
+                    ("drop_pct", u64::from(drop).into()),
+                    ("variant", variant.into()),
+                    ("outcome", recovery_outcome(run.outcome, lost).into()),
+                    ("recovered", Value::Bool(ok)),
+                    ("sent", run.metrics.messages_sent.into()),
+                    ("delivered", run.metrics.messages_delivered.into()),
+                    ("total_bits", run.metrics.total_bits.into()),
+                    ("reflood_bits", reflood_bits.into()),
+                ],
+                median_ns,
+            });
+        };
+        push(0, "pristine", &pristine, 0, median_ns(cfg, pristine_run));
         for &drop in RECOVERY_RAMP {
             let plan = FaultPlan::reliable()
                 .with_drops(drop)
                 .with_seed(RECOVERY_SEED);
-            let single = run_with_config(
-                &w.network,
-                protocol,
-                &mut FaultyScheduler::new(FifoScheduler::new(), plan.clone()),
-                recovery_config(),
+            let single = single_shot(&plan);
+            let single_ns = median_ns(cfg, || single_shot(&plan));
+            push(drop, "single-shot", &single, 0, single_ns);
+            let retried = retry(&plan);
+            let retry_ns = median_ns(cfg, || retry(&plan));
+            push(
+                drop,
+                "retry",
+                &retried.result,
+                retried.reflood_bits,
+                retry_ns,
             );
-            records.push(RecoveryRecord {
-                protocol: protocol_name,
-                topology: w.name.clone(),
-                drop_pct: drop,
-                variant: "single-shot",
-                outcome: recovery_outcome(single.outcome, single.metrics.messages_lost()),
-                recovered: single.outcome == Outcome::Terminated
-                    && recovered(&w.network, &single.states),
-                sent: single.metrics.messages_sent,
-                delivered: single.metrics.messages_delivered,
-                total_bits: single.metrics.total_bits,
-                reflood_bits: 0,
-                median_ns: median_ns(cfg, || {
-                    std::hint::black_box(run_with_config(
-                        &w.network,
-                        protocol,
-                        &mut FaultyScheduler::new(FifoScheduler::new(), plan.clone()),
-                        recovery_config(),
-                    ));
-                }),
-            });
-            let retry = run_recovering(
-                &w.network,
-                protocol,
-                &mut FaultyScheduler::new(FifoScheduler::new(), plan.clone()),
-                recovery_config(),
-                RECOVERY_RETRY_BUDGET,
-            );
-            records.push(RecoveryRecord {
-                protocol: protocol_name,
-                topology: w.name.clone(),
-                drop_pct: drop,
-                variant: "retry",
-                outcome: recovery_outcome(
-                    retry.result.outcome,
-                    retry.result.metrics.messages_lost(),
-                ),
-                recovered: retry.result.outcome == Outcome::Terminated
-                    && recovered(&w.network, &retry.result.states),
-                sent: retry.result.metrics.messages_sent,
-                delivered: retry.result.metrics.messages_delivered,
-                total_bits: retry.result.metrics.total_bits,
-                reflood_bits: retry.reflood_bits,
-                median_ns: median_ns(cfg, || {
-                    std::hint::black_box(run_recovering(
-                        &w.network,
-                        protocol,
-                        &mut FaultyScheduler::new(FifoScheduler::new(), plan.clone()),
-                        recovery_config(),
-                        RECOVERY_RETRY_BUDGET,
-                    ));
-                }),
-            });
         }
     }
 }
 
-/// Generates the `BENCH_recovery.json` contents: the recovery cost of the
-/// re-flood retry variants across the drop-intensity ramp, for all three
-/// protocols over the recovery topology grid, FIFO delivery.
+/// `BENCH_recovery.json`: the recovery cost of the re-flood retry variants
+/// across the drop-intensity ramp, for all three protocols over `workloads`
+/// (the recovery grid, [`recovery_workloads`]), FIFO delivery.
 ///
 /// Each ramp point carries two variants under the *same* fault plan: the
 /// `single-shot` run (what the pristine protocol does under that loss rate —
 /// usually starving on single-path topologies) and the `retry` run (the
-/// re-flood wrapper with a fixed budget). The `pristine` row is the fault-free
-/// baseline the overhead map diffs against. All outcome and wire columns are
-/// deterministic and participate in the smoke keys.
-pub fn recovery_json(cfg: &SampleConfig) -> String {
-    recovery_json_for(&crate::recovery_workloads(), cfg)
-}
-
-/// [`recovery_json`] over an explicit workload list (the baseline always uses
-/// [`crate::recovery_workloads`]; tests use tiny grids).
-pub fn recovery_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> String {
-    let mut records: Vec<RecoveryRecord> = Vec::new();
+/// re-flood wrapper with a fixed budget). The `pristine` row is the
+/// fault-free baseline the deterministic `overhead_retry_bits_over_pristine`
+/// map diffs recovered retries against.
+pub fn recovery_baseline(workloads: &[Workload], cfg: &SampleConfig) -> Baseline {
+    let mut rows = Vec::new();
     recovery_rows(
         "mapping",
         &mapping::Mapping::new(),
         &mapping::mapping_recovered,
         workloads,
         cfg,
-        &mut records,
+        &mut rows,
     );
     recovery_rows(
         "labeling",
@@ -940,7 +944,7 @@ pub fn recovery_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> S
         &labeling::labeling_recovered,
         workloads,
         cfg,
-        &mut records,
+        &mut rows,
     );
     recovery_rows(
         "general-broadcast",
@@ -948,55 +952,31 @@ pub fn recovery_json_for(workloads: &[crate::Workload], cfg: &SampleConfig) -> S
         &general_broadcast::general_recovered,
         workloads,
         cfg,
-        &mut records,
+        &mut rows,
     );
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"recovery_cost\",\n");
-    json.push_str("  \"unit\": \"ns_per_run_median\",\n");
-    json.push_str(
-        "  \"workload\": \"FIFO runs with re-flood retries across the drop-intensity ramp (see crates/bench)\",\n",
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"topology\": \"{}\", \"drop_pct\": {}, \"variant\": \"{}\", \"outcome\": \"{}\", \"recovered\": {}, \"sent\": {}, \"delivered\": {}, \"total_bits\": {}, \"reflood_bits\": {}, \"median_ns\": {}}}{}",
-            escape_json(r.protocol),
-            escape_json(&r.topology),
-            r.drop_pct,
-            escape_json(r.variant),
-            escape_json(r.outcome),
-            r.recovered,
-            r.sent,
-            r.delivered,
-            r.total_bits,
-            r.reflood_bits,
-            r.median_ns,
-            if i + 1 < records.len() { "," } else { "" }
-        );
+    let bits = |row: &Row| match row.get("total_bits") {
+        Value::Int(bits) => *bits as i64,
+        other => panic!("total_bits is not an integer: {other:?}"),
+    };
+    let on = ["protocol", "topology"];
+    let overheads = pairs(&rows, "variant", "retry", &["pristine"], &on)
+        .into_iter()
+        .filter(|(retry, _)| *retry.get("recovered") == Value::Bool(true))
+        .map(|(retry, pristine)| {
+            let key = format!("{}/d{}", retry.joined(&on), retry.get("drop_pct"));
+            (key, (bits(retry) - bits(pristine)).to_string())
+        })
+        .collect();
+    Baseline {
+        bench: "recovery_cost",
+        unit: "ns_per_run_median",
+        workload:
+            "FIFO runs with re-flood retries across the drop-intensity ramp (see crates/bench)"
+                .to_owned(),
+        trailers: vec![("overhead_retry_bits_over_pristine", Trailer::Map(overheads))],
+        rows,
     }
-    json.push_str("  ],\n  \"overhead_retry_bits_over_pristine\": {\n");
-    let mut overheads: Vec<String> = Vec::new();
-    for r in records
-        .iter()
-        .filter(|r| r.variant == "retry" && r.recovered)
-    {
-        if let Some(base) = records.iter().find(|s| {
-            s.variant == "pristine" && s.protocol == r.protocol && s.topology == r.topology
-        }) {
-            overheads.push(format!(
-                "    \"{}/{}/d{}\": {}",
-                escape_json(r.protocol),
-                escape_json(&r.topology),
-                r.drop_pct,
-                r.total_bits as i64 - base.total_bits as i64
-            ));
-        }
-    }
-    json.push_str(&overheads.join(",\n"));
-    json.push_str("\n  }\n}\n");
-    json
 }
 
 /// Heights of the scaling grid's full grounded trees (arity
@@ -1010,12 +990,6 @@ pub const SCALING_HEIGHTS: &[usize] = &[3, 4, 5, 6];
 /// sizes and in-flight message count) stays logarithmic.
 pub const SCALING_ARITY: usize = 10;
 
-/// Tallest tree the topology-mapping protocol is run on. Its record flood
-/// is a constant factor heavier than the labelling core, but under the
-/// depth-first schedule and the accumulator fast path it completes the
-/// n ≈ 10⁶ cell in seconds, so it runs the whole ladder.
-pub const SCALING_MAPPING_MAX_HEIGHT: usize = 6;
-
 /// Height of the `--verify-large` flat-vs-queue-forest differential
 /// (n ≈ 10⁵): large enough to exercise every large-n fast path, small
 /// enough for CI to afford it on every push.
@@ -1025,18 +999,6 @@ pub const SCALING_DIFFERENTIAL_HEIGHT: usize = 5;
 /// (n ≈ 10⁴, the ≥ 5× acceptance cell); above that a single scan pass is
 /// minutes, which is a statement about the old engine, not a measurement.
 pub const SCALING_FULL_SCAN_MAX_HEIGHT: usize = 4;
-
-struct ScalingRecord {
-    protocol: &'static str,
-    nodes: usize,
-    edges: usize,
-    engine: &'static str,
-    outcome: &'static str,
-    sent: u64,
-    delivered: u64,
-    total_bits: u64,
-    median_ns: u64,
-}
 
 fn outcome_name(outcome: Outcome) -> &'static str {
     match outcome {
@@ -1061,20 +1023,20 @@ fn scaling_timed<S, M>(
     times.push(start.elapsed().as_nanos() as u64);
     for _ in 1..samples {
         let start = Instant::now();
-        std::hint::black_box(run());
+        black_box(run());
         times.push(start.elapsed().as_nanos() as u64);
     }
     times.sort_unstable();
     (result, times[times.len() / 2])
 }
 
-/// Emits the flat / queue-forest (and, on the small cells, full-scan) rows
-/// for one protocol × tree cell, cross-checking all engines bit-identical —
-/// outcome, full [`anet_sim::metrics::RunMetrics`] (wire bits included),
-/// termination step and `states_match` (labels / full states) — before any
-/// timing when `cfg.cross_check` is set.
+/// Emits the flat / queue-forest (and, with `include_full_scan`, full-scan)
+/// rows for one protocol × tree cell, cross-checking all engines
+/// bit-identical — outcome, full [`anet_sim::metrics::RunMetrics`] (wire bits
+/// included), termination step and `states_match` (labels / full states) —
+/// before any timing when `cfg.cross_check` is set.
 fn scaling_rows<P: anet_sim::AnonymousProtocol>(
-    records: &mut Vec<ScalingRecord>,
+    rows: &mut Vec<Row>,
     cfg: &SampleConfig,
     protocol_name: &'static str,
     protocol: &P,
@@ -1153,15 +1115,17 @@ fn scaling_rows<P: anet_sim::AnonymousProtocol>(
             network.node_count(),
             median_ns as f64 / 1e9
         );
-        records.push(ScalingRecord {
-            protocol: protocol_name,
-            nodes: network.node_count(),
-            edges: network.edge_count(),
-            engine,
-            outcome: outcome_name(result.outcome),
-            sent: result.metrics.messages_sent,
-            delivered: result.metrics.messages_delivered,
-            total_bits: result.metrics.total_bits,
+        rows.push(Row {
+            key: vec![
+                ("protocol", protocol_name.into()),
+                ("nodes", network.node_count().into()),
+                ("edges", network.edge_count().into()),
+                ("engine", engine.into()),
+                ("outcome", outcome_name(result.outcome).into()),
+                ("sent", result.metrics.messages_sent.into()),
+                ("delivered", result.metrics.messages_delivered.into()),
+                ("total_bits", result.metrics.total_bits.into()),
+            ],
             median_ns,
         });
     };
@@ -1170,6 +1134,45 @@ fn scaling_rows<P: anet_sim::AnonymousProtocol>(
     if include_full_scan {
         push("full_scan", &mut || full_scan(()));
     }
+}
+
+/// [`scaling_rows`] for the whole battery — labelling, general broadcast and
+/// topology mapping — on one tree.
+fn scaling_battery(
+    rows: &mut Vec<Row>,
+    cfg: &SampleConfig,
+    network: &anet_graph::Network,
+    include_full_scan: bool,
+) {
+    scaling_rows(
+        rows,
+        cfg,
+        "labeling",
+        &labeling::Labeling::new(),
+        network,
+        include_full_scan,
+        |a, b| a == b,
+    );
+    scaling_rows(
+        rows,
+        cfg,
+        "general-broadcast",
+        &general_broadcast::GeneralBroadcast::new(Payload::synthetic(LABELING_PAYLOAD_BITS)),
+        network,
+        include_full_scan,
+        |a, b| a == b,
+    );
+    scaling_rows(
+        rows,
+        cfg,
+        "topology-mapping",
+        &mapping::Mapping::new(),
+        network,
+        include_full_scan,
+        |a: &[mapping::MappingState], b: &[mapping::MappingState]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.label == y.label)
+        },
+    );
 }
 
 /// Times inserting and re-looking-up every key of `keys` in a fresh
@@ -1189,63 +1192,37 @@ fn hasher_ns<H: std::hash::BuildHasher + Default>(
         for key in keys {
             total += u64::from(*map.get(key).expect("key was just inserted"));
         }
-        std::hint::black_box(total);
+        total
     })
 }
 
-/// Generates the `BENCH_scaling.json` contents: the full protocol battery
-/// (labelling, general broadcast, topology mapping) on full grounded trees
-/// of n ∈ {10³, 10⁴, 10⁵, 10⁶} nodes under a depth-first schedule (the
-/// cache-dense delivery order — see [`anet_sim::scheduler::DepthFirstScheduler`]), measured on the
+/// `BENCH_scaling.json`: the full protocol battery (labelling, general
+/// broadcast, topology mapping) on full grounded trees of n ∈ {10³, 10⁴,
+/// 10⁵, 10⁶} nodes under a depth-first schedule (the cache-dense delivery
+/// order — see [`anet_sim::scheduler::DepthFirstScheduler`]), measured on the
 /// flat engine, the retained queue-forest engine, and (on the ≤ 10⁴ cells)
 /// the O(E · deliveries) full-scan reference. Every row carries the
 /// deterministic outcome and wire columns (`outcome`, `sent`, `delivered`,
 /// `total_bits`), so the key-drift smoke check also pins run determinism.
-/// The trailer notes the interner-hasher microbenchmark (FNV-1a, the
-/// in-repo default, versus std's SipHash) and the flat engine's speedups.
-pub fn scaling_json(cfg: &SampleConfig) -> String {
+/// The trailers hold the flat engine's speedups and the interner-hasher
+/// microbenchmark (FNV-1a, the in-repo default, versus std's SipHash).
+pub fn scaling_baseline(cfg: &SampleConfig) -> Baseline {
     use anet_graph::generators::full_grounded_tree;
 
-    let mut records: Vec<ScalingRecord> = Vec::new();
+    let mut rows = Vec::new();
     for &height in SCALING_HEIGHTS {
         let network = full_grounded_tree(height, SCALING_ARITY).expect("arity >= 2");
-        let full_scan = height <= SCALING_FULL_SCAN_MAX_HEIGHT;
-        scaling_rows(
-            &mut records,
+        scaling_battery(
+            &mut rows,
             cfg,
-            "labeling",
-            &labeling::Labeling::new(),
             &network,
-            full_scan,
-            |a, b| a == b,
+            height <= SCALING_FULL_SCAN_MAX_HEIGHT,
         );
-        scaling_rows(
-            &mut records,
-            cfg,
-            "general-broadcast",
-            &general_broadcast::GeneralBroadcast::new(Payload::synthetic(LABELING_PAYLOAD_BITS)),
-            &network,
-            full_scan,
-            |a, b| a == b,
-        );
-        if height <= SCALING_MAPPING_MAX_HEIGHT {
-            scaling_rows(
-                &mut records,
-                cfg,
-                "topology-mapping",
-                &mapping::Mapping::new(),
-                &network,
-                full_scan,
-                |a: &[mapping::MappingState], b: &[mapping::MappingState]| {
-                    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.label == y.label)
-                },
-            );
-        }
     }
 
-    // Satellite note: the interner's hash map under the in-repo FNV-1a
-    // hasher (its default since the swap) versus std's SipHash, over label
-    // union keys shaped like the mapping table's.
+    // The interner's hash map under the in-repo FNV-1a hasher (its default
+    // since the swap) versus std's SipHash, over label union keys shaped like
+    // the mapping table's.
     let keys: Vec<IntervalUnion> = striped_union(512, 2, 0, 1, true)
         .iter()
         .map(IntervalUnion::from)
@@ -1253,116 +1230,177 @@ pub fn scaling_json(cfg: &SampleConfig) -> String {
     let fnv_ns = hasher_ns::<anet_num::FnvBuildHasher>(cfg, &keys);
     let siphash_ns = hasher_ns::<std::collections::hash_map::RandomState>(cfg, &keys);
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"scaling\",\n");
-    json.push_str("  \"unit\": \"ns_per_run_median\",\n");
-    json.push_str(
-        "  \"workload\": \"depth-first-schedule runs over full grounded trees (arity 10), n = 10^3..10^6 (see crates/bench)\",\n",
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"nodes\": {}, \"edges\": {}, \"engine\": \"{}\", \"outcome\": \"{}\", \"sent\": {}, \"delivered\": {}, \"total_bits\": {}, \"median_ns\": {}}}{}",
-            escape_json(r.protocol),
-            r.nodes,
-            r.edges,
-            escape_json(r.engine),
-            escape_json(r.outcome),
-            r.sent,
-            r.delivered,
-            r.total_bits,
-            r.median_ns,
-            if i + 1 < records.len() { "," } else { "" }
-        );
+    let on = ["protocol", "nodes"];
+    let speedups = pairs(&rows, "engine", "flat", &["queue_forest", "full_scan"], &on)
+        .into_iter()
+        .map(|(flat, slow)| {
+            let key = format!(
+                "{}/{}/n{}",
+                slow.get("engine"),
+                flat.get("protocol"),
+                flat.get("nodes")
+            );
+            (key, ratio(slow, flat))
+        })
+        .collect();
+    let hashers = vec![
+        ("fnv1a_ns".to_owned(), fnv_ns.to_string()),
+        ("siphash_ns".to_owned(), siphash_ns.to_string()),
+    ];
+    Baseline {
+        bench: "scaling",
+        unit: "ns_per_run_median",
+        workload: "depth-first-schedule runs over full grounded trees (arity 10), n = 10^3..10^6 (see crates/bench)"
+            .to_owned(),
+        trailers: vec![
+            ("speedup_flat_over", Trailer::Map(speedups)),
+            ("interner_hasher_insert_lookup_ns", Trailer::Map(hashers)),
+        ],
+        rows,
     }
-    json.push_str("  ],\n  \"speedup_flat_over\": {\n");
-    let mut speedups: Vec<String> = Vec::new();
-    for r in records.iter().filter(|r| r.engine == "flat") {
-        for slow in records
-            .iter()
-            .filter(|s| s.engine != "flat" && s.protocol == r.protocol && s.nodes == r.nodes)
-        {
-            speedups.push(format!(
-                "    \"{}/{}/n{}\": {:.2}",
-                escape_json(slow.engine),
-                escape_json(r.protocol),
-                r.nodes,
-                slow.median_ns as f64 / r.median_ns.max(1) as f64
-            ));
-        }
-    }
-    json.push_str(&speedups.join(",\n"));
-    json.push_str("\n  },\n  \"interner_hasher_insert_lookup_ns\": {\n");
-    let _ = writeln!(json, "    \"fnv1a_ns\": {fnv_ns},");
-    let _ = writeln!(json, "    \"siphash_ns\": {siphash_ns}");
-    json.push_str("  }\n}\n");
-    json
 }
 
 /// The `--verify-large` differential sample: every protocol at n ≈ 10⁵
 /// (height [`SCALING_DIFFERENTIAL_HEIGHT`]), flat engine versus the
 /// retained queue forest, pinned bit-identical the same way
-/// [`scaling_json`]'s cross-check does it — without any timing, so CI can
-/// afford it on every push.
+/// [`scaling_baseline`]'s cross-check does it — without any timing, so CI
+/// can afford it on every push.
 pub fn verify_scaling_large() {
-    use anet_graph::generators::full_grounded_tree;
-
-    let height = SCALING_DIFFERENTIAL_HEIGHT;
-    let network = full_grounded_tree(height, SCALING_ARITY).expect("arity >= 2");
+    let network =
+        anet_graph::generators::full_grounded_tree(SCALING_DIFFERENTIAL_HEIGHT, SCALING_ARITY)
+            .expect("arity >= 2");
     let cfg = SampleConfig {
-        samples: 1,
-        min_sample_micros: 0,
-        max_iters: 1,
         cross_check: true,
-        reference_edge_cap: None,
+        ..SampleConfig::smoke()
     };
-    let mut records: Vec<ScalingRecord> = Vec::new();
-    scaling_rows(
-        &mut records,
-        &cfg,
-        "labeling",
-        &labeling::Labeling::new(),
-        &network,
-        false,
-        |a, b| a == b,
+    let mut rows = Vec::new();
+    scaling_battery(&mut rows, &cfg, &network, false);
+    for row in &rows {
+        let columns: Vec<String> = row.key.iter().map(|(c, v)| format!("{c}={v}")).collect();
+        println!("ok   {}", columns.join(" "));
+    }
+}
+
+/// The dedup baseline's spec: 2 protocols × 8 topologies (3 canonical forms)
+/// × 2 seeds × 5 schedulers.
+///
+/// The redundancy is *provable*, not probabilistic: `random-dag n 100 seed`
+/// draws every forward edge with probability 1, so all three seeds collapse
+/// onto `complete-dag 7`; `nested-cycles 1 8` is `cycle-with-tail 8`, and
+/// `complete-dag 2` is `path 2`.
+fn dedup_spec() -> anet_sweep::SweepSpec {
+    use anet_sweep::{ProtocolSpec, ScenarioSpec, SweepSpec, TopologySpec};
+    let dense = |seed| TopologySpec::RandomDag {
+        internal: 7,
+        edge_pct: 100,
+        seed,
+    };
+    SweepSpec {
+        protocols: vec![ProtocolSpec::Mapping, ProtocolSpec::Labeling],
+        topologies: vec![
+            TopologySpec::CompleteDag { internal: 7 },
+            dense(1),
+            dense(2),
+            dense(3),
+            TopologySpec::CycleWithTail { k: 8 },
+            TopologySpec::NestedCycles { count: 1, len: 8 },
+            TopologySpec::Path { n: 2 },
+            TopologySpec::CompleteDag { internal: 2 },
+        ],
+        seeds: vec![11, 12],
+        random_schedulers: 1,
+        max_deliveries: 1_000_000,
+        scenarios: vec![ScenarioSpec::Pristine],
+    }
+}
+
+/// `BENCH_sweep_dedup.json`: wall-clock of a full single-shard sweep pass
+/// with deduplication (cold, and with a warm content-addressed cache) versus
+/// the honest one-execution-per-unit path, over a redundancy-heavy spec.
+///
+/// At every effort, the merged output of the cold and the warm dedup pass is
+/// first checked byte-identical to the honest pass, the warm pass must hit
+/// the cache for every cluster, and the spec must keep at least 2×
+/// redundancy. A calibrated run warns on stderr when dedup is less than 2×
+/// faster than the honest pass.
+pub fn sweep_dedup_baseline(cfg: &SampleConfig) -> Baseline {
+    use anet_sweep::{dedup_shard_lines, merge_lines, shard_lines, Manifest, Partition};
+
+    let spec = dedup_spec();
+    let manifest = Manifest::from_spec(&spec);
+    let honest = || {
+        let lines = shard_lines(&spec, &manifest, 1, Partition::Hash, 0).expect("honest pass runs");
+        merge_lines(manifest.len(), [lines]).expect("honest pass covers")
+    };
+    let dedup = |cache: Option<&std::path::Path>| {
+        let (lines, stats) = dedup_shard_lines(&spec, &manifest, 1, Partition::Hash, 0, cache)
+            .expect("dedup pass runs");
+        let merged = merge_lines(manifest.len(), [lines]).expect("dedup pass covers");
+        (merged, stats)
+    };
+    let cache = std::env::temp_dir().join(format!(
+        "anet-bench-sweep-dedup-cache-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&cache);
+
+    let expected = honest();
+    let (cold, stats) = dedup(None);
+    assert_eq!(cold, expected, "dedup output diverged from honest output");
+    let (primed, _) = dedup(Some(&cache));
+    let (warm, warm_stats) = dedup(Some(&cache));
+    assert_eq!(primed, expected);
+    assert_eq!(warm, expected, "warm-cache output diverged");
+    assert_eq!(warm_stats.cache_hits, warm_stats.clusters);
+    assert!(
+        stats.clusters * 2 <= stats.units,
+        "bench spec lost its redundancy: {} units -> {} clusters",
+        stats.units,
+        stats.clusters
     );
-    scaling_rows(
-        &mut records,
-        &cfg,
-        "general-broadcast",
-        &general_broadcast::GeneralBroadcast::new(Payload::synthetic(LABELING_PAYLOAD_BITS)),
-        &network,
-        false,
-        |a, b| a == b,
-    );
-    scaling_rows(
-        &mut records,
-        &cfg,
-        "topology-mapping",
-        &mapping::Mapping::new(),
-        &network,
-        false,
-        |a: &[mapping::MappingState], b: &[mapping::MappingState]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.label == y.label)
-        },
-    );
-    for r in &records {
-        println!(
-            "ok   {} n={} engine={}: outcome={} sent={} delivered={} bits={}",
-            r.protocol, r.nodes, r.engine, r.outcome, r.sent, r.delivered, r.total_bits
-        );
+
+    let mode = |mode: &str, median_ns| Row {
+        key: vec![("mode", mode.into())],
+        median_ns,
+    };
+    let rows = vec![
+        mode("no-dedup", median_ns(cfg, honest)),
+        mode("dedup", median_ns(cfg, || dedup(None))),
+        mode("dedup-warm-cache", median_ns(cfg, || dedup(Some(&cache)))),
+    ];
+    let _ = std::fs::remove_dir_all(&cache);
+    // Only calibrated timings can tell whether dedup still pays off.
+    if cfg.min_sample_micros > 0 && rows[0].median_ns < 2 * rows[1].median_ns {
+        let speedup = ratio(&rows[0], &rows[1]);
+        eprintln!("warning: dedup speedup {speedup}x is below the expected 2x");
+    }
+    Baseline {
+        bench: "sweep_dedup",
+        unit: "ns_per_sweep_median",
+        workload: format!(
+            "full single-shard sweep over a redundancy-heavy spec ({} units, {} equivalence classes); see crates/bench/src/baseline.rs",
+            stats.units, stats.clusters
+        ),
+        trailers: vec![
+            ("manifest_units", Trailer::Scalar(stats.units.to_string())),
+            ("clusters", Trailer::Scalar(stats.clusters.to_string())),
+            (
+                "speedup_no_dedup_over_dedup",
+                Trailer::Scalar(ratio(&rows[0], &rows[1])),
+            ),
+            (
+                "speedup_no_dedup_over_warm_cache",
+                Trailer::Scalar(ratio(&rows[0], &rows[2])),
+            ),
+        ],
+        rows,
     }
 }
 
 /// Escapes a string for embedding in a JSON string literal: backslash, quote
-/// and control characters. Applied to every string field the baseline
-/// generators emit, so a workload name that ever needs escaping yields valid
-/// JSON instead of a corrupt baseline (the names in use today never need it,
-/// so existing committed baselines are byte-unchanged). The `anet-sweep`
-/// record writer deliberately does *not* escape — its parser is an exact
-/// inverse over a guarded name alphabet — but its `--check` mode reuses
-/// [`result_keys`] from this module.
+/// and control characters. [`Baseline::to_json`] applies it to every string
+/// it takes from a workload, so a name that ever needs escaping yields valid
+/// JSON instead of a corrupt baseline (the names in use today never need it).
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -1420,6 +1458,29 @@ pub fn result_keys(json: &str) -> BTreeSet<String> {
     keys
 }
 
+/// Compares the row keys of a `generated` baseline with the `committed`
+/// contents of `entry`'s file, prints `ok` or the drift, and reports whether
+/// they match.
+pub fn keys_match(entry: &Entry, generated: &str, committed: &str) -> bool {
+    let path = entry.path();
+    let expected = result_keys(generated);
+    let actual = result_keys(committed);
+    if expected == actual {
+        println!("ok   {path}: {} benchmark keys match", expected.len());
+        return true;
+    }
+    eprintln!("FAIL {path}: benchmark keys drifted from the committed baseline");
+    for missing in expected.difference(&actual) {
+        eprintln!("  bench grid has, baseline lacks: {missing}");
+    }
+    for stale in actual.difference(&expected) {
+        eprintln!("  baseline has, bench grid lacks: {stale}");
+    }
+    let name = entry.name;
+    eprintln!("  regenerate with: cargo run --release -p anet-bench --bin baseline -- {name}");
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1459,139 +1520,183 @@ mod tests {
     }
 
     #[test]
-    fn smoke_labeling_baseline_is_well_formed() {
-        let workloads = vec![
-            crate::Workload {
-                name: "chain-gn/3".to_owned(),
-                network: anet_graph::generators::chain_gn(3).unwrap(),
-            },
-            crate::Workload {
-                name: "cycle-with-tail/4".to_owned(),
-                network: anet_graph::generators::cycle_with_tail(4).unwrap(),
-            },
-        ];
-        let json = labeling_json_for(&workloads, &SampleConfig::smoke());
-        let keys = result_keys(&json);
-        // Two protocols × two implementations per workload.
-        assert_eq!(keys.len(), workloads.len() * 4);
-        assert!(keys.contains("protocol=labeling|topology=chain-gn/3|impl=cow"));
-        assert!(
-            keys.contains("protocol=general-broadcast|topology=cycle-with-tail/4|impl=reference")
+    fn to_json_renders_the_committed_layout() {
+        let row = |topology: &str, done: bool, median_ns| Row {
+            key: vec![
+                ("topology", topology.into()),
+                ("nodes", 7usize.into()),
+                ("done", Value::Bool(done)),
+            ],
+            median_ns,
+        };
+        let baseline = Baseline {
+            bench: "demo",
+            unit: "ns_per_run_median",
+            workload: "two \"quoted\" rows".to_owned(),
+            rows: vec![row("a\\b", true, 120), row("c", false, 40)],
+            trailers: vec![
+                (
+                    "speedup_c_over_a",
+                    Trailer::Map(vec![("a\\b/7".to_owned(), "0.33".to_owned())]),
+                ),
+                ("clusters", Trailer::Scalar("3".to_owned())),
+            ],
+        };
+        assert_eq!(
+            baseline.to_json(),
+            r#"{
+  "bench": "demo",
+  "unit": "ns_per_run_median",
+  "workload": "two \"quoted\" rows",
+  "results": [
+    {"topology": "a\\b", "nodes": 7, "done": true, "median_ns": 120},
+    {"topology": "c", "nodes": 7, "done": false, "median_ns": 40}
+  ],
+  "speedup_c_over_a": {
+    "a\\b/7": 0.33
+  },
+  "clusters": 3
+}
+"#
         );
-        assert!(json.contains("speedup_reference_over_cow"));
     }
 
     #[test]
-    fn labeling_baseline_cross_check_accepts_the_real_grid_shape() {
-        // Full-mode cross-checking on a small grid: terminated, equal wire
-        // bits, equal labels — the gate every committed baseline passed.
-        let workloads = vec![crate::Workload {
-            name: "complete-dag/5".to_owned(),
-            network: anet_graph::generators::complete_dag(5).unwrap(),
-        }];
-        let cfg = SampleConfig {
-            samples: 1,
-            min_sample_micros: 0,
-            max_iters: 1,
-            cross_check: true,
-            reference_edge_cap: None,
+    fn trailer_pairs_match_on_the_named_columns_in_row_order() {
+        // The median doubles as a row id.
+        let row = |engine: &str, nodes: usize, median_ns| Row {
+            key: vec![("engine", engine.into()), ("nodes", nodes.into())],
+            median_ns,
         };
-        let json = labeling_json_for(&workloads, &cfg);
-        assert_eq!(result_keys(&json).len(), 4);
-    }
-
-    #[test]
-    fn smoke_faults_baseline_is_well_formed_and_cross_checks() {
-        let workloads = vec![
-            crate::Workload {
-                name: "chain-gn/3".to_owned(),
-                network: anet_graph::generators::chain_gn(3).unwrap(),
-            },
-            crate::Workload {
-                name: "complete-dag/4".to_owned(),
-                network: anet_graph::generators::complete_dag(4).unwrap(),
-            },
+        let rows = [
+            row("flat", 1, 10),
+            row("queue", 1, 11),
+            row("scan", 1, 12),
+            row("flat", 2, 20),
+            row("queue", 2, 23),
+            row("queue", 3, 33),
         ];
-        // Full cross-check mode on a tiny grid: the zero-fault bit-identity
-        // gate every committed BENCH_faults.json passed.
-        let cfg = SampleConfig {
-            samples: 1,
-            min_sample_micros: 0,
-            max_iters: 1,
-            cross_check: true,
-            reference_edge_cap: None,
-        };
-        let json = faults_json_for(&workloads, &cfg);
-        let keys = result_keys(&json);
-        // Four modes per workload.
-        assert_eq!(keys.len(), workloads.len() * 4);
-        assert!(keys.contains("topology=chain-gn/3|mode=reliable"));
-        assert!(keys.contains("topology=chain-gn/3|mode=wrapped-reliable"));
-        assert!(keys.contains("topology=complete-dag/4|mode=lossy"));
-        assert!(keys.contains("topology=complete-dag/4|mode=heavy"));
-        assert!(json.contains("overhead_wrapped_reliable_over_reliable"));
-    }
-
-    #[test]
-    fn smoke_recovery_baseline_is_well_formed_and_cross_checks() {
-        let workloads = vec![
-            crate::Workload {
-                name: "chain-gn/4".to_owned(),
-                network: anet_graph::generators::chain_gn(4).unwrap(),
-            },
-            crate::Workload {
-                name: "cycle-with-tail/5".to_owned(),
-                network: anet_graph::generators::cycle_with_tail(5).unwrap(),
-            },
-        ];
-        // Full cross-check mode on a tiny grid: the reliable-plan retry
-        // bit-identity gate every committed BENCH_recovery.json passed.
-        let cfg = SampleConfig {
-            samples: 1,
-            min_sample_micros: 0,
-            max_iters: 1,
-            cross_check: true,
-            reference_edge_cap: None,
-        };
-        let json = recovery_json_for(&workloads, &cfg);
-        let keys = result_keys(&json);
-        // Three protocols × (pristine + 4 ramp points × 2 variants).
-        assert_eq!(keys.len(), workloads.len() * 3 * 9);
-        // The pristine rows recover by definition, and the smoke keys carry
-        // the deterministic outcome columns.
-        assert!(keys
+        let ids: Vec<(u64, u64)> = pairs(&rows, "engine", "flat", &["queue", "scan"], &["nodes"])
             .iter()
-            .any(|k| k.starts_with("protocol=mapping|topology=chain-gn/4|drop_pct=0|variant=pristine|outcome=terminated|recovered=true")));
-        // Sustained loss on a single path: some retry row genuinely recovered
-        // at a nonzero drop rate, and re-flood traffic was charged for it.
-        assert!(json.lines().any(|l| l.contains("\"variant\": \"retry\"")
-            && l.contains("\"recovered\": true")
-            && !l.contains("\"drop_pct\": 0,")
-            && !l.contains("\"reflood_bits\": 0,")));
-        assert!(json.contains("overhead_retry_bits_over_pristine"));
+            .map(|(base, partner)| (base.median_ns, partner.median_ns))
+            .collect();
+        assert_eq!(ids, [(10, 11), (10, 12), (20, 23)]);
+        assert_eq!(
+            ratios(&rows, "engine", "flat", "queue", &["engine", "nodes"]),
+            Trailer::Map(vec![]),
+        );
+        assert_eq!(
+            ratios(&rows, "engine", "flat", "queue", &["nodes"]),
+            Trailer::Map(vec![
+                ("1".to_owned(), "1.10".to_owned()),
+                ("2".to_owned(), "1.15".to_owned()),
+            ]),
+        );
     }
 
     #[test]
-    fn smoke_mapping_baseline_is_well_formed() {
-        // A tiny grid: the full record-bound grid is release-bench territory
-        // (the `bench_smoke` binary covers it in CI); here we only pin the JSON
-        // structure and key extraction.
-        let workloads = vec![
-            crate::Workload {
-                name: "chain-gn/3".to_owned(),
-                network: anet_graph::generators::chain_gn(3).unwrap(),
-            },
-            crate::Workload {
-                name: "complete-dag/4".to_owned(),
-                network: anet_graph::generators::complete_dag(4).unwrap(),
-            },
+    fn small_grid_baselines_cross_check_and_are_well_formed() {
+        use anet_graph::generators::{chain_gn, complete_dag, cycle_with_tail};
+
+        let workload = |name: &str, network| Workload {
+            name: name.to_owned(),
+            network,
+        };
+        let workloads = [
+            workload("chain-gn/4", chain_gn(4).unwrap()),
+            workload("cycle-with-tail/5", cycle_with_tail(5).unwrap()),
+            workload("complete-dag/4", complete_dag(4).unwrap()),
+            workload("complete-dag/5", complete_dag(5).unwrap()),
         ];
-        let json = mapping_json_for(&workloads, &SampleConfig::smoke());
-        let keys = result_keys(&json);
-        // Two implementations per workload.
-        assert_eq!(keys.len(), workloads.len() * 2);
-        assert!(keys.contains("topology=chain-gn/3|impl=interned"));
-        assert!(keys.contains("topology=complete-dag/4|impl=reference"));
-        assert!(json.contains("speedup_reference_over_interned"));
+        type Generator = fn(&[Workload], &SampleConfig) -> Baseline;
+        // (generator, rows per workload, named row keys, trailer).
+        let cases: [(Generator, usize, &[&str], &str); 4] = [
+            (
+                mapping_baseline,
+                2,
+                &[
+                    "topology=chain-gn/4|impl=interned",
+                    "topology=complete-dag/4|impl=reference",
+                ],
+                "speedup_reference_over_interned",
+            ),
+            (
+                labeling_baseline,
+                2 * 2,
+                &[
+                    "protocol=labeling|topology=chain-gn/4|impl=cow",
+                    "protocol=general-broadcast|topology=cycle-with-tail/5|impl=reference",
+                    "protocol=labeling|topology=complete-dag/5|impl=reference",
+                ],
+                "speedup_reference_over_cow",
+            ),
+            (
+                faults_baseline,
+                4,
+                &[
+                    "topology=chain-gn/4|mode=reliable",
+                    "topology=chain-gn/4|mode=wrapped-reliable",
+                    "topology=complete-dag/4|mode=lossy",
+                    "topology=complete-dag/4|mode=heavy",
+                ],
+                "overhead_wrapped_reliable_over_reliable",
+            ),
+            (
+                recovery_baseline,
+                // Three protocols × (pristine + 4 ramp points × 2 variants).
+                3 * 9,
+                &[],
+                "overhead_retry_bits_over_pristine",
+            ),
+        ];
+        // Full cross-check effort, one run per row: the gates every committed
+        // baseline passed.
+        let cfg = SampleConfig {
+            cross_check: true,
+            ..SampleConfig::smoke()
+        };
+        let mut last = None;
+        for (generate, rows_per_workload, named, trailer) in cases {
+            let baseline = generate(&workloads, &cfg);
+            let json = baseline.to_json();
+            let keys = result_keys(&json);
+            assert_eq!(keys.len(), workloads.len() * rows_per_workload, "{trailer}");
+            for key in named {
+                assert!(keys.contains(*key), "{trailer}: {key}");
+            }
+            assert!(json.contains(&format!("\"{trailer}\": {{")), "{trailer}");
+            last = Some((baseline, keys));
+        }
+        // The recovery keys carry the measured outcome and bit columns, so
+        // its pristine row is named by prefix; pristine rows recover by
+        // definition.
+        let (recovery, keys) = last.unwrap();
+        assert!(keys.iter().any(|k| k.starts_with(
+            "protocol=mapping|topology=chain-gn/4|drop_pct=0|variant=pristine|outcome=terminated|recovered=true|"
+        )));
+        // Sustained loss on a single path: some recovery retry row genuinely
+        // recovered at a nonzero drop rate, and re-flood traffic was charged
+        // for it.
+        assert!(recovery.rows.iter().any(|r| {
+            *r.get("variant") == Value::from("retry")
+                && *r.get("recovered") == Value::Bool(true)
+                && *r.get("drop_pct") != Value::Int(0)
+                && *r.get("reflood_bits") != Value::Int(0)
+        }));
+    }
+
+    #[test]
+    fn registry_covers_every_committed_baseline() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut committed: Vec<String> = std::fs::read_dir(root)
+            .expect("workspace root is readable")
+            .map(|entry| entry.expect("directory entry").file_name())
+            .map(|name| name.to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+            .collect();
+        committed.sort();
+        let mut registered: Vec<String> = BASELINES.iter().map(Entry::path).collect();
+        registered.sort();
+        assert_eq!(committed, registered);
     }
 }

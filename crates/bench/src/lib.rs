@@ -9,8 +9,14 @@
 //! * a Criterion bench (in `benches/`) that tracks the wall-clock cost of the
 //!   protocol runs behind it.
 //!
-//! This library holds the pieces shared by both: deterministic workload
-//! construction and plain-text table rendering.
+//! The committed `BENCH_*.json` baselines — fast paths against their
+//! retained references, fault and recovery costs, engine scaling and sweep
+//! dedup — come from the [`baseline`] module, driven by the `baseline`
+//! binary (`baseline NAME…` regenerates, `baseline --smoke` key-diffs them
+//! all).
+//!
+//! This library holds the pieces shared by all of them: deterministic
+//! workload construction and plain-text table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -88,11 +94,11 @@ pub fn cyclic_workloads(sizes: &[usize]) -> Vec<Workload> {
         .collect()
 }
 
-/// The record-bound topology grid used by the `mapping_flood` bench and the
-/// `BENCH_mapping.json` baseline: random cyclic overlays of growing size plus
-/// complete DAGs, whose record count (vertices + edges) grows quadratically —
-/// the workloads where the owned-record reference's O(|known|) per-activation
-/// diff dominates.
+/// The record-bound topology grid of the `BENCH_mapping.json`,
+/// `BENCH_labeling.json` and `BENCH_faults.json` baselines: random cyclic
+/// overlays of growing size plus complete DAGs, whose record count
+/// (vertices + edges) grows quadratically — the workloads where the
+/// owned-record reference's O(|known|) per-activation diff dominates.
 pub fn mapping_flood_workloads() -> Vec<Workload> {
     let mut rng = StdRng::seed_from_u64(WORKLOAD_SEED ^ 0x8);
     let mut out = Vec::new();

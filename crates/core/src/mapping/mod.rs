@@ -553,12 +553,11 @@ impl MappingState {
 /// [record table](RecordId); every state a value creates holds a handle to its
 /// table. **`clone` shares the table** (it clones the `Arc`, not the arena) —
 /// fine for reusing one logical protocol, but independent concurrent runs
-/// should each get their own `Mapping::new()` (as
-/// [`anet_sim::runner::run_battery_grid`]'s per-topology factory does), or
-/// every activation funnels through one `Mutex`. Reusing one value across
-/// several sequential runs (as [`anet_sim::runner::run_under_battery`] does)
-/// reuses the table — ids stay consistent and the arena simply accumulates,
-/// which is harmless because ids never leak between runs' `known` sets.
+/// should each get their own `Mapping::new()`, or every activation funnels
+/// through one `Mutex`. Reusing one value across several sequential runs (as
+/// [`anet_sim::runner::run_under_battery`] does) reuses the table — ids stay
+/// consistent and the arena simply accumulates, which is harmless because ids
+/// never leak between runs' `known` sets.
 #[derive(Debug, Clone, Default)]
 pub struct Mapping {
     table: SharedRecordTable,

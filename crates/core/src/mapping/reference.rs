@@ -8,7 +8,7 @@
 //! [the parent module](super) must match bit-for-bit: the
 //! `mapping_differential` suite runs both across the scheduler battery and
 //! asserts identical traces, metrics, wire-bit totals and extracted
-//! topologies, and the `mapping_flood` bench measures the speedup.
+//! topologies, and `BENCH_mapping.json` measures the speedup.
 //!
 //! One deliberate deviation from the first version: the terminal's validity
 //! checks in [`MappingState::map_complete`] index `known` by vertex label in a

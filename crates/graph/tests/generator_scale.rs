@@ -1,5 +1,5 @@
 //! n = 10⁴ smoke tests: every topology generator family at the scale the
-//! `bench_scaling` grid runs it.
+//! `BENCH_scaling.json` grid runs it.
 //!
 //! One test per family. Each builds a network of (about) ten thousand nodes,
 //! asserts the exact node count, the exact edge count where the family is

@@ -49,7 +49,7 @@ use crate::fnv::FnvBuildHasher;
 /// keys are protocol-generated records, not attacker input, and FNV is faster
 /// on the short keys interners see. Ids were always assigned in insertion
 /// order, so the swap cannot change any id — it is purely a hot-path speedup
-/// (the `bench_scaling` baseline records the before/after microbenchmark).
+/// (`BENCH_scaling.json` records the before/after microbenchmark).
 ///
 /// # Example
 ///

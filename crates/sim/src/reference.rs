@@ -20,7 +20,7 @@
 //!    The engine differential suite pins the flat core
 //!    ([`crate::engine::run_with_config`]) bit-identical to this engine —
 //!    traces, metrics, wire bits, delivery orders, step logs, final states —
-//!    and `bench_scaling` reports the flat core's speedup over it.
+//!    and `BENCH_scaling.json` reports the flat core's speedup over it.
 
 use std::collections::VecDeque;
 

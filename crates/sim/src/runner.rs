@@ -1,8 +1,5 @@
 //! Convenience runners: execute a protocol under the whole scheduler battery,
-//! sequentially or fanned out over a battery × topology grid.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! or under one position of it.
 
 use anet_graph::Network;
 
@@ -51,32 +48,6 @@ pub fn battery_size(random_count: usize) -> usize {
     crate::scheduler::DETERMINISTIC_BATTERY_NAMES.len() + random_count
 }
 
-/// One planned cell of a battery × topology grid: indices into the topology
-/// list and the standard battery.
-///
-/// [`plan_battery_grid`] enumerates cells in exactly the order
-/// [`run_battery_grid`] emits results, so external executors (e.g. a
-/// process-sharded sweep) can partition the grid, run each cell independently
-/// via [`run_battery_cell`], and merge outputs back into the single-process
-/// ordering by sorting on the plan position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridCell {
-    /// Index into the topology list.
-    pub topology: usize,
-    /// Position within the standard battery (`0..battery_size(random_count)`).
-    pub battery: usize,
-}
-
-/// Enumerates the (topology, battery position) cells of a battery × topology
-/// grid in the canonical row-major order: all battery positions of topology 0,
-/// then topology 1, and so on — the order [`run_battery_grid`] returns results.
-pub fn plan_battery_grid(topology_count: usize, random_count: usize) -> Vec<GridCell> {
-    let battery = battery_size(random_count);
-    (0..topology_count)
-        .flat_map(|topology| (0..battery).map(move |battery| GridCell { topology, battery }))
-        .collect()
-}
-
 /// Runs exactly one cell of a battery grid: `protocol` on `network` under
 /// scheduler `battery_index` of `standard_battery(seed, random_count)`.
 ///
@@ -108,84 +79,6 @@ pub fn run_battery_cell<P: AnonymousProtocol>(
         scheduler: scheduler.name(),
         result: run_with_config(network, protocol, scheduler.as_mut(), config),
     }
-}
-
-/// One cell of a battery × topology grid: a [`NamedRun`] tagged with the name of
-/// the topology it ran on.
-#[derive(Debug, Clone)]
-pub struct GridRun<S, M> {
-    /// Name of the topology (first element of the corresponding input pair).
-    pub topology: String,
-    /// The scheduler-tagged run result.
-    pub run: NamedRun<S, M>,
-}
-
-/// Runs the standard scheduler battery on every topology of `topologies`,
-/// fanning the topologies out over `workers` [`std::thread::scope`] workers.
-///
-/// Each worker claims topologies from a shared counter; for every claimed
-/// topology it builds a **fresh** protocol value via `make_protocol` and runs
-/// the full battery on it (same semantics as calling [`run_under_battery`] per
-/// topology, including the battery's fresh per-topology scheduler state and
-/// seeds). Because every (topology, scheduler) cell is produced by a
-/// deterministic run that shares no mutable state with other cells, the result
-/// is **independent of thread timing**: the returned vector is ordered by
-/// (topology index, battery position), exactly as the equivalent sequential
-/// loop would produce it.
-///
-/// The protocol factory runs once per topology (not once per scheduler) so a
-/// protocol carrying per-run shared structure — e.g. the mapping protocol's
-/// record table — amortises it across the battery the same way
-/// [`run_under_battery`] does.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (the panic is propagated by the scope).
-pub fn run_battery_grid<P, F>(
-    topologies: &[(String, Network)],
-    make_protocol: F,
-    config: ExecutionConfig,
-    seed: u64,
-    random_count: usize,
-    workers: usize,
-) -> Vec<GridRun<P::State, P::Message>>
-where
-    P: AnonymousProtocol,
-    P::State: Send,
-    P::Message: Send,
-    F: Fn() -> P + Sync,
-{
-    type Slot<S, M> = Mutex<Vec<NamedRun<S, M>>>;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Slot<P::State, P::Message>> =
-        topologies.iter().map(|_| Mutex::new(Vec::new())).collect();
-    let workers = workers.max(1).min(topologies.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((_, network)) = topologies.get(i) else {
-                    break;
-                };
-                let protocol = make_protocol();
-                let runs = run_under_battery(network, &protocol, config, seed, random_count);
-                *slots[i].lock().expect("grid slot lock poisoned") = runs;
-            });
-        }
-    });
-    topologies
-        .iter()
-        .zip(slots)
-        .flat_map(|((name, _), slot)| {
-            slot.into_inner()
-                .expect("grid slot lock poisoned")
-                .into_iter()
-                .map(|run| GridRun {
-                    topology: name.clone(),
-                    run,
-                })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -257,50 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn battery_grid_matches_sequential_runs_in_order() {
-        let topologies: Vec<(String, anet_graph::Network)> = [3usize, 5, 8]
-            .iter()
-            .map(|&n| (format!("chain/{n}"), chain_gn(n).unwrap()))
-            .collect();
-        for workers in [1usize, 3, 16] {
-            let grid = run_battery_grid(
-                &topologies,
-                || Ping,
-                ExecutionConfig::default(),
-                7,
-                3,
-                workers,
-            );
-            assert_eq!(grid.len(), topologies.len() * 7);
-            let mut cursor = grid.iter();
-            for (name, network) in &topologies {
-                let sequential =
-                    run_under_battery(network, &Ping, ExecutionConfig::default(), 7, 3);
-                for expected in sequential {
-                    let cell = cursor.next().expect("grid is ordered by (topology, sched)");
-                    assert_eq!(&cell.topology, name);
-                    assert_eq!(cell.run.scheduler, expected.scheduler);
-                    assert_eq!(cell.run.result.outcome, expected.result.outcome);
-                    assert_eq!(cell.run.result.metrics, expected.result.metrics);
-                    assert_eq!(cell.run.result.states, expected.result.states);
-                }
-            }
-            assert!(cursor.next().is_none());
-        }
-    }
-
-    #[test]
-    fn plan_enumerates_cells_in_grid_order() {
+    fn battery_size_counts_the_standard_battery() {
         assert_eq!(battery_size(3), standard_battery(0, 3).len());
         assert_eq!(battery_size(0), standard_battery(9, 0).len());
-        let plan = plan_battery_grid(2, 1);
-        let expected: Vec<GridCell> = [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
-            .iter()
-            .chain([(1, 0), (1, 1), (1, 2), (1, 3), (1, 4)].iter())
-            .map(|&(topology, battery)| GridCell { topology, battery })
-            .collect();
-        assert_eq!(plan, expected);
-        assert!(plan_battery_grid(0, 5).is_empty());
     }
 
     #[test]
@@ -339,11 +191,5 @@ mod tests {
             1,
             5,
         );
-    }
-
-    #[test]
-    fn battery_grid_handles_empty_topology_list() {
-        let grid = run_battery_grid(&[], || Ping, ExecutionConfig::default(), 1, 2, 4);
-        assert!(grid.is_empty());
     }
 }

@@ -14,8 +14,8 @@
 //! `shard-i.jsonl` into the output directory), waits for every child, and
 //! merges the shard files into `merged.jsonl` in canonical manifest order.
 //! Running with `--shards 1` and `--shards N` produces byte-identical merged
-//! files; `--check` compares two merged files and, on mismatch, reports which
-//! rows differ via `anet_bench::baseline::result_keys`.
+//! files; `--check` compares two merged files and, on mismatch, reports the
+//! record lines only one of them holds.
 //!
 //! **Deduplication is on by default**: each shard clusters its pending units
 //! by canonical fingerprint and executes one representative per equivalence
@@ -37,10 +37,10 @@
 //! of their units and are assembled in shard-manifest order — so parallelism
 //! is purely a throughput knob.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-use anet_bench::baseline::result_keys;
 use anet_sweep::manifest::fnv1a;
 use anet_sweep::{
     merge_shard_files, run_shard_to_file_with_opts, DedupStats, Manifest, Partition, SweepOptions,
@@ -351,8 +351,9 @@ fn aggregate_stats(out: &Path, shards: usize) -> Result<DedupStats, String> {
     Ok(total)
 }
 
-/// Compares two merged JSONL files; on mismatch reports the row-identity
-/// diff. Any `stats.json` found next to the inputs is reported alongside.
+/// Compares two merged JSONL files; on mismatch reports the record lines
+/// only one of them holds. Any `stats.json` found next to the inputs is
+/// reported alongside.
 fn check(a: &Path, b: &Path) -> ExitCode {
     let read = |p: &Path| {
         std::fs::read_to_string(p).unwrap_or_else(|e| {
@@ -380,22 +381,18 @@ fn check(a: &Path, b: &Path) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     eprintln!("sweep: {} and {} differ", a.display(), b.display());
-    // Reuse the bench baseline key extractor for a structural diff: wrap the
-    // JSONL lines as a `"results"` array and compare row identities.
-    let wrap = |contents: &str| {
-        let lines: Vec<&str> = contents.lines().collect();
-        result_keys(&format!("\"results\": [\n{}\n]", lines.join(",\n")))
-    };
-    let keys_a = wrap(&contents_a);
-    let keys_b = wrap(&contents_b);
-    for missing in keys_a.difference(&keys_b).take(10) {
+    // Records are canonical lines, so a set difference names every record
+    // that changed.
+    let lines_a: BTreeSet<&str> = contents_a.lines().collect();
+    let lines_b: BTreeSet<&str> = contents_b.lines().collect();
+    for missing in lines_a.difference(&lines_b).take(10) {
         eprintln!("  only in {}: {missing}", a.display());
     }
-    for missing in keys_b.difference(&keys_a).take(10) {
+    for missing in lines_b.difference(&lines_a).take(10) {
         eprintln!("  only in {}: {missing}", b.display());
     }
-    if keys_a == keys_b {
-        eprintln!("  (same row identities; files differ in ordering or whitespace)");
+    if lines_a == lines_b {
+        eprintln!("  (same record lines; files differ in order or repetition)");
     }
     ExitCode::FAILURE
 }

@@ -23,8 +23,8 @@
 //! 2. **Manifest** ([`manifest`]) — [`Manifest::from_spec`] expands the spec
 //!    into the flat unit list in the canonical order *protocol → topology →
 //!    seed → battery position → scenario* (for one protocol, one seed and
-//!    pristine-only scenarios this is exactly the (topology, scheduler) order
-//!    of [`anet_sim::runner::run_battery_grid`]). [`Partition`] assigns each
+//!    pristine-only scenarios: topology by topology, each in the battery order
+//!    of [`anet_sim::runner::run_under_battery`]). [`Partition`] assigns each
 //!    unit to one of `n` shards by stable hash or round-robin.
 //! 3. **Execute** ([`exec`]) — before any `--jobs` fan-out, a shard builds a
 //!    topology table of its pending units: each distinct topology is built
@@ -118,8 +118,8 @@ pub use exec::execute_unit;
 pub use manifest::{Manifest, Partition, SweepUnit};
 pub use merge::{
     dedup_shard_lines, merge_lines, merge_shard_files, run_shard_to_file,
-    run_shard_to_file_with_jobs, run_shard_to_file_with_opts, run_sweep_in_process,
-    run_sweep_threaded, shard_lines, ShardOutcome, ShardReport, SweepOptions,
+    run_shard_to_file_with_jobs, run_shard_to_file_with_opts, run_sweep_in_process, shard_lines,
+    ShardOutcome, ShardReport, SweepOptions,
 };
 pub use record::RunRecord;
 pub use spec::{ProtocolSpec, ScenarioSpec, SweepSpec, TopologySpec};

@@ -3,9 +3,8 @@
 //! A [`Manifest`] expands a [`SweepSpec`] into the flat, globally ordered list
 //! of run units. The order is the canonical nested loop **protocol → topology →
 //! seed → battery position → scenario**; for a pristine-only spec with one
-//! protocol and one seed this is exactly the (topology, scheduler) order of
-//! [`anet_sim::runner::run_battery_grid`], which is what makes merged sharded
-//! output comparable to the in-process grid runner.
+//! protocol and one seed it is topology by topology, each in the battery
+//! order of [`anet_sim::runner::run_under_battery`].
 //!
 //! Partitioning assigns every unit to exactly one of `n` shards, either
 //! round-robin by manifest position or by a stable FNV-1a hash of the unit key
@@ -211,21 +210,20 @@ mod tests {
     }
 
     #[test]
-    fn single_protocol_single_seed_order_matches_run_battery_grid() {
-        // run_battery_grid orders cells (topology index, battery position);
-        // the manifest of a one-protocol one-seed spec must agree.
+    fn single_protocol_single_seed_order_is_topology_then_battery() {
+        // One protocol and one seed: every battery position of topology 0,
+        // then of topology 1, and so on.
         let spec = SweepSpec {
             protocols: vec![ProtocolSpec::Mapping],
             seeds: vec![3],
             ..small_spec()
         };
         let manifest = Manifest::from_spec(&spec);
-        let plan =
-            anet_sim::runner::plan_battery_grid(spec.topologies.len(), spec.random_schedulers);
-        assert_eq!(manifest.len(), plan.len());
-        for (unit, cell) in manifest.units.iter().zip(&plan) {
-            assert_eq!(unit.topology, spec.topologies[cell.topology]);
-            assert_eq!(unit.battery_index, cell.battery);
+        let battery = battery_size(spec.random_schedulers);
+        assert_eq!(manifest.len(), spec.topologies.len() * battery);
+        for (i, unit) in manifest.units.iter().enumerate() {
+            assert_eq!(unit.topology, spec.topologies[i / battery]);
+            assert_eq!(unit.battery_index, i % battery);
         }
     }
 

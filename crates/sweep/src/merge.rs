@@ -570,40 +570,6 @@ pub fn run_sweep_in_process(
     merge_lines(manifest.len(), shard_sets?)
 }
 
-/// [`run_sweep_in_process`] with the shards fanned over OS threads (one scoped
-/// thread per shard). The merged output is byte-identical to the sequential
-/// path regardless of thread timing, because each line is a pure function of
-/// its unit and the merge re-sorts by unit index.
-///
-/// # Errors
-///
-/// Propagates execution and merge errors.
-///
-/// # Panics
-///
-/// Propagates panics from worker threads.
-pub fn run_sweep_threaded(
-    spec: &SweepSpec,
-    shards: usize,
-    partition: Partition,
-) -> Result<String, SweepError> {
-    let manifest = Manifest::from_spec(spec);
-    let manifest_ref = &manifest;
-    let results: Vec<Result<ShardLines, SweepError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                scope.spawn(move || shard_lines(spec, manifest_ref, shards, partition, shard))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep shard thread panicked"))
-            .collect()
-    });
-    let shard_sets: Result<Vec<ShardLines>, SweepError> = results.into_iter().collect();
-    merge_lines(manifest.len(), shard_sets?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,18 +611,6 @@ mod tests {
         assert!(dup.to_string().contains("more than one"), "{dup}");
         let range = merge_lines(1, vec![vec![(7, "x".to_owned())]]).unwrap_err();
         assert!(range.to_string().contains("out of range"), "{range}");
-    }
-
-    #[test]
-    fn threaded_sweep_matches_sequential() {
-        let spec = tiny_spec();
-        let sequential = run_sweep_in_process(&spec, 1, Partition::Hash).unwrap();
-        for shards in [1usize, 2, 4] {
-            assert_eq!(
-                run_sweep_threaded(&spec, shards, Partition::Hash).unwrap(),
-                sequential
-            );
-        }
     }
 
     #[test]

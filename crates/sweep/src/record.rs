@@ -2,8 +2,7 @@
 //!
 //! Every completed sweep unit is serialised as exactly one JSON line with a
 //! fixed field order and spacing (the same `"key": value, ` style as the
-//! committed `BENCH_*.json` baselines, via
-//! [`anet_bench::baseline::escape_json`]). Because the line is a pure function
+//! committed `BENCH_*.json` baselines). Because the line is a pure function
 //! of the unit's deterministic run, byte-comparing merged files is a sound
 //! equivalence check across shard counts and process boundaries.
 //!
@@ -12,11 +11,11 @@
 //! to the input. A line truncated by a killed shard therefore never survives a
 //! resume — it either fails to parse or round-trips differently.
 //!
-//! String fields are emitted **raw**, guarded by a `jsonl_safe` assertion:
-//! every name the
-//! sweep produces (protocol, topology, scheduler, outcome) is generated from
-//! enums and integers and never needs JSON escaping, and the guard panics —
-//! loudly, at write time — on the first name that would. This keeps the writer
+//! String fields are emitted **raw**, unescaped, guarded by a `jsonl_safe`
+//! assertion: every name the sweep produces (protocol, topology, scheduler,
+//! outcome) is generated from enums and integers and never needs JSON
+//! escaping, and the guard panics — loudly, at write time — on the first name
+//! that would. This keeps the writer
 //! and the parser exact inverses; silently escaping on write while the parser
 //! (and its `", "` field splitter) only accepts the unescaped form would
 //! instead produce files the system itself could not re-read.
@@ -269,18 +268,5 @@ mod tests {
             ..sample()
         };
         let _ = r.to_jsonl_line();
-    }
-
-    #[test]
-    fn line_is_result_keys_compatible() {
-        // The `", "` / `": "` separators are what
-        // `anet_bench::baseline::result_keys` splits on; pin the compatibility
-        // the CLI's --check diff reporting relies upon.
-        let wrapped = format!("\"results\": [\n{}\n]", sample().to_jsonl_line());
-        let keys = anet_bench::baseline::result_keys(&wrapped);
-        assert_eq!(keys.len(), 1);
-        let key = keys.iter().next().unwrap();
-        assert!(key.contains("protocol=mapping"), "{key}");
-        assert!(key.contains("topology=chain-gn/6"), "{key}");
     }
 }

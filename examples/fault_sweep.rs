@@ -34,7 +34,8 @@
 //!
 //! Run with: `cargo run --release --example fault_sweep`
 //!
-//! For the committed CI spec exercising the same machinery across processes:
+//! For the committed CI spec exercising the same machinery across processes
+//! and threads (`--shards N --jobs M` for parallel runs):
 //! `cargo run --release -p anet-sweep --bin sweep -- --spec crates/sweep/specs/faults.spec --shards 2`
 
 use std::collections::BTreeMap;
@@ -127,10 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.scenarios.len()
     );
 
-    let shards = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let merged = anet_sweep::run_sweep_threaded(&spec, shards, Partition::Hash)?;
+    let merged = anet_sweep::run_sweep_in_process(&spec, 1, Partition::Hash)?;
     let records: Vec<RunRecord> = merged
         .lines()
         .map(|line| RunRecord::parse_line(line).expect("merged lines are canonical"))

@@ -1,19 +1,19 @@
-//! Scenario scaling on the sweep subsystem: declare a sweep spec, fan its
-//! shards over a worker thread per shard, and read the merged JSONL back.
+//! Scenario scaling on the sweep subsystem: declare a sweep spec, run it in
+//! process, and read the merged JSONL back.
 //!
 //! The paper's correctness claims are universally quantified over delivery
 //! orders; a sweep approximates that quantifier at scale. This example drives
 //! the same machinery the `sweep` CLI runs across OS *processes*
-//! ([`anet_sweep::run_sweep_threaded`] shares the shard executor and the
-//! merge with the process path), so its output is byte-identical no matter how many
-//! shards — or which machines — executed the units. Results come back in
-//! canonical (protocol, topology, seed, scheduler) manifest order regardless
-//! of thread timing, so the printed table is reproducible run to run.
+//! ([`anet_sweep::run_sweep_in_process`] shares the shard executor and the
+//! merge with the process path), so its output is byte-identical no matter
+//! how many shards — or which machines — executed the units. Results come
+//! back in canonical (protocol, topology, seed, scheduler) manifest order, so
+//! the printed table is reproducible run to run.
 //!
 //! Run with: `cargo run --release --example grid_sweep`
 //!
-//! For the multi-process version of the same sweep:
-//! `cargo run --release -p anet-sweep --bin sweep -- --shards 4`
+//! For parallel runs of a sweep, use the CLI's processes and threads:
+//! `cargo run --release -p anet-sweep --bin sweep -- --shards N --jobs M`
 
 use anet_sweep::{Manifest, Partition, ProtocolSpec, RunRecord, SweepSpec, TopologySpec};
 
@@ -43,18 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenarios: vec![anet_sweep::ScenarioSpec::Pristine],
     };
 
-    let shards = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let manifest = Manifest::from_spec(&spec);
     println!(
-        "sweeping {} units ({} topologies x battery) on {} shard thread(s)\n",
+        "sweeping {} units ({} topologies x battery)\n",
         manifest.len(),
-        spec.topologies.len(),
-        shards
+        spec.topologies.len()
     );
 
-    let merged = anet_sweep::run_sweep_threaded(&spec, shards, Partition::Hash)?;
+    let merged = anet_sweep::run_sweep_in_process(&spec, 1, Partition::Hash)?;
     let records: Vec<RunRecord> = merged
         .lines()
         .map(|line| RunRecord::parse_line(line).expect("merged lines are canonical"))
