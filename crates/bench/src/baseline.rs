@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use anet_core::{general_broadcast, labeling, mapping, Payload};
 use anet_num::{reference as num_reference, IntervalUnion};
-use anet_sim::engine::{run_recovering, run_with_config, ExecutionConfig, RunConfig, RunResult};
+use anet_sim::engine::{run, run_recovering, ExecutionConfig, RunResult};
 use anet_sim::scheduler::FifoScheduler;
 use anet_sim::{FaultPlan, FaultyScheduler, Outcome, RefloodProtocol};
 
@@ -804,11 +804,11 @@ fn recovery_outcome(outcome: Outcome, lost: u64) -> &'static str {
     }
 }
 
-fn recovery_config() -> RunConfig {
-    RunConfig::from(ExecutionConfig {
+fn recovery_config() -> ExecutionConfig {
+    ExecutionConfig {
         max_deliveries: 2_000_000,
         record_trace: false,
-    })
+    }
 }
 
 /// Runs one protocol over the recovery grid, appending its rows.
@@ -834,7 +834,7 @@ fn recovery_rows<P: RefloodProtocol>(
     for w in workloads {
         let single_shot = |plan: &FaultPlan| {
             let mut scheduler = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
-            run_with_config(&w.network, protocol, &mut scheduler, recovery_config())
+            run(&w.network, protocol, &mut scheduler, recovery_config())
         };
         let retry = |plan: &FaultPlan| {
             let mut scheduler = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
@@ -842,7 +842,7 @@ fn recovery_rows<P: RefloodProtocol>(
             run_recovering(&w.network, protocol, &mut scheduler, config, budget)
         };
         let pristine_run = || {
-            run_with_config(
+            run(
                 &w.network,
                 protocol,
                 &mut FifoScheduler::new(),
@@ -1035,7 +1035,7 @@ fn scaling_timed<S, M>(
 /// bit-identical — outcome, full [`anet_sim::metrics::RunMetrics`] (wire bits
 /// included), termination step and `states_match` (labels / full states) —
 /// before any timing when `cfg.cross_check` is set.
-fn scaling_rows<P: anet_sim::AnonymousProtocol>(
+fn scaling_rows<P: RefloodProtocol>(
     rows: &mut Vec<Row>,
     cfg: &SampleConfig,
     protocol_name: &'static str,
@@ -1059,11 +1059,12 @@ fn scaling_rows<P: anet_sim::AnonymousProtocol>(
             network,
             protocol,
             &mut DepthFirstScheduler::new(),
-            RunConfig {
-                execution: ExecutionConfig::default(),
-                record_delivery_order: false,
-            },
+            ExecutionConfig::default(),
+            |_| {},
+            0,
+            &mut (),
         )
+        .result
     };
     let full_scan = |()| {
         anet_sim::run_full_scan(

@@ -10,7 +10,7 @@
 //!    normal [`Outcome`]; corruption perturbs state only within each
 //!    protocol's representable envelope.
 //! 2. **Identity of the no-op** — `run_corrupted` with an empty closure is
-//!    bit-identical to `run_with_config`.
+//!    bit-identical to `run`.
 //! 3. **Honest verdicts** — the recovery predicates flag the designed failure
 //!    modes (squatted labels break uniqueness wherever bypass paths exist, a
 //!    stale terminal accepts early), pass pristine runs, and credit the one
@@ -23,7 +23,7 @@ use anet_core::mapping::{corrupt_mapping_states, mapping_recovered, Mapping};
 use anet_core::Payload;
 use anet_graph::generators::{chain_gn, cycle_with_tail, diamond_stack, random_cyclic};
 use anet_graph::Network;
-use anet_sim::engine::{run_corrupted, run_with_config, ExecutionConfig, RunConfig};
+use anet_sim::engine::{run, run_corrupted, ExecutionConfig};
 use anet_sim::scheduler::standard_battery;
 use anet_sim::Outcome;
 use rand::rngs::StdRng;
@@ -47,11 +47,11 @@ fn corruptions() -> Vec<StateCorruption> {
     ]
 }
 
-fn config() -> RunConfig {
-    RunConfig::from(ExecutionConfig {
+fn config() -> ExecutionConfig {
+    ExecutionConfig {
         max_deliveries: 1_000_000,
         record_trace: false,
-    })
+    }
 }
 
 #[test]
@@ -62,7 +62,7 @@ fn empty_corruption_is_bit_identical_to_a_plain_run() {
             .into_iter()
             .zip(standard_battery(11, 2))
         {
-            let base = run_with_config(&net, &protocol, plain.as_mut(), config());
+            let base = run(&net, &protocol, plain.as_mut(), config());
             let shadow = run_corrupted(&net, &protocol, hooked.as_mut(), config(), |_| {});
             assert_eq!(base.outcome, shadow.outcome, "sched {}", plain.name());
             assert_eq!(base.metrics, shadow.metrics, "sched {}", plain.name());
@@ -115,13 +115,13 @@ fn recovery_predicates_pass_pristine_runs() {
         let labeling = Labeling::new();
         let broadcast = GeneralBroadcast::new(Payload::from_bytes(b"ok"));
         let mut sched = standard_battery(3, 0).remove(0);
-        let r = run_with_config(&net, &mapping, sched.as_mut(), config());
+        let r = run(&net, &mapping, sched.as_mut(), config());
         assert_eq!(r.outcome, Outcome::Terminated);
         assert!(mapping_recovered(&net, &r.states));
-        let r = run_with_config(&net, &labeling, sched.as_mut(), config());
+        let r = run(&net, &labeling, sched.as_mut(), config());
         assert_eq!(r.outcome, Outcome::Terminated);
         assert!(labeling_recovered(&net, &r.states));
-        let r = run_with_config(&net, &broadcast, sched.as_mut(), config());
+        let r = run(&net, &broadcast, sched.as_mut(), config());
         assert_eq!(r.outcome, Outcome::Terminated);
         assert!(general_recovered(&net, &r.states));
     }

@@ -19,7 +19,7 @@ use anet_core::Payload;
 use anet_graph::generators::{chain_gn, cycle_with_tail, diamond_stack, random_cyclic};
 use anet_graph::Network;
 use anet_num::IntervalUnion;
-use anet_sim::engine::{run_recovering, run_with_config, ExecutionConfig, RunConfig};
+use anet_sim::engine::{run, run_recovering, ExecutionConfig};
 use anet_sim::scheduler::{standard_battery, FifoScheduler, Scheduler};
 use anet_sim::{FaultPlan, FaultyScheduler, Outcome, RecoveredRun, RefloodProtocol};
 use rand::rngs::StdRng;
@@ -37,11 +37,11 @@ fn topologies() -> Vec<Network> {
     ]
 }
 
-fn config() -> RunConfig {
-    RunConfig::from(ExecutionConfig {
+fn config() -> ExecutionConfig {
+    ExecutionConfig {
         max_deliveries: 1_000_000,
         record_trace: false,
-    })
+    }
 }
 
 fn recovering<P: RefloodProtocol>(
@@ -65,7 +65,7 @@ fn reliable_retry_labeling_is_bit_identical_to_pristine() {
             .into_iter()
             .zip(standard_battery(23, 2))
         {
-            let pristine = run_with_config(&net, &protocol, plain.as_mut(), config());
+            let pristine = run(&net, &protocol, plain.as_mut(), config());
             let mut sched = FaultyScheduler::new(wrapped, FaultPlan::reliable());
             let retry = run_recovering(&net, &protocol, &mut sched, config(), RETRY_BUDGET);
             assert_eq!(retry.reflood_rounds, 0, "sched {}", plain.name());
@@ -101,7 +101,7 @@ fn reliable_retry_general_broadcast_is_bit_identical_to_pristine() {
             .into_iter()
             .zip(standard_battery(29, 2))
         {
-            let pristine = run_with_config(&net, &protocol, plain.as_mut(), config());
+            let pristine = run(&net, &protocol, plain.as_mut(), config());
             let mut sched = FaultyScheduler::new(wrapped, FaultPlan::reliable());
             let retry = run_recovering(&net, &protocol, &mut sched, config(), RETRY_BUDGET);
             assert_eq!(retry.reflood_rounds, 0, "sched {}", plain.name());
@@ -137,7 +137,7 @@ fn reliable_retry_mapping_is_bit_identical_to_pristine() {
             // Fresh protocol values: each carries its own record table.
             let pristine_protocol = Mapping::new();
             let retry_protocol = Mapping::new();
-            let pristine = run_with_config(&net, &pristine_protocol, plain.as_mut(), config());
+            let pristine = run(&net, &pristine_protocol, plain.as_mut(), config());
             let mut sched = FaultyScheduler::new(wrapped, FaultPlan::reliable());
             let retry = run_recovering(&net, &retry_protocol, &mut sched, config(), RETRY_BUDGET);
             assert_eq!(retry.reflood_rounds, 0, "sched {}", plain.name());
@@ -189,7 +189,7 @@ where
             let plan = FaultPlan::reliable().with_crash(node, step, step + 1);
             let protocol = protocol_factory();
             let mut sched = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
-            let pristine = run_with_config(net, &protocol, &mut sched, config());
+            let pristine = run(net, &protocol, &mut sched, config());
             if pristine.outcome != Outcome::Quiescent {
                 continue;
             }
@@ -263,7 +263,7 @@ fn all_protocols_recover_from_sustained_drops_that_starve_pristine_runs() {
 
             let labeling = Labeling::new();
             let mut sched = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
-            let pristine = run_with_config(net, &labeling, &mut sched, config());
+            let pristine = run(net, &labeling, &mut sched, config());
             assert_eq!(pristine.outcome, Outcome::Quiescent);
             assert_eq!(pristine.metrics.messages_delivered, 0);
             let retry = recovering(net, &labeling, plan.clone());
@@ -305,7 +305,7 @@ fn mid_run_drops_that_starve_the_pristine_run_are_recovered() {
 
         let labeling = Labeling::new();
         let mut sched = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
-        let pristine = run_with_config(&net, &labeling, &mut sched, config());
+        let pristine = run(&net, &labeling, &mut sched, config());
         if pristine.outcome == Outcome::Quiescent && pristine.metrics.messages_delivered > 0 {
             labeling_starved += 1;
             let retry = recovering(&net, &labeling, plan.clone());
@@ -319,7 +319,7 @@ fn mid_run_drops_that_starve_the_pristine_run_are_recovered() {
 
         let broadcast = GeneralBroadcast::new(Payload::from_bytes(b"mid"));
         let mut sched = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
-        let pristine = run_with_config(&net, &broadcast, &mut sched, config());
+        let pristine = run(&net, &broadcast, &mut sched, config());
         if pristine.outcome == Outcome::Quiescent && pristine.metrics.messages_delivered > 0 {
             general_starved += 1;
             let retry = recovering(&net, &broadcast, plan.clone());
@@ -329,7 +329,7 @@ fn mid_run_drops_that_starve_the_pristine_run_are_recovered() {
 
         let mapping = Mapping::new();
         let mut sched = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
-        let pristine = run_with_config(&net, &mapping, &mut sched, config());
+        let pristine = run(&net, &mapping, &mut sched, config());
         if pristine.outcome == Outcome::Quiescent && pristine.metrics.messages_delivered > 0 {
             mapping_starved += 1;
             let retry = recovering(&net, &Mapping::new(), plan.clone());

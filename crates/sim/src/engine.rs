@@ -19,37 +19,41 @@
 //!   [`crate::arena::MessageArena`] slab instead of a `VecDeque` per edge,
 //!   protocol emissions go through the reusable
 //!   [`AnonymousProtocol::on_receive_into`] scratch buffer instead of a fresh
-//!   `Vec` per delivery, and every side buffer (states, contexts, trace,
-//!   delivery order, step log) is pre-sized from the graph's node/edge
-//!   counts. See the [`crate::arena`] docs for the full **memory layout
-//!   contract**.
+//!   `Vec` per delivery, and the per-vertex states and contexts are sized
+//!   once from the graph. See the [`crate::arena`] docs for the full
+//!   **memory layout contract**.
+//!
+//! Instrumentation is one [`Observer`] that sees every send and every step;
+//! [`run_observed`] is the loop's full entry point, and the other entry points
+//! (and [`crate::synchronous`]) are this loop with fixed arguments.
 //!
 //! Both predecessors are retained as executable specifications in
 //! [`crate::reference`]: [`crate::reference::run_full_scan`] pins the
 //! scheduling semantics (via [`Scheduler::pick_full_scan`]) and
 //! [`crate::reference::run_queue_forest`] pins the memory-layout rewrite —
 //! the differential suites assert both produce bit-identical traces, metrics,
-//! outcomes, delivery orders and step logs for every scheduler in the
-//! standard battery.
+//! outcomes and step logs for every scheduler in the standard battery.
 
 use anet_graph::{Csr, EdgeId, Network, NodeId};
 
 use crate::arena::MessageArena;
 use crate::metrics::RunMetrics;
+use crate::observer::Observer;
 use crate::protocol::RefloodProtocol;
 use crate::scheduler::{Scheduler, SchedulerAction};
 use crate::trace::{SendEvent, Trace};
 use crate::{AnonymousProtocol, NodeContext, Wire};
 
-/// Execution limits and instrumentation switches.
+/// Execution limits and the trace switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionConfig {
     /// Maximum number of message deliveries before the run is aborted. The paper's
     /// protocols always quiesce on their own; the budget is a guard against buggy
     /// protocols that would otherwise loop forever.
     pub max_deliveries: u64,
-    /// Whether to record a full [`Trace`] of every send (needed by the lower-bound
-    /// experiments, skipped by the benchmarks for speed).
+    /// Whether to record a full [`Trace`] of every send into
+    /// [`RunResult::trace`] (needed by the lower-bound experiments, skipped by
+    /// the benchmarks for speed).
     pub record_trace: bool,
 }
 
@@ -72,45 +76,9 @@ impl ExecutionConfig {
     }
 }
 
-/// Full run configuration: the execution limits plus instrumentation that only
-/// the incremental engine honours.
-///
-/// [`run`] takes the plain [`ExecutionConfig`] for compatibility;
-/// [`run_with_config`] accepts this wrapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunConfig {
-    /// Execution limits and trace switch.
-    pub execution: ExecutionConfig,
-    /// Whether to record the exact edge *delivery* order into
-    /// [`RunResult::delivery_order`], plus the full per-step
-    /// [`RunResult::step_log`]. Traces record sends; the delivery order is
-    /// the asynchronous adversary's actual interleaving, and feeding it to a
-    /// [`crate::scheduler::ReplayScheduler`] reproduces the run
-    /// bit-identically. Under a faulty scheduler the delivery order alone
-    /// omits drops and crash losses; replaying the step log
-    /// ([`crate::scheduler::ReplayScheduler::with_steps`]) reproduces even a
-    /// faulty run exactly.
-    pub record_delivery_order: bool,
-}
-
-impl RunConfig {
-    /// Wraps an [`ExecutionConfig`] with delivery-order capture switched on.
-    pub fn with_delivery_order(execution: ExecutionConfig) -> Self {
-        RunConfig {
-            execution,
-            record_delivery_order: true,
-        }
-    }
-}
-
-impl From<ExecutionConfig> for RunConfig {
-    fn from(execution: ExecutionConfig) -> Self {
-        RunConfig {
-            execution,
-            record_delivery_order: false,
-        }
-    }
-}
+/// [`ExecutionConfig`] by its older name, which the benchmark crate
+/// (`perfbench/`) still imports.
+pub type RunConfig = ExecutionConfig;
 
 /// How a run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,25 +113,6 @@ pub struct RunResult<S, M> {
     pub deliveries_at_termination: Option<u64>,
     /// Full send trace, when requested via [`ExecutionConfig::record_trace`].
     pub trace: Option<Trace<M>>,
-    /// The exact edge delivery order, when requested via
-    /// [`RunConfig::record_delivery_order`] (captured by the incremental engine
-    /// only; the reference and synchronous engines leave it `None`).
-    ///
-    /// This records *effective* deliveries only: a step whose message was
-    /// dropped or lost to a crash does not appear here (its edge delivered
-    /// nothing), so the order's length always equals
-    /// [`RunMetrics::messages_delivered`] even under a faulty scheduler.
-    pub delivery_order: Option<Vec<EdgeId>>,
-    /// Every engine step as `(edge, action)`, when requested via
-    /// [`RunConfig::record_delivery_order`] (incremental engine only).
-    ///
-    /// Unlike [`RunResult::delivery_order`] this includes non-delivering
-    /// steps (drops, crash losses), so feeding it to
-    /// [`crate::scheduler::ReplayScheduler::with_steps`] reproduces a faulty
-    /// run bit-identically. For a reliable run every action is
-    /// [`SchedulerAction::Deliver`] and the edge sequence equals the delivery
-    /// order.
-    pub step_log: Option<Vec<(EdgeId, SchedulerAction)>>,
 }
 
 impl<S, M> RunResult<S, M> {
@@ -201,35 +150,21 @@ where
     P: AnonymousProtocol,
     Sch: Scheduler + ?Sized,
 {
-    run_with_config(network, protocol, scheduler, RunConfig::from(config))
+    run_corrupted(network, protocol, scheduler, config, |_| {})
 }
 
-/// [`run`] with the full [`RunConfig`], enabling delivery-order capture.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run`].
-pub fn run_with_config<P, Sch>(
-    network: &Network,
-    protocol: &P,
-    scheduler: &mut Sch,
-    run_config: RunConfig,
-) -> RunResult<P::State, P::Message>
-where
-    P: AnonymousProtocol,
-    Sch: Scheduler + ?Sized,
-{
-    run_corrupted(network, protocol, scheduler, run_config, |_| {})
-}
+/// [`run`] by its older name, which the benchmark crate (`perfbench/`) still
+/// calls.
+pub use self::run as run_with_config;
 
-/// [`run_with_config`] with a state-corruption hook: `corrupt` is applied to
-/// the freshly initialised per-vertex states **before** the root's initial
-/// messages and before the initial terminal-acceptance check — the
-/// self-stabilisation entry point ("does the protocol recover when started
-/// from perturbed state, and at what wire-bit cost?").
+/// [`run`] with a state-corruption hook: `corrupt` is applied to the freshly
+/// initialised per-vertex states **before** the root's initial messages and
+/// before the initial terminal-acceptance check — the self-stabilisation entry
+/// point ("does the protocol recover when started from perturbed state, and at
+/// what wire-bit cost?").
 ///
 /// The hook receives the state slice indexed by node id. Passing a no-op
-/// closure makes this identical to [`run_with_config`].
+/// closure makes this identical to [`run`].
 ///
 /// # Panics
 ///
@@ -238,7 +173,7 @@ pub fn run_corrupted<P, Sch, F>(
     network: &Network,
     protocol: &P,
     scheduler: &mut Sch,
-    run_config: RunConfig,
+    config: ExecutionConfig,
     corrupt: F,
 ) -> RunResult<P::State, P::Message>
 where
@@ -246,23 +181,25 @@ where
     Sch: Scheduler + ?Sized,
     F: FnOnce(&mut [P::State]),
 {
+    let no_reflood = |_: &NodeContext, _: &P::State| Vec::new();
     run_engine(
         network,
         protocol,
         scheduler,
-        run_config,
+        config,
         corrupt,
         0,
-        |_, _| Vec::new(),
+        no_reflood,
+        &mut (),
     )
-    .0
+    .result
 }
 
-/// The result of a [`run_recovering`] execution: the run itself plus the
+/// The result of a [`run_observed`] execution: the run itself plus the
 /// re-flood accounting that quantifies what recovery cost on top of it.
 #[derive(Debug, Clone)]
 pub struct RecoveredRun<S, M> {
-    /// The underlying run (outcome, states, metrics, optional trace/order).
+    /// The underlying run (outcome, states, metrics, optional trace).
     pub result: RunResult<S, M>,
     /// Number of re-flood rounds that actually fired (0 for a run that never
     /// drained with losses — in particular, always 0 under a reliable
@@ -283,15 +220,43 @@ impl<S, M> RecoveredRun<S, M> {
     }
 }
 
-/// Runs a [`RefloodProtocol`] with a bounded retry: whenever the network
-/// drains (`in_flight == 0`) without the terminal accepting **and** at least
-/// one message was destroyed (dropped or lost to a crash,
-/// [`RunMetrics::messages_lost`]), one *re-flood round* is injected — the
-/// root re-transmits `σ₀` and then every vertex, in node-id order, re-sends
-/// its frontier ([`RefloodProtocol::reflood`]) — and the run continues under
-/// the same scheduler.
+/// [`run_observed`] from pristine states with no observer.
 ///
-/// The contract, pinned by the recovery differential suite in `anet-core`:
+/// # Panics
+///
+/// Panics under the same conditions as [`run`].
+pub fn run_recovering<P, Sch>(
+    network: &Network,
+    protocol: &P,
+    scheduler: &mut Sch,
+    config: ExecutionConfig,
+    retry_budget: u32,
+) -> RecoveredRun<P::State, P::Message>
+where
+    P: RefloodProtocol,
+    Sch: Scheduler + ?Sized,
+{
+    run_observed(
+        network,
+        protocol,
+        scheduler,
+        config,
+        |_| {},
+        retry_budget,
+        &mut (),
+    )
+}
+
+/// The engine's full entry point: [`run_corrupted`]'s corruption hook, a
+/// bounded re-flood retry, and an [`Observer`] that sees every send and step.
+///
+/// **Re-flood.** Whenever the network drains (`in_flight == 0`) without the
+/// terminal accepting **and** at least one message was destroyed (dropped or
+/// lost to a crash, [`RunMetrics::messages_lost`]), one *re-flood round* is
+/// injected — the root re-transmits `σ₀` and then every vertex, in node-id
+/// order, re-sends its frontier ([`RefloodProtocol::reflood`]) — and the run
+/// continues under the same scheduler. The contract, pinned by the recovery
+/// differential suite in `anet-core`:
 ///
 /// * **"Recovered" means the ordinary success predicate, reached late.** A
 ///   recovered run is one that terminates (and satisfies the protocol's
@@ -305,67 +270,171 @@ impl<S, M> RecoveredRun<S, M> {
 ///   run immediately.
 /// * **Reliable ⇒ bit-identical to pristine.** Re-flooding triggers only
 ///   when `messages_lost() > 0`, so under a reliable scheduler (or a
-///   [`crate::faults::FaultPlan`] whose `is_reliable()` holds) this function
-///   performs exactly the sends of [`run_with_config`] — same outcome, same
-///   states, same metrics, same trace, bit for bit.
+///   [`crate::faults::FaultPlan`] whose `is_reliable()` holds) the run
+///   performs exactly the sends of [`run`] — same outcome, same states, same
+///   metrics, same trace, bit for bit.
 /// * **Wire bits charge every real send.** Re-flooded messages go through the
-///   normal send path: full `wire_bits()` per message, trace events, per-edge
-///   accounting. The paper's cost model counts transmissions on channels, and
-///   a retry is a real transmission — that is precisely the recovery overhead
-///   this layer exists to measure (see `RecoveredRun::reflood_bits`).
+///   normal send path: full `wire_bits()` per message, observer events,
+///   per-edge accounting. The paper's cost model counts transmissions on
+///   channels, and a retry is a real transmission — that is precisely the
+///   recovery overhead this layer exists to measure (see
+///   `RecoveredRun::reflood_bits`).
+///
+/// **Observation.** `observer` sees every charged send and every step; with
+/// [`ExecutionConfig::record_trace`] a [`Trace`] observes alongside it and
+/// lands in [`RunResult::trace`].
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`run`].
-pub fn run_recovering<P, Sch>(
+pub fn run_observed<P, Sch, F, O>(
     network: &Network,
     protocol: &P,
     scheduler: &mut Sch,
-    run_config: RunConfig,
+    config: ExecutionConfig,
+    corrupt: F,
     retry_budget: u32,
+    observer: &mut O,
 ) -> RecoveredRun<P::State, P::Message>
 where
     P: RefloodProtocol,
     Sch: Scheduler + ?Sized,
+    F: FnOnce(&mut [P::State]),
+    O: Observer<P::Message> + ?Sized,
 {
-    let (result, reflood_rounds, reflood_sends, reflood_bits) = run_engine(
+    let reflood = |ctx: &NodeContext, state: &P::State| protocol.reflood(ctx, state);
+    run_engine(
         network,
         protocol,
         scheduler,
-        run_config,
-        |_| {},
+        config,
+        corrupt,
         retry_budget,
-        |ctx, state| protocol.reflood(ctx, state),
-    );
-    RecoveredRun {
-        result,
-        reflood_rounds,
-        reflood_sends,
-        reflood_bits,
-    }
+        reflood,
+        observer,
+    )
 }
 
-/// The single engine loop behind [`run_corrupted`] and [`run_recovering`]:
-/// corruption hook, optional re-flood rounds, and the incremental delivery
-/// machinery over the flat core (CSR adjacency + pooled message arena + one
-/// reusable emit buffer). Returns the run plus `(rounds, sends, bits)`
-/// re-flood accounting (all zero when `retry_budget` is 0).
-fn run_engine<P, Sch, F, R>(
+/// [`run_observed`] over any protocol, with the re-flood frontier supplied by
+/// `reflood`: pairs `observer` with a [`Trace`] when the config asks for one.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_engine<P, Sch, F, R, O>(
     network: &Network,
     protocol: &P,
     scheduler: &mut Sch,
-    run_config: RunConfig,
+    config: ExecutionConfig,
     corrupt: F,
     retry_budget: u32,
-    mut reflood: R,
-) -> (RunResult<P::State, P::Message>, u32, u64, u64)
+    reflood: R,
+    observer: &mut O,
+) -> RecoveredRun<P::State, P::Message>
 where
     P: AnonymousProtocol,
     Sch: Scheduler + ?Sized,
     F: FnOnce(&mut [P::State]),
     R: FnMut(&NodeContext, &P::State) -> Vec<(usize, P::Message)>,
+    O: Observer<P::Message> + ?Sized,
 {
-    let config = run_config.execution;
+    let budget = config.max_deliveries;
+    if !config.record_trace {
+        return run_loop(
+            network,
+            protocol,
+            scheduler,
+            budget,
+            corrupt,
+            retry_budget,
+            reflood,
+            observer,
+        );
+    }
+    let mut traced = (Trace::with_capacity(network.edge_count()), observer);
+    let mut run = run_loop(
+        network,
+        protocol,
+        scheduler,
+        budget,
+        corrupt,
+        retry_budget,
+        reflood,
+        &mut traced,
+    );
+    run.result.trace = Some(traced.0);
+    run
+}
+
+/// The queues and counters every send touches, with the scheduler and
+/// observer it reports to.
+struct Channels<'r, M, Sch: ?Sized, O: ?Sized> {
+    csr: &'r Csr,
+    terminal: u32,
+    protocol_name: &'static str,
+    scheduler: &'r mut Sch,
+    observer: &'r mut O,
+    arena: MessageArena<M>,
+    metrics: RunMetrics,
+    in_flight: usize,
+    next_seq: u64,
+}
+
+impl<M, Sch, O> Channels<'_, M, Sch, O>
+where
+    M: Wire,
+    Sch: Scheduler + ?Sized,
+    O: Observer<M> + ?Sized,
+{
+    /// Charges `message` to `from`'s out-port `port` and queues it there.
+    fn send(&mut self, from: u32, port: usize, message: M) {
+        let out_edges = self.csr.out_edges(from);
+        assert!(
+            port < out_edges.len(),
+            "protocol {} emitted on out-port {port} of a vertex with out-degree {}",
+            self.protocol_name,
+            out_edges.len()
+        );
+        let edge = out_edges[port];
+        let dst = self.csr.edge_dst(edge);
+        let bits = message.wire_bits();
+        self.metrics.record_send(edge as usize, bits);
+        self.observer.on_send(&SendEvent {
+            seq: self.next_seq,
+            edge: EdgeId(edge as usize),
+            src: NodeId(from as usize),
+            dst: NodeId(dst as usize),
+            bits,
+            message: &message,
+        });
+        if self.arena.push_back(edge as usize, self.next_seq, message) {
+            // The edge turns active and this message becomes its head.
+            self.scheduler
+                .on_head(EdgeId(edge as usize), self.next_seq, dst == self.terminal);
+        }
+        self.in_flight += 1;
+        self.next_seq += 1;
+    }
+}
+
+/// The one asynchronous delivery loop: corruption hook, optional re-flood
+/// rounds, and the incremental delivery machinery over the flat core (CSR
+/// adjacency + pooled message arena + one reusable emit buffer).
+#[allow(clippy::too_many_arguments)]
+fn run_loop<P, Sch, F, R, O>(
+    network: &Network,
+    protocol: &P,
+    scheduler: &mut Sch,
+    max_deliveries: u64,
+    corrupt: F,
+    retry_budget: u32,
+    mut reflood: R,
+    observer: &mut O,
+) -> RecoveredRun<P::State, P::Message>
+where
+    P: AnonymousProtocol,
+    Sch: Scheduler + ?Sized,
+    F: FnOnce(&mut [P::State]),
+    R: FnMut(&NodeContext, &P::State) -> Vec<(usize, P::Message)>,
+    O: Observer<P::Message> + ?Sized,
+{
     // Flatten the topology once: all adjacency below is contiguous-array
     // indexing, never a hop through `DiGraph`'s per-node heap `Vec`s.
     let csr = Csr::from_graph(network.graph());
@@ -374,132 +443,50 @@ where
     let root = network.root().index() as u32;
     let terminal = network.terminal().index() as u32;
 
-    // Side buffers are pre-sized from the graph counts: a reliable
-    // single-flood run performs about one delivery per edge, so one slot per
-    // edge covers it without a regrow (and a regrow is all a longer run pays).
-    let mut delivery_order = if run_config.record_delivery_order {
-        Some(Vec::with_capacity(edge_count))
-    } else {
-        None
-    };
-    let mut step_log = if run_config.record_delivery_order {
-        Some(Vec::with_capacity(edge_count))
-    } else {
-        None
-    };
-    let mut contexts: Vec<NodeContext> = Vec::with_capacity(node_count);
-    for v in 0..node_count {
-        contexts.push(NodeContext::new(
-            csr.in_degree(v as u32),
-            csr.out_degree(v as u32),
-        ));
-    }
-    let mut states: Vec<P::State> = Vec::with_capacity(node_count);
-    for ctx in &contexts {
-        states.push(protocol.initial_state(ctx));
-    }
+    let contexts: Vec<NodeContext> = (0..node_count as u32)
+        .map(|v| NodeContext::new(csr.in_degree(v), csr.out_degree(v)))
+        .collect();
+    let mut states: Vec<P::State> = contexts
+        .iter()
+        .map(|ctx| protocol.initial_state(ctx))
+        .collect();
     corrupt(&mut states);
 
+    scheduler.begin_run(edge_count);
     // The pooled message slab replaces the per-edge queue forest (see
     // [`crate::arena`] for the memory layout contract). Messages are moved,
-    // never cloned, on the delivery path: the only `Message::clone` the
-    // engine performs is into the optional trace, so cheaply clonable
-    // payloads ([`crate::SharedSlice`], the copy-on-write `IntervalUnion`
-    // handles of the interval protocols) keep per-delivery and
-    // per-trace-event cost independent of payload size — a payload flooded
-    // across the whole run can remain one shared buffer (pinned by
+    // never cloned, on the delivery path: observers see each send by
+    // reference, so the only `Message::clone` is the one a [`Trace`] keeps,
+    // and cheaply clonable payloads ([`crate::SharedSlice`], the copy-on-write
+    // `IntervalUnion` handles of the interval protocols) keep per-delivery
+    // and per-trace-event cost independent of payload size — a payload
+    // flooded across the whole run can remain one shared buffer (pinned by
     // `trace_clones_share_arc_payloads_end_to_end`). Wire-bit accounting is
     // taken from `wire_bits()` at send time, so sharing never changes what an
     // edge is charged.
-    let mut arena: MessageArena<P::Message> = MessageArena::new(edge_count);
-    let mut metrics = RunMetrics::new(edge_count);
-    let mut trace = if config.record_trace {
-        Some(Trace::with_capacity(edge_count))
-    } else {
-        None
-    };
-    let mut next_seq: u64 = 0;
-    let mut in_flight: usize = 0;
-
-    scheduler.begin_run(edge_count);
-
-    let send = |from: u32,
-                port: usize,
-                message: P::Message,
-                arena: &mut MessageArena<P::Message>,
-                scheduler: &mut Sch,
-                in_flight: &mut usize,
-                metrics: &mut RunMetrics,
-                trace: &mut Option<Trace<P::Message>>,
-                next_seq: &mut u64| {
-        let out_edges = csr.out_edges(from);
-        assert!(
-            port < out_edges.len(),
-            "protocol {} emitted on out-port {port} of a vertex with out-degree {}",
-            protocol.name(),
-            out_edges.len()
-        );
-        let edge = out_edges[port] as usize;
-        let bits = message.wire_bits();
-        metrics.record_send(edge, bits);
-        if let Some(t) = trace.as_mut() {
-            t.push(SendEvent {
-                seq: *next_seq,
-                edge: EdgeId(edge),
-                src: NodeId(from as usize),
-                dst: NodeId(csr.edge_dst(edge as u32) as usize),
-                bits,
-                message: message.clone(),
-            });
-        }
-        if arena.push_back(edge, *next_seq, message) {
-            // The edge turns active and this message becomes its head.
-            scheduler.on_head(
-                EdgeId(edge),
-                *next_seq,
-                csr.edge_dst(edge as u32) == terminal,
-            );
-        }
-        *in_flight += 1;
-        *next_seq += 1;
+    let mut channels = Channels {
+        csr: &csr,
+        terminal,
+        protocol_name: protocol.name(),
+        scheduler,
+        observer,
+        arena: MessageArena::new(edge_count),
+        metrics: RunMetrics::new(edge_count),
+        in_flight: 0,
+        next_seq: 0,
     };
 
     // σ₀: the root transmits its initial messages.
     for (port, message) in protocol.root_messages(csr.out_degree(root)) {
-        send(
-            root,
-            port,
-            message,
-            &mut arena,
-            scheduler,
-            &mut in_flight,
-            &mut metrics,
-            &mut trace,
-            &mut next_seq,
-        );
+        channels.send(root, port, message);
     }
 
     let mut outcome = Outcome::Quiescent;
     let mut deliveries_at_termination = None;
-
     // A protocol whose terminal accepts in its initial state terminates immediately.
     if protocol.should_terminate(&states[terminal as usize]) {
         outcome = Outcome::Terminated;
         deliveries_at_termination = Some(0);
-        return (
-            RunResult {
-                outcome,
-                states,
-                metrics,
-                deliveries_at_termination,
-                trace,
-                delivery_order,
-                step_log,
-            },
-            0,
-            0,
-            0,
-        );
     }
 
     let mut reflood_rounds: u32 = 0;
@@ -510,31 +497,21 @@ where
     // allocates nothing once the buffer has grown to the widest emission.
     let mut emit_buf: Vec<(usize, P::Message)> = Vec::new();
 
-    loop {
-        if in_flight == 0 {
+    while !outcome.terminated() {
+        if channels.in_flight == 0 {
             // Drained. A re-flood round fires only if the adversary actually
             // destroyed traffic (so reliable runs stay bit-identical to the
             // pristine path) and the retry budget has rounds left (so total
             // loss still starves detectably instead of hanging).
-            if reflood_rounds >= retry_budget || metrics.messages_lost() == 0 {
+            if reflood_rounds >= retry_budget || channels.metrics.messages_lost() == 0 {
                 break;
             }
             reflood_rounds += 1;
-            let sends_before = metrics.messages_sent;
-            let bits_before = metrics.total_bits;
+            let sends_before = channels.metrics.messages_sent;
+            let bits_before = channels.metrics.total_bits;
             // The root re-transmits σ₀ …
             for (port, message) in protocol.root_messages(csr.out_degree(root)) {
-                send(
-                    root,
-                    port,
-                    message,
-                    &mut arena,
-                    scheduler,
-                    &mut in_flight,
-                    &mut metrics,
-                    &mut trace,
-                    &mut next_seq,
-                );
+                channels.send(root, port, message);
             }
             // … then every vertex re-sends its frontier, in node-id order
             // (deterministic on the canonical topology). The root is included:
@@ -542,149 +519,126 @@ where
             // and its frontier is separate from σ₀.
             for node in 0..node_count {
                 for (port, message) in reflood(&contexts[node], &states[node]) {
-                    send(
-                        node as u32,
-                        port,
-                        message,
-                        &mut arena,
-                        scheduler,
-                        &mut in_flight,
-                        &mut metrics,
-                        &mut trace,
-                        &mut next_seq,
-                    );
+                    channels.send(node as u32, port, message);
                 }
             }
-            reflood_sends += metrics.messages_sent - sends_before;
-            reflood_bits += metrics.total_bits - bits_before;
-            if in_flight == 0 {
+            reflood_sends += channels.metrics.messages_sent - sends_before;
+            reflood_bits += channels.metrics.total_bits - bits_before;
+            if channels.in_flight == 0 {
                 // Nothing to re-send: the run is starved for good.
                 break;
             }
             continue;
         }
-        if metrics.messages_delivered >= config.max_deliveries {
+        if channels.metrics.messages_delivered >= max_deliveries {
             outcome = Outcome::BudgetExhausted;
             break;
         }
-        let edge = scheduler.next_edge();
+        let edge = channels.scheduler.next_edge();
         let e = edge.index();
         let dst = csr.edge_dst(e as u32);
-        let queue_len = arena.len(e);
+        let queue_len = channels.arena.len(e);
         assert!(
             queue_len > 0,
             "scheduler {} chose edge {edge:?} which has no queued message",
-            scheduler.name()
+            channels.scheduler.name()
         );
-        let action = scheduler.deliver_action(edge, NodeId(dst as usize), queue_len);
-        if let Some(log) = step_log.as_mut() {
-            log.push((edge, action));
-        }
-        let (_, message) = match action {
+        let action = channels
+            .scheduler
+            .deliver_action(edge, NodeId(dst as usize), queue_len);
+        let (seq, message) = match action {
             // Deliver a mid-queue message instead of the head (clamped).
-            SchedulerAction::Reorder(i) => {
-                let idx = i.min(queue_len - 1);
-                arena
-                    .remove_at(e, idx)
-                    .expect("index clamped below queue length")
-            }
-            _ => arena.pop_front(e).expect("emptiness asserted above"),
+            SchedulerAction::Reorder(i) => channels
+                .arena
+                .remove_at(e, i.min(queue_len - 1))
+                .expect("index clamped below queue length"),
+            _ => channels
+                .arena
+                .pop_front(e)
+                .expect("emptiness asserted above"),
         };
-        in_flight -= 1;
+        channels.observer.on_step(edge, action, seq);
+        channels.in_flight -= 1;
         if action == SchedulerAction::Duplicate {
             // The copy is an adversary artifact, not a protocol send: it gets
             // a fresh sequence number (head heaps rely on uniqueness) but no
-            // trace event and no wire bits.
-            arena.push_back(e, next_seq, message.clone());
-            next_seq += 1;
-            in_flight += 1;
-            metrics.record_duplicate();
+            // send event and no wire bits.
+            channels
+                .arena
+                .push_back(e, channels.next_seq, message.clone());
+            channels.next_seq += 1;
+            channels.in_flight += 1;
+            channels.metrics.record_duplicate();
         }
         // Report the edge's new state before the protocol reacts, so a
         // re-activating send during `on_receive_into` observes a consistent
         // queue.
-        match arena.head_seq(e) {
-            Some(seq) => scheduler.on_head(edge, seq, dst == terminal),
-            None => scheduler.on_idle(edge),
+        match channels.arena.head_seq(e) {
+            Some(head) => channels.scheduler.on_head(edge, head, dst == terminal),
+            None => channels.scheduler.on_idle(edge),
         }
         match action {
             SchedulerAction::Drop => {
-                metrics.record_drop();
+                channels.metrics.record_drop();
                 continue;
             }
             SchedulerAction::NodeDown => {
-                metrics.record_crashed_delivery();
+                channels.metrics.record_crashed_delivery();
                 continue;
             }
             SchedulerAction::Deliver | SchedulerAction::Duplicate | SchedulerAction::Reorder(_) => {
             }
         }
-        if let Some(order) = delivery_order.as_mut() {
-            order.push(edge);
-        }
-        let in_port = csr.in_port(e as u32);
-        metrics.record_delivery();
+        channels.metrics.record_delivery();
 
         emit_buf.clear();
         protocol.on_receive_into(
             &contexts[dst as usize],
             &mut states[dst as usize],
-            in_port,
+            csr.in_port(e as u32),
             &message,
             &mut emit_buf,
         );
         for (port, out_message) in emit_buf.drain(..) {
-            send(
-                dst,
-                port,
-                out_message,
-                &mut arena,
-                scheduler,
-                &mut in_flight,
-                &mut metrics,
-                &mut trace,
-                &mut next_seq,
-            );
+            channels.send(dst, port, out_message);
         }
 
         if dst == terminal && protocol.should_terminate(&states[terminal as usize]) {
             outcome = Outcome::Terminated;
-            deliveries_at_termination = Some(metrics.messages_delivered);
-            break;
+            deliveries_at_termination = Some(channels.metrics.messages_delivered);
         }
     }
 
-    (
-        RunResult {
+    RecoveredRun {
+        result: RunResult {
             outcome,
             states,
-            metrics,
+            metrics: channels.metrics,
             deliveries_at_termination,
-            trace,
-            delivery_order,
-            step_log,
+            trace: None,
         },
         reflood_rounds,
         reflood_sends,
         reflood_bits,
-    )
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scheduler::{FifoScheduler, RandomScheduler, ReplayScheduler};
     use anet_graph::generators::{chain_gn, path_network};
 
-    /// A toy protocol: forwards a unit token on every out-port the first time it is
-    /// hit; the terminal accepts after receiving `needed` tokens.
+    /// A toy protocol shared by the engine, synchronous and reference tests:
+    /// forwards a unit token on every out-port the first time it is hit; the
+    /// terminal accepts after receiving `needed` tokens.
     #[derive(Debug, Clone)]
-    struct Flood {
-        needed: u64,
+    pub(crate) struct Flood {
+        pub(crate) needed: u64,
     }
 
     #[derive(Debug, Clone)]
-    struct FloodState {
+    pub(crate) struct FloodState {
         received: u64,
         forwarded: bool,
     }
@@ -1022,7 +976,7 @@ mod tests {
             &net,
             &Flood { needed: 5 },
             &mut FifoScheduler::new(),
-            RunConfig::from(ExecutionConfig::with_trace()),
+            ExecutionConfig::with_trace(),
             7,
         );
         assert_eq!(recovered.reflood_rounds, 0);
@@ -1058,7 +1012,7 @@ mod tests {
                 inner: FifoScheduler::new(),
                 remaining: 1,
             },
-            RunConfig::default(),
+            ExecutionConfig::default(),
             2,
         );
         assert_eq!(recovered.result.outcome, Outcome::Terminated);
@@ -1077,7 +1031,7 @@ mod tests {
                 inner: FifoScheduler::new(),
                 remaining: u64::MAX,
             },
-            RunConfig::default(),
+            ExecutionConfig::default(),
             3,
         );
         assert_eq!(recovered.result.outcome, Outcome::Quiescent);

@@ -22,6 +22,12 @@
 //!   duplicates, bounded reorders and crash windows from a [`FaultPlan`];
 //!   [`run_corrupted`] additionally perturbs protocol state before delivery
 //!   begins for corrupted-start recovery experiments.
+//! * [`observer`] — the engine's one instrumentation hook: an [`Observer`]
+//!   sees every charged send and every step of a [`run_observed`] run. The
+//!   stock observers record the send trace ([`trace::Trace`]), its digest
+//!   alone ([`TraceDigest`]) or the replayable step log ([`StepLog`]).
+//! * [`synchronous`] — the paper's synchronous extension: the engine under
+//!   FIFO, with its rounds counted.
 //! * [`reference::run_full_scan`] — the naive specification engine, kept so the
 //!   incremental core is cross-checkable and benchmarkable against it; and
 //!   [`reference::run_queue_forest`] — the pre-flat incremental engine
@@ -33,7 +39,7 @@
 //! * [`metrics::RunMetrics`] — communication-complexity accounting: total bits,
 //!   per-edge bits (bandwidth), message counts and maximum message size, measured
 //!   through the [`Wire`] size of every transmitted message.
-//! * [`trace::Trace`] — an optional full record of every delivery, used by the
+//! * [`trace::Trace`] — an optional full record of every send, used by the
 //!   lower-bound experiments to extract transmitted alphabets and cut snapshots.
 //!
 //! # The active-edge-set architecture
@@ -75,6 +81,7 @@ pub mod arena;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
+pub mod observer;
 mod protocol;
 pub mod reference;
 pub mod runner;
@@ -85,12 +92,12 @@ mod wire;
 
 pub use arena::MessageArena;
 pub use engine::{
-    run_corrupted, run_recovering, ExecutionConfig, Outcome, RecoveredRun, RunConfig, RunResult,
+    run_corrupted, run_observed, run_recovering, ExecutionConfig, Outcome, RecoveredRun, RunConfig,
+    RunResult,
 };
 pub use faults::{CrashWindow, FaultPlan, FaultyScheduler};
+pub use observer::{Observer, StepLog, TraceDigest};
 pub use protocol::{AnonymousProtocol, NodeContext, RefloodProtocol};
-pub use reference::{
-    run_full_scan, run_queue_forest, run_queue_forest_corrupted, run_queue_forest_recovering,
-};
+pub use reference::{run_full_scan, run_queue_forest};
 pub use synchronous::{run_synchronous, SynchronousRun};
 pub use wire::{SharedSlice, Wire};

@@ -18,16 +18,17 @@
 //!    [`AnonymousProtocol::on_receive`], `DiGraph` pointer-chasing adjacency.
 //!    Scheduling is already incremental here; only the data layout is old.
 //!    The engine differential suite pins the flat core
-//!    ([`crate::engine::run_with_config`]) bit-identical to this engine —
-//!    traces, metrics, wire bits, delivery orders, step logs, final states —
-//!    and `BENCH_scaling.json` reports the flat core's speedup over it.
+//!    ([`crate::engine::run_observed`]) bit-identical to this engine —
+//!    traces, metrics, wire bits, step logs, final states — and
+//!    `BENCH_scaling.json` reports the flat core's speedup over it.
 
 use std::collections::VecDeque;
 
-use anet_graph::Network;
+use anet_graph::{Network, NodeId};
 
-use crate::engine::{ExecutionConfig, Outcome, RecoveredRun, RunConfig, RunResult};
+use crate::engine::{ExecutionConfig, Outcome, RecoveredRun, RunResult};
 use crate::metrics::RunMetrics;
+use crate::observer::Observer;
 use crate::protocol::RefloodProtocol;
 use crate::scheduler::{PendingEdge, Scheduler, SchedulerAction};
 use crate::trace::{SendEvent, Trace};
@@ -131,8 +132,6 @@ where
             metrics,
             deliveries_at_termination,
             trace,
-            delivery_order: None,
-            step_log: None,
         };
     }
 
@@ -223,127 +222,130 @@ where
         metrics,
         deliveries_at_termination,
         trace,
-        delivery_order: None,
-        step_log: None,
     }
 }
 
 /// Runs `protocol` through the retained queue-forest engine (see the [module
 /// docs](self), item 2): incremental scheduling over per-edge `VecDeque`s.
 ///
-/// Behaviourally identical to [`crate::engine::run_with_config`] — the engine
-/// differential suite pins the two bit-for-bit.
+/// Takes the arguments of [`crate::engine::run_observed`] and is
+/// behaviourally identical to it — the engine differential suite pins the two
+/// bit-for-bit, observer events included.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`crate::engine::run`].
-pub fn run_queue_forest<P, Sch>(
+pub fn run_queue_forest<P, Sch, F, O>(
     network: &Network,
     protocol: &P,
     scheduler: &mut Sch,
-    run_config: RunConfig,
-) -> RunResult<P::State, P::Message>
-where
-    P: AnonymousProtocol,
-    Sch: Scheduler + ?Sized,
-{
-    run_queue_forest_corrupted(network, protocol, scheduler, run_config, |_| {})
-}
-
-/// [`run_queue_forest`] with the state-corruption hook of
-/// [`crate::engine::run_corrupted`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`crate::engine::run`].
-pub fn run_queue_forest_corrupted<P, Sch, F>(
-    network: &Network,
-    protocol: &P,
-    scheduler: &mut Sch,
-    run_config: RunConfig,
+    config: ExecutionConfig,
     corrupt: F,
-) -> RunResult<P::State, P::Message>
-where
-    P: AnonymousProtocol,
-    Sch: Scheduler + ?Sized,
-    F: FnOnce(&mut [P::State]),
-{
-    run_queue_forest_engine(
-        network,
-        protocol,
-        scheduler,
-        run_config,
-        corrupt,
-        0,
-        |_, _| Vec::new(),
-    )
-    .0
-}
-
-/// [`run_queue_forest`] with the bounded re-flood retry of
-/// [`crate::engine::run_recovering`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`crate::engine::run`].
-pub fn run_queue_forest_recovering<P, Sch>(
-    network: &Network,
-    protocol: &P,
-    scheduler: &mut Sch,
-    run_config: RunConfig,
     retry_budget: u32,
+    observer: &mut O,
 ) -> RecoveredRun<P::State, P::Message>
 where
     P: RefloodProtocol,
     Sch: Scheduler + ?Sized,
+    F: FnOnce(&mut [P::State]),
+    O: Observer<P::Message> + ?Sized,
 {
-    let (result, reflood_rounds, reflood_sends, reflood_bits) = run_queue_forest_engine(
+    let budget = config.max_deliveries;
+    if !config.record_trace {
+        return queue_forest_loop(
+            network,
+            protocol,
+            scheduler,
+            budget,
+            corrupt,
+            retry_budget,
+            observer,
+        );
+    }
+    let mut traced = (Trace::new(), observer);
+    let mut run = queue_forest_loop(
         network,
         protocol,
         scheduler,
-        run_config,
-        |_| {},
+        budget,
+        corrupt,
         retry_budget,
-        |ctx, state| protocol.reflood(ctx, state),
+        &mut traced,
     );
-    RecoveredRun {
-        result,
-        reflood_rounds,
-        reflood_sends,
-        reflood_bits,
+    run.result.trace = Some(traced.0);
+    run
+}
+
+/// The per-edge queues and counters every send touches, with the scheduler
+/// and observer it reports to.
+struct Forest<'r, M, Sch: ?Sized, O: ?Sized> {
+    network: &'r Network,
+    protocol_name: &'static str,
+    scheduler: &'r mut Sch,
+    observer: &'r mut O,
+    queues: Vec<VecDeque<(u64, M)>>,
+    metrics: RunMetrics,
+    in_flight: usize,
+    next_seq: u64,
+}
+
+impl<M, Sch, O> Forest<'_, M, Sch, O>
+where
+    M: Wire,
+    Sch: Scheduler + ?Sized,
+    O: Observer<M> + ?Sized,
+{
+    /// Charges `message` to `from`'s out-port `port` and queues it there.
+    fn send(&mut self, from: NodeId, port: usize, message: M) {
+        let graph = self.network.graph();
+        let out_edges = graph.out_edges(from);
+        assert!(
+            port < out_edges.len(),
+            "protocol {} emitted on out-port {port} of a vertex with out-degree {}",
+            self.protocol_name,
+            out_edges.len()
+        );
+        let edge = out_edges[port];
+        let bits = message.wire_bits();
+        self.metrics.record_send(edge.index(), bits);
+        self.observer.on_send(&SendEvent {
+            seq: self.next_seq,
+            edge,
+            src: from,
+            dst: graph.edge_dst(edge),
+            bits,
+            message: &message,
+        });
+        let queue = &mut self.queues[edge.index()];
+        if queue.is_empty() {
+            // The edge turns active and this message becomes its head.
+            let into_terminal = graph.edge_dst(edge) == self.network.terminal();
+            self.scheduler.on_head(edge, self.next_seq, into_terminal);
+        }
+        queue.push_back((self.next_seq, message));
+        self.in_flight += 1;
+        self.next_seq += 1;
     }
 }
 
-/// The queue-forest engine loop, retained verbatim from the pre-flat
-/// `crate::engine::run_engine`: corruption hook, optional re-flood rounds, and
-/// incremental delivery over one `VecDeque` per edge. Returns the run plus
-/// `(rounds, sends, bits)` re-flood accounting.
-fn run_queue_forest_engine<P, Sch, F, R>(
+/// The queue-forest engine loop, retained from the pre-flat engine:
+/// corruption hook, optional re-flood rounds, and incremental delivery over
+/// one `VecDeque` per edge.
+fn queue_forest_loop<P, Sch, F, O>(
     network: &Network,
     protocol: &P,
     scheduler: &mut Sch,
-    run_config: RunConfig,
+    max_deliveries: u64,
     corrupt: F,
     retry_budget: u32,
-    mut reflood: R,
-) -> (RunResult<P::State, P::Message>, u32, u64, u64)
+    observer: &mut O,
+) -> RecoveredRun<P::State, P::Message>
 where
-    P: AnonymousProtocol,
+    P: RefloodProtocol,
     Sch: Scheduler + ?Sized,
     F: FnOnce(&mut [P::State]),
-    R: FnMut(&NodeContext, &P::State) -> Vec<(usize, P::Message)>,
+    O: Observer<P::Message> + ?Sized,
 {
-    let config = run_config.execution;
-    let mut delivery_order = if run_config.record_delivery_order {
-        Some(Vec::new())
-    } else {
-        None
-    };
-    let mut step_log = if run_config.record_delivery_order {
-        Some(Vec::new())
-    } else {
-        None
-    };
     let graph = network.graph();
     let terminal = network.terminal();
     let contexts: Vec<NodeContext> = graph
@@ -356,172 +358,86 @@ where
         .collect();
     corrupt(&mut states);
 
-    // One FIFO queue per edge; messages are moved, never cloned, on the
-    // delivery path (the only clone is into the optional trace).
-    let mut queues: Vec<VecDeque<(u64, P::Message)>> =
-        (0..graph.edge_count()).map(|_| VecDeque::new()).collect();
-    let mut metrics = RunMetrics::new(graph.edge_count());
-    let mut trace = if config.record_trace {
-        Some(Trace::new())
-    } else {
-        None
-    };
-    let mut next_seq: u64 = 0;
-    let mut in_flight: usize = 0;
-
     scheduler.begin_run(graph.edge_count());
-
-    let send = |from: anet_graph::NodeId,
-                port: usize,
-                message: P::Message,
-                queues: &mut Vec<VecDeque<(u64, P::Message)>>,
-                scheduler: &mut Sch,
-                in_flight: &mut usize,
-                metrics: &mut RunMetrics,
-                trace: &mut Option<Trace<P::Message>>,
-                next_seq: &mut u64| {
-        let out_edges = graph.out_edges(from);
-        assert!(
-            port < out_edges.len(),
-            "protocol {} emitted on out-port {port} of a vertex with out-degree {}",
-            protocol.name(),
-            out_edges.len()
-        );
-        let edge = out_edges[port];
-        let bits = message.wire_bits();
-        metrics.record_send(edge.index(), bits);
-        if let Some(t) = trace.as_mut() {
-            t.push(SendEvent {
-                seq: *next_seq,
-                edge,
-                src: from,
-                dst: graph.edge_dst(edge),
-                bits,
-                message: message.clone(),
-            });
-        }
-        let queue = &mut queues[edge.index()];
-        if queue.is_empty() {
-            // The edge turns active and this message becomes its head.
-            scheduler.on_head(edge, *next_seq, graph.edge_dst(edge) == terminal);
-        }
-        queue.push_back((*next_seq, message));
-        *in_flight += 1;
-        *next_seq += 1;
+    let mut forest = Forest {
+        network,
+        protocol_name: protocol.name(),
+        scheduler,
+        observer,
+        // One FIFO queue per edge; messages are moved, never cloned, on the
+        // delivery path (the only clone is the one a trace observer keeps).
+        queues: (0..graph.edge_count()).map(|_| VecDeque::new()).collect(),
+        metrics: RunMetrics::new(graph.edge_count()),
+        in_flight: 0,
+        next_seq: 0,
     };
 
     // σ₀: the root transmits its initial messages.
     for (port, message) in protocol.root_messages(graph.out_degree(network.root())) {
-        send(
-            network.root(),
-            port,
-            message,
-            &mut queues,
-            scheduler,
-            &mut in_flight,
-            &mut metrics,
-            &mut trace,
-            &mut next_seq,
-        );
+        forest.send(network.root(), port, message);
     }
 
     let mut outcome = Outcome::Quiescent;
     let mut deliveries_at_termination = None;
-
     // A protocol whose terminal accepts in its initial state terminates immediately.
     if protocol.should_terminate(&states[terminal.index()]) {
         outcome = Outcome::Terminated;
         deliveries_at_termination = Some(0);
-        return (
-            RunResult {
-                outcome,
-                states,
-                metrics,
-                deliveries_at_termination,
-                trace,
-                delivery_order,
-                step_log,
-            },
-            0,
-            0,
-            0,
-        );
     }
 
     let mut reflood_rounds: u32 = 0;
     let mut reflood_sends: u64 = 0;
     let mut reflood_bits: u64 = 0;
 
-    loop {
-        if in_flight == 0 {
+    while !outcome.terminated() {
+        if forest.in_flight == 0 {
             // Drained. A re-flood round fires only if the adversary actually
             // destroyed traffic (so reliable runs stay bit-identical to the
             // pristine path) and the retry budget has rounds left (so total
             // loss still starves detectably instead of hanging).
-            if reflood_rounds >= retry_budget || metrics.messages_lost() == 0 {
+            if reflood_rounds >= retry_budget || forest.metrics.messages_lost() == 0 {
                 break;
             }
             reflood_rounds += 1;
-            let sends_before = metrics.messages_sent;
-            let bits_before = metrics.total_bits;
+            let sends_before = forest.metrics.messages_sent;
+            let bits_before = forest.metrics.total_bits;
             // The root re-transmits σ₀ …
             for (port, message) in protocol.root_messages(graph.out_degree(network.root())) {
-                send(
-                    network.root(),
-                    port,
-                    message,
-                    &mut queues,
-                    scheduler,
-                    &mut in_flight,
-                    &mut metrics,
-                    &mut trace,
-                    &mut next_seq,
-                );
+                forest.send(network.root(), port, message);
             }
             // … then every vertex re-sends its frontier, in node-id order
             // (deterministic on the canonical topology). The root is included:
             // in a cyclic network it receives messages like any other vertex,
             // and its frontier is separate from σ₀.
             for node in graph.nodes() {
-                for (port, message) in reflood(&contexts[node.index()], &states[node.index()]) {
-                    send(
-                        node,
-                        port,
-                        message,
-                        &mut queues,
-                        scheduler,
-                        &mut in_flight,
-                        &mut metrics,
-                        &mut trace,
-                        &mut next_seq,
-                    );
+                for (port, message) in
+                    protocol.reflood(&contexts[node.index()], &states[node.index()])
+                {
+                    forest.send(node, port, message);
                 }
             }
-            reflood_sends += metrics.messages_sent - sends_before;
-            reflood_bits += metrics.total_bits - bits_before;
-            if in_flight == 0 {
+            reflood_sends += forest.metrics.messages_sent - sends_before;
+            reflood_bits += forest.metrics.total_bits - bits_before;
+            if forest.in_flight == 0 {
                 // Nothing to re-send: the run is starved for good.
                 break;
             }
             continue;
         }
-        if metrics.messages_delivered >= config.max_deliveries {
+        if forest.metrics.messages_delivered >= max_deliveries {
             outcome = Outcome::BudgetExhausted;
             break;
         }
-        let edge = scheduler.next_edge();
+        let edge = forest.scheduler.next_edge();
         let dst = graph.edge_dst(edge);
-        let queue = &mut queues[edge.index()];
+        let queue = &mut forest.queues[edge.index()];
         assert!(
             !queue.is_empty(),
             "scheduler {} chose edge {edge:?} which has no queued message",
-            scheduler.name()
+            forest.scheduler.name()
         );
-        let action = scheduler.deliver_action(edge, dst, queue.len());
-        if let Some(log) = step_log.as_mut() {
-            log.push((edge, action));
-        }
-        let (_, message) = match action {
+        let action = forest.scheduler.deliver_action(edge, dst, queue.len());
+        let (seq, message) = match action {
             // Deliver a mid-queue message instead of the head (clamped).
             SchedulerAction::Reorder(i) => {
                 let idx = i.min(queue.len() - 1);
@@ -529,136 +445,74 @@ where
             }
             _ => queue.pop_front().expect("emptiness asserted above"),
         };
-        in_flight -= 1;
+        forest.observer.on_step(edge, action, seq);
+        forest.in_flight -= 1;
         if action == SchedulerAction::Duplicate {
             // The copy is an adversary artifact, not a protocol send: it gets
             // a fresh sequence number (head heaps rely on uniqueness) but no
-            // trace event and no wire bits.
-            queue.push_back((next_seq, message.clone()));
-            next_seq += 1;
-            in_flight += 1;
-            metrics.record_duplicate();
+            // send event and no wire bits.
+            queue.push_back((forest.next_seq, message.clone()));
+            forest.next_seq += 1;
+            forest.in_flight += 1;
+            forest.metrics.record_duplicate();
         }
         // Report the edge's new state before the protocol reacts, so a
         // re-activating send during `on_receive` observes a consistent queue.
         match queue.front() {
-            Some(&(seq, _)) => scheduler.on_head(edge, seq, dst == terminal),
-            None => scheduler.on_idle(edge),
+            Some(&(head, _)) => forest.scheduler.on_head(edge, head, dst == terminal),
+            None => forest.scheduler.on_idle(edge),
         }
         match action {
             SchedulerAction::Drop => {
-                metrics.record_drop();
+                forest.metrics.record_drop();
                 continue;
             }
             SchedulerAction::NodeDown => {
-                metrics.record_crashed_delivery();
+                forest.metrics.record_crashed_delivery();
                 continue;
             }
             SchedulerAction::Deliver | SchedulerAction::Duplicate | SchedulerAction::Reorder(_) => {
             }
         }
-        if let Some(order) = delivery_order.as_mut() {
-            order.push(edge);
-        }
-        let in_port = graph.in_port(edge);
-        metrics.record_delivery();
+        forest.metrics.record_delivery();
 
         let emitted = protocol.on_receive(
             &contexts[dst.index()],
             &mut states[dst.index()],
-            in_port,
+            graph.in_port(edge),
             &message,
         );
         for (port, out_message) in emitted {
-            send(
-                dst,
-                port,
-                out_message,
-                &mut queues,
-                scheduler,
-                &mut in_flight,
-                &mut metrics,
-                &mut trace,
-                &mut next_seq,
-            );
+            forest.send(dst, port, out_message);
         }
 
         if dst == terminal && protocol.should_terminate(&states[terminal.index()]) {
             outcome = Outcome::Terminated;
-            deliveries_at_termination = Some(metrics.messages_delivered);
-            break;
+            deliveries_at_termination = Some(forest.metrics.messages_delivered);
         }
     }
 
-    (
-        RunResult {
+    RecoveredRun {
+        result: RunResult {
             outcome,
             states,
-            metrics,
+            metrics: forest.metrics,
             deliveries_at_termination,
-            trace,
-            delivery_order,
-            step_log,
+            trace: None,
         },
         reflood_rounds,
         reflood_sends,
         reflood_bits,
-    )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run;
+    use crate::engine::tests::Flood;
     use crate::scheduler::standard_battery;
     use anet_graph::generators::chain_gn;
-
-    /// The toy flood protocol used across the engine tests.
-    #[derive(Debug)]
-    struct Flood {
-        needed: u64,
-    }
-
-    #[derive(Debug, Clone)]
-    struct FloodState {
-        received: u64,
-        forwarded: bool,
-    }
-
-    impl AnonymousProtocol for Flood {
-        type State = FloodState;
-        type Message = ();
-
-        fn name(&self) -> &'static str {
-            "flood"
-        }
-        fn initial_state(&self, _ctx: &NodeContext) -> FloodState {
-            FloodState {
-                received: 0,
-                forwarded: false,
-            }
-        }
-        fn root_messages(&self, root_out_degree: usize) -> Vec<(usize, ())> {
-            (0..root_out_degree).map(|p| (p, ())).collect()
-        }
-        fn on_receive(
-            &self,
-            ctx: &NodeContext,
-            state: &mut FloodState,
-            _in_port: usize,
-            _message: &(),
-        ) -> Vec<(usize, ())> {
-            state.received += 1;
-            if state.forwarded {
-                return Vec::new();
-            }
-            state.forwarded = true;
-            (0..ctx.out_degree).map(|p| (p, ())).collect()
-        }
-        fn should_terminate(&self, terminal_state: &FloodState) -> bool {
-            terminal_state.received >= self.needed
-        }
-    }
 
     #[test]
     fn both_engines_agree_on_the_chain_under_the_whole_battery() {

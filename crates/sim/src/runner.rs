@@ -3,7 +3,7 @@
 
 use anet_graph::Network;
 
-use crate::engine::{run, run_with_config, ExecutionConfig, RunConfig, RunResult};
+use crate::engine::{run, ExecutionConfig, RunResult};
 use crate::scheduler::standard_battery;
 use crate::AnonymousProtocol;
 
@@ -54,8 +54,7 @@ pub fn battery_size(random_count: usize) -> usize {
 /// Each call builds the battery fresh and uses one scheduler from it, which is
 /// identical to the per-cell semantics of [`run_under_battery`] (schedulers are
 /// freshly constructed per battery there too, and each is used for exactly one
-/// run). This is the primitive a sharded executor needs: a cell can run in any
-/// process at any time and still produce bit-identical results.
+/// run), so a cell run in any process at any time gives bit-identical results.
 ///
 /// # Panics
 ///
@@ -63,7 +62,7 @@ pub fn battery_size(random_count: usize) -> usize {
 pub fn run_battery_cell<P: AnonymousProtocol>(
     network: &Network,
     protocol: &P,
-    config: RunConfig,
+    config: ExecutionConfig,
     seed: u64,
     random_count: usize,
     battery_index: usize,
@@ -77,7 +76,7 @@ pub fn run_battery_cell<P: AnonymousProtocol>(
     let scheduler = &mut battery[battery_index];
     NamedRun {
         scheduler: scheduler.name(),
-        result: run_with_config(network, protocol, scheduler.as_mut(), config),
+        result: run(network, protocol, scheduler.as_mut(), config),
     }
 }
 
@@ -160,14 +159,7 @@ mod tests {
         let net = chain_gn(5).unwrap();
         let battery = run_under_battery(&net, &Ping, ExecutionConfig::default(), 11, 2);
         for (k, expected) in battery.iter().enumerate() {
-            let cell = run_battery_cell(
-                &net,
-                &Ping,
-                RunConfig::from(ExecutionConfig::default()),
-                11,
-                2,
-                k,
-            );
+            let cell = run_battery_cell(&net, &Ping, ExecutionConfig::default(), 11, 2, k);
             assert_eq!(cell.scheduler, expected.scheduler);
             assert_eq!(cell.result.outcome, expected.result.outcome);
             assert_eq!(cell.result.metrics, expected.result.metrics);
@@ -183,13 +175,6 @@ mod tests {
     #[should_panic(expected = "battery index")]
     fn cell_with_out_of_range_battery_index_panics() {
         let net = chain_gn(3).unwrap();
-        let _ = run_battery_cell(
-            &net,
-            &Ping,
-            RunConfig::from(ExecutionConfig::default()),
-            0,
-            1,
-            5,
-        );
+        let _ = run_battery_cell(&net, &Ping, ExecutionConfig::default(), 0, 1, 5);
     }
 }

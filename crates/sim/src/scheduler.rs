@@ -667,7 +667,7 @@ impl Scheduler for RandomScheduler {
 /// [`ReplayScheduler::with_steps`] additionally replays a
 /// [`SchedulerAction`] per step, reproducing a *faulty* run (drops,
 /// duplicates, reorders, crashes) bit-identically from its recorded
-/// [`crate::RunResult::step_log`].
+/// [`crate::StepLog`].
 #[derive(Debug, Clone, Default)]
 pub struct ReplayScheduler {
     order: VecDeque<EdgeId>,
@@ -688,7 +688,7 @@ impl ReplayScheduler {
     }
 
     /// Creates a scheduler that replays `(edge, action)` steps — typically a
-    /// recorded [`crate::RunResult::step_log`] — reproducing a faulty run
+    /// recorded [`crate::StepLog::steps`] — reproducing a faulty run
     /// exactly: the same edges are chosen and the same drops, duplicates,
     /// reorders and crash losses are re-applied.
     pub fn with_steps<I: IntoIterator<Item = (EdgeId, SchedulerAction)>>(steps: I) -> Self {

@@ -3,19 +3,23 @@
 //! Section 2 of the paper notes that the results "can be easily extended … to the
 //! case that the communication throughout the network is synchronous". This module
 //! provides that mode: execution proceeds in rounds, and in each round **every**
-//! message that was in flight at the start of the round is delivered (in edge
+//! message that was in flight at the start of the round is delivered (in send
 //! order) before any message generated during the round is considered. Besides
 //! serving as a sanity check that the protocols do not depend on asynchrony, the
 //! round count is the natural "time" measure of the synchronous model.
+//!
+//! Delivering in send order is exactly what [`FifoScheduler`] does, so a
+//! synchronous run is the asynchronous engine under FIFO; this module only
+//! counts its rounds, with an observer (a scheduler cannot: it never sees the
+//! sends queued behind an edge's head).
 
-use std::collections::VecDeque;
+use anet_graph::{EdgeId, Network};
 
-use anet_graph::Network;
-
-use crate::engine::{ExecutionConfig, Outcome, RunResult};
-use crate::metrics::RunMetrics;
-use crate::trace::{SendEvent, Trace};
-use crate::{AnonymousProtocol, NodeContext, Wire};
+use crate::engine::{run_engine, ExecutionConfig, Outcome, RunResult};
+use crate::observer::Observer;
+use crate::scheduler::{FifoScheduler, SchedulerAction};
+use crate::trace::SendEvent;
+use crate::{AnonymousProtocol, NodeContext};
 
 /// The result of a synchronous run: the usual [`RunResult`] plus the number of
 /// rounds that elapsed before the terminal accepted (or the run quiesced).
@@ -24,16 +28,18 @@ pub struct SynchronousRun<S, M> {
     /// The per-vertex states, metrics and trace, exactly as in the asynchronous
     /// engine.
     pub result: RunResult<S, M>,
-    /// Number of completed rounds.
+    /// Number of rounds started.
     pub rounds: u64,
 }
 
 /// Runs `protocol` on `network` in synchronous rounds.
 ///
-/// Round 0 delivers the root's initial messages; round `r + 1` delivers everything
-/// emitted during round `r`. The run stops at the end of the round in which the
-/// terminal's stopping predicate first holds, when no messages remain, or when the
-/// delivery budget is exhausted.
+/// Round 1 delivers the root's initial messages; round `r + 1` delivers
+/// everything emitted during round `r`. The run stops at the delivery after
+/// which the terminal's stopping predicate holds, when no messages remain, or
+/// when the delivery budget is exhausted. A run cut short by the budget
+/// counts the round its next delivery belongs to, so a budget of 0 reports
+/// one round and no delivery.
 ///
 /// # Panics
 ///
@@ -46,195 +52,62 @@ pub fn run_synchronous<P>(
 where
     P: AnonymousProtocol,
 {
-    let graph = network.graph();
-    let contexts: Vec<NodeContext> = graph
-        .nodes()
-        .map(|n| NodeContext::new(graph.in_degree(n), graph.out_degree(n)))
-        .collect();
-    let mut states: Vec<P::State> = contexts
-        .iter()
-        .map(|ctx| protocol.initial_state(ctx))
-        .collect();
-    let mut metrics = RunMetrics::new(graph.edge_count());
-    let mut trace = if config.record_trace {
-        Some(Trace::new())
-    } else {
-        None
-    };
-    let mut next_seq = 0u64;
-    let terminal = network.terminal();
-
-    // (edge, message) pairs to be delivered in the current round.
-    let mut current: VecDeque<(anet_graph::EdgeId, P::Message)> = VecDeque::new();
-
-    let send = |src: anet_graph::NodeId,
-                port: usize,
-                message: P::Message,
-                queue: &mut VecDeque<(anet_graph::EdgeId, P::Message)>,
-                metrics: &mut RunMetrics,
-                trace: &mut Option<Trace<P::Message>>,
-                next_seq: &mut u64| {
-        let out = graph.out_edges(src);
-        assert!(
-            port < out.len(),
-            "protocol {} emitted on out-port {port} of a vertex with out-degree {}",
-            protocol.name(),
-            out.len()
-        );
-        let edge = out[port];
-        let bits = message.wire_bits();
-        metrics.record_send(edge.index(), bits);
-        if let Some(t) = trace.as_mut() {
-            t.push(SendEvent {
-                seq: *next_seq,
-                edge,
-                src,
-                dst: graph.edge_dst(edge),
-                bits,
-                message: message.clone(),
-            });
-        }
-        queue.push_back((edge, message));
-        *next_seq += 1;
-    };
-
-    for (port, message) in protocol.root_messages(graph.out_degree(network.root())) {
-        send(
-            network.root(),
-            port,
-            message,
-            &mut current,
-            &mut metrics,
-            &mut trace,
-            &mut next_seq,
-        );
+    let mut rounds = RoundCounter::default();
+    let no_reflood = |_: &NodeContext, _: &P::State| Vec::new();
+    let mut fifo = FifoScheduler::new();
+    let run = run_engine(
+        network,
+        protocol,
+        &mut fifo,
+        config,
+        |_| {},
+        0,
+        no_reflood,
+        &mut rounds,
+    );
+    let result = run.result;
+    // FIFO delivers in send order, so the next delivery is send number
+    // `messages_delivered`.
+    if result.outcome == Outcome::BudgetExhausted
+        && result.metrics.messages_delivered >= rounds.round_end
+    {
+        rounds.rounds += 1;
     }
-
-    let mut rounds = 0u64;
-    let mut outcome = Outcome::Quiescent;
-    let mut deliveries_at_termination = None;
-
-    if protocol.should_terminate(&states[terminal.index()]) {
-        return SynchronousRun {
-            result: RunResult {
-                outcome: Outcome::Terminated,
-                states,
-                metrics,
-                deliveries_at_termination: Some(0),
-                trace,
-                delivery_order: None,
-                step_log: None,
-            },
-            rounds,
-        };
-    }
-
-    // The queue for the *next* round lives outside the loop: at the end of a
-    // round the drained `current` and the filled `next` are swapped, so both
-    // buffers (and their capacity) are reused for the whole run instead of
-    // allocating a fresh queue per round.
-    let mut next: VecDeque<(anet_graph::EdgeId, P::Message)> = VecDeque::new();
-
-    'rounds: while !current.is_empty() {
-        rounds += 1;
-        while let Some((edge, message)) = current.pop_front() {
-            if metrics.messages_delivered >= config.max_deliveries {
-                outcome = Outcome::BudgetExhausted;
-                break 'rounds;
-            }
-            let dst = graph.edge_dst(edge);
-            metrics.record_delivery();
-            let emitted = protocol.on_receive(
-                &contexts[dst.index()],
-                &mut states[dst.index()],
-                graph.in_port(edge),
-                &message,
-            );
-            for (port, out_message) in emitted {
-                send(
-                    dst,
-                    port,
-                    out_message,
-                    &mut next,
-                    &mut metrics,
-                    &mut trace,
-                    &mut next_seq,
-                );
-            }
-            if dst == terminal && protocol.should_terminate(&states[terminal.index()]) {
-                outcome = Outcome::Terminated;
-                deliveries_at_termination = Some(metrics.messages_delivered);
-                break 'rounds;
-            }
-        }
-        std::mem::swap(&mut current, &mut next);
-    }
-
     SynchronousRun {
-        result: RunResult {
-            outcome,
-            states,
-            metrics,
-            deliveries_at_termination,
-            trace,
-            delivery_order: None,
-            step_log: None,
-        },
-        rounds,
+        result,
+        rounds: rounds.rounds,
+    }
+}
+
+/// Counts the rounds of a FIFO run: a round ends with the last message sent
+/// before it started, so the first step past that send starts the next one.
+#[derive(Default)]
+struct RoundCounter {
+    rounds: u64,
+    /// Sequence number of the first send after the current round.
+    round_end: u64,
+    /// Sequence number of the next send.
+    next_seq: u64,
+}
+
+impl<M> Observer<M> for RoundCounter {
+    fn on_send(&mut self, event: &SendEvent<&M>) {
+        self.next_seq = event.seq + 1;
+    }
+
+    fn on_step(&mut self, _edge: EdgeId, _action: SchedulerAction, seq: u64) {
+        if seq >= self.round_end {
+            self.rounds += 1;
+            self.round_end = self.next_seq;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::Flood;
     use anet_graph::generators::{chain_gn, path_network};
-
-    /// Same toy flood protocol as the asynchronous engine tests.
-    #[derive(Debug)]
-    struct Flood {
-        needed: u64,
-    }
-
-    #[derive(Debug, Clone)]
-    struct FloodState {
-        received: u64,
-        forwarded: bool,
-    }
-
-    impl AnonymousProtocol for Flood {
-        type State = FloodState;
-        type Message = ();
-
-        fn name(&self) -> &'static str {
-            "flood"
-        }
-        fn initial_state(&self, _ctx: &NodeContext) -> FloodState {
-            FloodState {
-                received: 0,
-                forwarded: false,
-            }
-        }
-        fn root_messages(&self, root_out_degree: usize) -> Vec<(usize, ())> {
-            (0..root_out_degree).map(|p| (p, ())).collect()
-        }
-        fn on_receive(
-            &self,
-            ctx: &NodeContext,
-            state: &mut FloodState,
-            _in_port: usize,
-            _message: &(),
-        ) -> Vec<(usize, ())> {
-            state.received += 1;
-            if state.forwarded {
-                return Vec::new();
-            }
-            state.forwarded = true;
-            (0..ctx.out_degree).map(|p| (p, ())).collect()
-        }
-        fn should_terminate(&self, terminal_state: &FloodState) -> bool {
-            terminal_state.received >= self.needed
-        }
-    }
 
     #[test]
     fn rounds_equal_graph_depth_on_a_path() {

@@ -7,10 +7,12 @@
 
 use anet_graph::{EdgeId, NodeId};
 
+use crate::observer::TraceDigest;
+
 /// The workspace's stable FNV-1a 64-bit hasher, re-exported from
 /// [`anet_num`].
 ///
-/// It backs [`Trace::digest`], the sweep subsystem's partitioner and file
+/// It backs [`TraceDigest`], the sweep subsystem's partitioner and file
 /// fingerprints, and `anet-graph`'s canonical topology fingerprints. The
 /// hasher lives in `anet-num` (the workspace's root crate) so every layer —
 /// including `anet-graph`, which this crate depends on — shares one set of
@@ -18,7 +20,9 @@ use anet_graph::{EdgeId, NodeId};
 /// `anet_sim::trace::Fnv1a` path working.
 pub use anet_num::Fnv1a;
 
-/// A single transmitted message, recorded at send time.
+/// A single transmitted message, recorded at send time. Observers see it as
+/// a `SendEvent<&M>` that borrows the message
+/// ([`crate::observer::Observer::on_send`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendEvent<M> {
     /// Global sequence number of the send (0 for the root's initial message).
@@ -109,26 +113,20 @@ impl<M> Trace<M> {
         keys
     }
 
-    /// A stable, order-sensitive 64-bit digest of the trace's structure: an
-    /// FNV-1a hash over every event's `(seq, edge, src, dst, bits)` tuple, in
-    /// send order.
+    /// A stable, order-sensitive 64-bit digest of the trace's structure: the
+    /// [`TraceDigest`] of its events, in send order.
     ///
     /// The digest deliberately ignores message *contents* (which may not have a
     /// canonical byte encoding) but covers their wire sizes, so two runs agree
-    /// iff they transmitted the same sizes on the same edges in the same order —
-    /// the fingerprint the sharded sweep subsystem uses to compare runs across
-    /// process boundaries without shipping whole traces. It depends only on
-    /// integer arithmetic, so it is identical across platforms and processes.
+    /// iff they transmitted the same sizes on the same edges in the same order.
+    /// It depends only on integer arithmetic, so it is identical across
+    /// platforms and processes.
     pub fn digest(&self) -> u64 {
-        let mut hash = Fnv1a::new();
-        for e in &self.events {
-            hash.write_u64(e.seq);
-            hash.write_u64(e.edge.index() as u64);
-            hash.write_u64(e.src.index() as u64);
-            hash.write_u64(e.dst.index() as u64);
-            hash.write_u64(e.bits);
+        let mut digest = TraceDigest::new();
+        for event in &self.events {
+            digest.write(event);
         }
-        hash.finish()
+        digest.finish()
     }
 }
 

@@ -3,28 +3,27 @@
 //! identical to the retained queue-forest engine.
 //!
 //! Every property runs the same protocol on the same network twice — once
-//! through [`anet_sim::engine::run_with_config`] (the flat core) and once
+//! through [`anet_sim::engine::run_observed`] (the flat core) and once
 //! through [`anet_sim::reference::run_queue_forest`] (the pre-flat
 //! incremental engine, one `VecDeque` per edge) — with identically
-//! constructed schedulers, and asserts bit-identical results: outcome, full
-//! metrics (wire bits, per-edge counts), termination delivery count,
-//! per-vertex final states, the complete send trace, the delivery order and
-//! the step log. The grid covers the standard scheduler battery × random
-//! seeds × every generator family, plus the corrupted-start, faulty-scheduler
-//! and re-flood recovery entry points.
+//! constructed schedulers and a [`StepLog`] observing each, and asserts
+//! bit-identical results: outcome, full metrics (wire bits, per-edge counts),
+//! termination delivery count, per-vertex final states, the complete send
+//! trace, the step log and the re-flood accounting. The grid covers the
+//! standard scheduler battery × random seeds × every generator family, from
+//! pristine and corrupted starts, under reliable and faulty schedulers, with
+//! and without re-flood recovery.
 
 use anet_graph::generators::{
     chain_gn, layered_dag, path_network, random_cyclic, random_dag, random_grounded_tree,
 };
 use anet_graph::Network;
-use anet_sim::engine::{run_corrupted, run_recovering, run_with_config};
-use anet_sim::reference::{
-    run_queue_forest, run_queue_forest_corrupted, run_queue_forest_recovering,
-};
-use anet_sim::scheduler::standard_battery;
+use anet_sim::engine::run_observed;
+use anet_sim::reference::run_queue_forest;
+use anet_sim::scheduler::{standard_battery, Scheduler};
 use anet_sim::{
-    AnonymousProtocol, ExecutionConfig, FaultPlan, FaultyScheduler, NodeContext, RefloodProtocol,
-    RunConfig, RunResult,
+    AnonymousProtocol, ExecutionConfig, FaultPlan, FaultyScheduler, NodeContext, RecoveredRun,
+    RefloodProtocol, StepLog,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -113,16 +112,26 @@ fn topology(kind: usize, n: usize, seed: u64) -> Network {
     }
 }
 
-/// Asserts every observable field of two runs is identical.
+/// Asserts every observable field of two runs, and their step logs, is
+/// identical.
 fn assert_results_identical<S, M>(
     name: &str,
-    a: &RunResult<S, M>,
-    b: &RunResult<S, M>,
+    (a, log_a): (&RecoveredRun<S, M>, &StepLog),
+    (b, log_b): (&RecoveredRun<S, M>, &StepLog),
 ) -> Result<(), String>
 where
     S: PartialEq + std::fmt::Debug,
     M: PartialEq + std::fmt::Debug,
 {
+    let reflood = |r: &RecoveredRun<S, M>| (r.reflood_rounds, r.reflood_sends, r.reflood_bits);
+    if reflood(a) != reflood(b) {
+        return Err(format!(
+            "[{name}] re-flood rounds, sends and bits {:?} != {:?}",
+            reflood(a),
+            reflood(b)
+        ));
+    }
+    let (a, b) = (&a.result, &b.result);
     if a.outcome != b.outcome {
         return Err(format!(
             "[{name}] outcome {:?} != {:?}",
@@ -144,10 +153,7 @@ where
     if a.states != b.states {
         return Err(format!("[{name}] final vertex states diverge"));
     }
-    if a.delivery_order != b.delivery_order {
-        return Err(format!("[{name}] delivery orders diverge"));
-    }
-    if a.step_log != b.step_log {
+    if log_a != log_b {
         return Err(format!("[{name}] step logs diverge"));
     }
     if a.trace != b.trace {
@@ -165,49 +171,64 @@ where
 }
 
 /// Runs both engines (flat vs queue forest) under identically constructed
-/// schedulers, optionally wrapped in the same fault plan, and asserts
-/// observational equality.
+/// schedulers, optionally wrapped in the same fault plan, from the same
+/// `corrupt`ed start with the same retry budget, and asserts observational
+/// equality.
+#[allow(clippy::too_many_arguments)]
 fn assert_layouts_agree(
     network: &Network,
     protocol: &Chatter,
     battery_seed: u64,
     random_count: usize,
-    run_config: RunConfig,
+    config: ExecutionConfig,
     plan: Option<&FaultPlan>,
+    corrupt: &dyn Fn(&mut [ChatterState]),
+    retry_budget: u32,
 ) -> Result<(), String> {
     let flat = standard_battery(battery_seed, random_count);
     let forest = standard_battery(battery_seed, random_count);
     for (flat_sched, forest_sched) in flat.into_iter().zip(forest) {
         let name = flat_sched.name();
-        let (a, b) = match plan {
-            None => {
-                let mut fa = flat_sched;
-                let mut fb = forest_sched;
-                (
-                    run_with_config(network, protocol, fa.as_mut(), run_config),
-                    run_queue_forest(network, protocol, fb.as_mut(), run_config),
-                )
-            }
-            Some(plan) => {
-                let mut fa = FaultyScheduler::new(flat_sched, plan.clone());
-                let mut fb = FaultyScheduler::new(forest_sched, plan.clone());
-                (
-                    run_with_config(network, protocol, &mut fa, run_config),
-                    run_queue_forest(network, protocol, &mut fb, run_config),
-                )
-            }
+        let (mut fa, mut fb): (Box<dyn Scheduler>, Box<dyn Scheduler>) = match plan {
+            None => (flat_sched, forest_sched),
+            Some(plan) => (
+                Box::new(FaultyScheduler::new(flat_sched, plan.clone())),
+                Box::new(FaultyScheduler::new(forest_sched, plan.clone())),
+            ),
         };
-        assert_results_identical(name, &a, &b)?;
+        let (mut log_a, mut log_b) = (StepLog::new(), StepLog::new());
+        let a = run_observed(
+            network,
+            protocol,
+            fa.as_mut(),
+            config,
+            corrupt,
+            retry_budget,
+            &mut log_a,
+        );
+        let b = run_queue_forest(
+            network,
+            protocol,
+            fb.as_mut(),
+            config,
+            corrupt,
+            retry_budget,
+            &mut log_b,
+        );
+        assert_results_identical(name, (&a, &log_a), (&b, &log_b))?;
     }
     Ok(())
 }
+
+/// The pristine start.
+fn no_corruption(_: &mut [ChatterState]) {}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The flagship property: across every topology family, scheduler in the
     /// battery and seed, the flat and queue-forest engines produce identical
-    /// traces, metrics, states, outcomes, delivery orders and step logs.
+    /// traces, metrics, states, outcomes and step logs.
     #[test]
     fn layouts_agree_across_battery_topologies_and_seeds(
         kind in 0usize..6,
@@ -224,8 +245,10 @@ proptest! {
             &protocol,
             battery_seed,
             3,
-            RunConfig::with_delivery_order(ExecutionConfig::with_trace()),
+            ExecutionConfig::with_trace(),
             None,
+            &no_corruption,
+            0,
         );
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
@@ -256,8 +279,10 @@ proptest! {
             &protocol,
             battery_seed,
             2,
-            RunConfig::with_delivery_order(ExecutionConfig::with_trace()),
+            ExecutionConfig::with_trace(),
             Some(&plan),
+            &no_corruption,
+            0,
         );
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
@@ -279,8 +304,10 @@ proptest! {
             &protocol,
             battery_seed,
             2,
-            RunConfig::with_delivery_order(config),
+            config,
             None,
+            &no_corruption,
+            0,
         );
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
@@ -304,16 +331,17 @@ proptest! {
                 }
             }
         };
-        let flat = standard_battery(battery_seed, 2);
-        let forest = standard_battery(battery_seed, 2);
-        let config = RunConfig::with_delivery_order(ExecutionConfig::with_trace());
-        for (mut fa, mut fb) in flat.into_iter().zip(forest) {
-            let name = fa.name();
-            let a = run_corrupted(&network, &protocol, fa.as_mut(), config, corrupt);
-            let b = run_queue_forest_corrupted(&network, &protocol, fb.as_mut(), config, corrupt);
-            let verdict = assert_results_identical(name, &a, &b);
-            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
-        }
+        let verdict = assert_layouts_agree(
+            &network,
+            &protocol,
+            battery_seed,
+            2,
+            ExecutionConfig::with_trace(),
+            None,
+            &corrupt,
+            0,
+        );
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
     /// The re-flood recovery path: both layouts fire the same rounds and
@@ -331,20 +359,16 @@ proptest! {
         let network = topology(kind, n, topo_seed);
         let protocol = Chatter { fanout_rounds: 2, needed: 3 };
         let plan = FaultPlan::reliable().with_drops(drops).with_seed(fault_seed);
-        let flat = standard_battery(battery_seed, 2);
-        let forest = standard_battery(battery_seed, 2);
-        let config = RunConfig::with_delivery_order(ExecutionConfig::with_trace());
-        for (flat_sched, forest_sched) in flat.into_iter().zip(forest) {
-            let mut fa = FaultyScheduler::new(flat_sched, plan.clone());
-            let mut fb = FaultyScheduler::new(forest_sched, plan.clone());
-            let a = run_recovering(&network, &protocol, &mut fa, config, retry_budget);
-            let b = run_queue_forest_recovering(&network, &protocol, &mut fb, config, retry_budget);
-            let name = fa.inner().name();
-            prop_assert_eq!(a.reflood_rounds, b.reflood_rounds, "[{}] rounds", name);
-            prop_assert_eq!(a.reflood_sends, b.reflood_sends, "[{}] sends", name);
-            prop_assert_eq!(a.reflood_bits, b.reflood_bits, "[{}] bits", name);
-            let verdict = assert_results_identical(name, &a.result, &b.result);
-            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
-        }
+        let verdict = assert_layouts_agree(
+            &network,
+            &protocol,
+            battery_seed,
+            2,
+            ExecutionConfig::with_trace(),
+            Some(&plan),
+            &no_corruption,
+            retry_budget,
+        );
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 }

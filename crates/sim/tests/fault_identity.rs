@@ -4,7 +4,7 @@
 //!
 //! 1. **Zero-fault transparency** — wrapping any battery scheduler in a
 //!    [`FaultyScheduler`] with [`FaultPlan::reliable`] produces bit-identical
-//!    outcomes, metrics, traces, final states and delivery orders to the
+//!    outcomes, metrics, traces, final states and step logs to the
 //!    unwrapped scheduler, on both engines. The fault layer costs nothing
 //!    when it does nothing.
 //! 2. **Engine equivalence under faults** — a lossy plan drives the
@@ -21,10 +21,12 @@
 
 use anet_graph::generators::{chain_gn, layered_dag, random_cyclic};
 use anet_graph::{Network, NodeId};
-use anet_sim::engine::{run_with_config, ExecutionConfig, RunConfig};
+use anet_sim::engine::{run, run_observed, ExecutionConfig, RunResult};
 use anet_sim::reference::run_full_scan;
-use anet_sim::scheduler::standard_battery;
-use anet_sim::{AnonymousProtocol, FaultPlan, FaultyScheduler, NodeContext, Outcome};
+use anet_sim::scheduler::{standard_battery, Scheduler};
+use anet_sim::{
+    AnonymousProtocol, FaultPlan, FaultyScheduler, NodeContext, Outcome, RefloodProtocol, StepLog,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -86,6 +88,24 @@ impl AnonymousProtocol for Chatter {
     }
 }
 
+impl RefloodProtocol for Chatter {
+    fn reflood(&self, _ctx: &NodeContext, _state: &ChatterState) -> Vec<(usize, u64)> {
+        Vec::new()
+    }
+}
+
+/// A traced run of `protocol` under `scheduler`, with its step log.
+fn logged_run(
+    net: &Network,
+    protocol: &Chatter,
+    scheduler: &mut dyn Scheduler,
+) -> (RunResult<ChatterState, u64>, StepLog) {
+    let mut log = StepLog::new();
+    let config = ExecutionConfig::with_trace();
+    let run = run_observed(net, protocol, scheduler, config, |_| {}, 0, &mut log);
+    (run.result, log)
+}
+
 fn topologies() -> Vec<Network> {
     let mut rng = StdRng::seed_from_u64(0xFA01);
     vec![
@@ -101,23 +121,19 @@ fn reliable_plan_is_bit_identical_to_the_unwrapped_scheduler() {
         fanout_rounds: 3,
         needed: 4,
     };
-    let config = RunConfig::with_delivery_order(ExecutionConfig::with_trace());
     for net in topologies() {
         let plain = standard_battery(23, 3);
         let wrapped = standard_battery(23, 3);
         for (mut plain, inner) in plain.into_iter().zip(wrapped) {
-            let baseline = run_with_config(&net, &protocol, plain.as_mut(), config);
+            let (baseline, baseline_log) = logged_run(&net, &protocol, plain.as_mut());
             let mut faulty = FaultyScheduler::new(inner, FaultPlan::reliable());
-            let shadowed = run_with_config(&net, &protocol, &mut faulty, config);
+            let (shadowed, shadowed_log) = logged_run(&net, &protocol, &mut faulty);
             let name = plain.name();
             assert_eq!(shadowed.outcome, baseline.outcome, "scheduler {name}");
             assert_eq!(shadowed.metrics, baseline.metrics, "scheduler {name}");
             assert_eq!(shadowed.states, baseline.states, "scheduler {name}");
             assert_eq!(shadowed.trace, baseline.trace, "scheduler {name}");
-            assert_eq!(
-                shadowed.delivery_order, baseline.delivery_order,
-                "scheduler {name}"
-            );
+            assert_eq!(shadowed_log, baseline_log, "scheduler {name}");
             assert_eq!(
                 shadowed.deliveries_at_termination, baseline.deliveries_at_termination,
                 "scheduler {name}"
@@ -145,12 +161,7 @@ fn both_engines_agree_under_a_lossy_plan_across_the_battery() {
         for (inc, full) in incremental.into_iter().zip(reference) {
             let mut a = FaultyScheduler::new(inc, plan.clone());
             let mut b = FaultyScheduler::new(full, plan.clone());
-            let x = run_with_config(
-                &net,
-                &protocol,
-                &mut a,
-                RunConfig::from(ExecutionConfig::with_trace()),
-            );
+            let x = run(&net, &protocol, &mut a, ExecutionConfig::with_trace());
             let y = run_full_scan(&net, &protocol, &mut b, ExecutionConfig::with_trace());
             let name = a.inner().name();
             assert_eq!(x.outcome, y.outcome, "scheduler {name}");
@@ -179,12 +190,7 @@ fn quiescent_faulty_runs_conserve_messages() {
         let mut saw_fault = false;
         for inner in standard_battery(41, 3) {
             let mut faulty = FaultyScheduler::new(inner, plan.clone());
-            let run = run_with_config(
-                &net,
-                &protocol,
-                &mut faulty,
-                RunConfig::from(ExecutionConfig::with_trace()),
-            );
+            let run = run(&net, &protocol, &mut faulty, ExecutionConfig::with_trace());
             assert_eq!(run.outcome, Outcome::Quiescent);
             let m = &run.metrics;
             assert_eq!(
@@ -223,19 +229,14 @@ fn drop_budget_bounds_the_adversary() {
         .zip(standard_battery(3, 2))
     {
         let mut plain = plain;
-        let baseline = run_with_config(
+        let baseline = run(
             &net,
             &protocol,
             plain.as_mut(),
-            RunConfig::from(ExecutionConfig::with_trace()),
+            ExecutionConfig::with_trace(),
         );
         let mut faulty = FaultyScheduler::new(inner, disarmed.clone());
-        let run = run_with_config(
-            &net,
-            &protocol,
-            &mut faulty,
-            RunConfig::from(ExecutionConfig::with_trace()),
-        );
+        let run = run(&net, &protocol, &mut faulty, ExecutionConfig::with_trace());
         let name = plain.name();
         assert_eq!(run.metrics, baseline.metrics, "scheduler {name}");
         assert_eq!(run.trace, baseline.trace, "scheduler {name}");
@@ -247,12 +248,7 @@ fn drop_budget_bounds_the_adversary() {
     let scorched = FaultPlan::reliable().with_drops(100).with_seed(1);
     for inner in standard_battery(3, 2) {
         let mut faulty = FaultyScheduler::new(inner, scorched.clone());
-        let run = run_with_config(
-            &net,
-            &protocol,
-            &mut faulty,
-            RunConfig::from(ExecutionConfig::default()),
-        );
+        let run = run(&net, &protocol, &mut faulty, ExecutionConfig::default());
         let name = faulty.inner().name();
         assert_eq!(run.outcome, Outcome::Quiescent, "scheduler {name}");
         assert_eq!(run.metrics.messages_delivered, 0, "scheduler {name}");
@@ -278,7 +274,6 @@ fn fault_plan_boundaries_replay_bit_identically() {
     };
     use anet_sim::scheduler::SchedulerAction;
 
-    let config = RunConfig::with_delivery_order(ExecutionConfig::with_trace());
     let chain = chain_gn(5).expect("valid");
     // A diamond with a relay (s → a, a → {v, u}, u → v, v → t): under FIFO,
     // v receives at steps 1 and 3, bracketing a one-step crash window.
@@ -314,22 +309,21 @@ fn fault_plan_boundaries_replay_bit_identically() {
         ("reorder wider than any queue", &wide_reorder, &busy),
     ] {
         let mut faulty = FaultyScheduler::new(FifoScheduler::new(), plan.clone());
-        let run = run_with_config(net, &protocol, &mut faulty, config);
-        let steps = run.step_log.clone().expect("step log requested");
-        let mut replay = ReplayScheduler::with_steps(steps);
-        let again = run_with_config(net, &protocol, &mut replay, config);
+        let (run, log) = logged_run(net, &protocol, &mut faulty);
+        let mut replay = ReplayScheduler::with_steps(log.steps().to_vec());
+        let (again, again_log) = logged_run(net, &protocol, &mut replay);
         assert_eq!(again.outcome, run.outcome, "{label}");
         assert_eq!(again.metrics, run.metrics, "{label}");
         assert_eq!(again.states, run.states, "{label}");
         assert_eq!(again.trace, run.trace, "{label}");
-        assert_eq!(again.delivery_order, run.delivery_order, "{label}");
+        assert_eq!(again_log, log, "{label}");
     }
 
     // Boundary 1: `from == until` is empty — the node is never down, and the
     // run equals the reliable baseline exactly.
-    let baseline = run_with_config(&chain, &protocol, &mut FifoScheduler::new(), config);
+    let (baseline, _) = logged_run(&chain, &protocol, &mut FifoScheduler::new());
     let mut faulty = FaultyScheduler::new(FifoScheduler::new(), empty_window);
-    let run = run_with_config(&chain, &protocol, &mut faulty, config);
+    let (run, _) = logged_run(&chain, &protocol, &mut faulty);
     assert_eq!(run.metrics, baseline.metrics);
     assert_eq!(run.trace, baseline.trace);
     assert_eq!(run.metrics.crashed_deliveries, 0);
@@ -337,13 +331,13 @@ fn fault_plan_boundaries_replay_bit_identically() {
     // Boundary 2: the window is half-open — `[1, 2)` consumes exactly the
     // step 1 delivery into v and nothing at the `until` step itself.
     let mut faulty = FaultyScheduler::new(FifoScheduler::new(), edge_window);
-    let run = run_with_config(&diamond, &protocol, &mut faulty, config);
+    let (run, log) = logged_run(&diamond, &protocol, &mut faulty);
     assert_eq!(run.metrics.crashed_deliveries, 1);
     assert_eq!(
         run.metrics.messages_delivered, 4,
         "a, u, v (again) and t all hear traffic outside the window"
     );
-    let steps = run.step_log.as_ref().expect("step log requested");
+    let steps = log.steps();
     assert_eq!(
         steps[1].1,
         SchedulerAction::NodeDown,
@@ -359,9 +353,9 @@ fn fault_plan_boundaries_replay_bit_identically() {
     // Boundary 3: the two-drop budget is spent mid-run — deliveries continue
     // after the last drop the budget allowed.
     let mut faulty = FaultyScheduler::new(FifoScheduler::new(), mid_budget);
-    let run = run_with_config(&busy, &protocol, &mut faulty, config);
+    let (run, log) = logged_run(&busy, &protocol, &mut faulty);
     assert_eq!(run.metrics.messages_dropped, 2, "budget caps the drops");
-    let steps = run.step_log.as_ref().expect("step log requested");
+    let steps = log.steps();
     let last_drop = steps
         .iter()
         .rposition(|(_, action)| *action == SchedulerAction::Drop)
@@ -375,7 +369,7 @@ fn fault_plan_boundaries_replay_bit_identically() {
     // Boundary 4: a reorder window far beyond any queue length clamps to the
     // queue and still conserves every message.
     let mut faulty = FaultyScheduler::new(FifoScheduler::new(), wide_reorder);
-    let run = run_with_config(&busy, &protocol, &mut faulty, config);
+    let (run, _) = logged_run(&busy, &protocol, &mut faulty);
     let m = &run.metrics;
     assert_eq!(
         m.messages_sent + m.messages_duplicated,
@@ -396,15 +390,10 @@ fn crashed_node_loses_messages_but_recovers_with_state_intact() {
     let net = chain_gn(4).expect("valid");
     let crashed = FaultPlan::reliable().with_crash(NodeId(1), 0, u64::MAX);
     let mut faulty = FaultyScheduler::new(anet_sim::scheduler::FifoScheduler::new(), crashed);
-    let run = run_with_config(
-        &net,
-        &protocol,
-        &mut faulty,
-        RunConfig::from(ExecutionConfig::default()),
-    );
-    assert_eq!(run.outcome, Outcome::Quiescent);
-    assert_eq!(run.metrics.crashed_deliveries, 1);
-    assert_eq!(run.metrics.messages_delivered, 0);
+    let stalled = run(&net, &protocol, &mut faulty, ExecutionConfig::default());
+    assert_eq!(stalled.outcome, Outcome::Quiescent);
+    assert_eq!(stalled.metrics.crashed_deliveries, 1);
+    assert_eq!(stalled.metrics.messages_delivered, 0);
 
     // A bounded window recovers: the crash consumes the first message, but a
     // recovered vertex keeps its (initial) state and handles nothing more —
@@ -412,12 +401,7 @@ fn crashed_node_loses_messages_but_recovers_with_state_intact() {
     // only if traffic arrives after `until`.
     let windowed = FaultPlan::reliable().with_crash(NodeId(1), 0, 1);
     let mut faulty = FaultyScheduler::new(anet_sim::scheduler::FifoScheduler::new(), windowed);
-    let run = run_with_config(
-        &net,
-        &protocol,
-        &mut faulty,
-        RunConfig::from(ExecutionConfig::default()),
-    );
-    assert_eq!(run.metrics.crashed_deliveries, 1);
-    assert_eq!(run.outcome, Outcome::Quiescent);
+    let windowed = run(&net, &protocol, &mut faulty, ExecutionConfig::default());
+    assert_eq!(windowed.metrics.crashed_deliveries, 1);
+    assert_eq!(windowed.outcome, Outcome::Quiescent);
 }

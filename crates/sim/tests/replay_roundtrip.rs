@@ -1,19 +1,19 @@
 //! Delivery-order capture → replay round-trip.
 //!
 //! Traces record *sends*; the asynchronous adversary is defined by the
-//! *delivery* order. With [`RunConfig::record_delivery_order`] the incremental
-//! engine captures the exact edge sequence it delivered, and feeding that
-//! sequence to a [`ReplayScheduler`] must reproduce the run bit-identically —
-//! outcome, metrics, termination point, final states, full send trace, and the
-//! delivery order itself. The grid covers deterministic and random schedulers
-//! over acyclic and cyclic topologies, through both engines.
+//! *delivery* order. A [`StepLog`] observing the incremental engine captures
+//! the exact edge sequence it delivered, and feeding that sequence to a
+//! [`ReplayScheduler`] must reproduce the run bit-identically — outcome,
+//! metrics, termination point, final states, full send trace, and the step
+//! log itself. The grid covers deterministic and random schedulers over
+//! acyclic and cyclic topologies, through both engines.
 
 use anet_graph::generators::{chain_gn, layered_dag, random_cyclic};
 use anet_graph::Network;
-use anet_sim::engine::{run_with_config, ExecutionConfig, RunConfig};
+use anet_sim::engine::{run_observed, ExecutionConfig, RunResult};
 use anet_sim::reference::run_full_scan;
-use anet_sim::scheduler::ReplayScheduler;
-use anet_sim::{AnonymousProtocol, NodeContext};
+use anet_sim::scheduler::{ReplayScheduler, Scheduler};
+use anet_sim::{AnonymousProtocol, NodeContext, RefloodProtocol, StepLog};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -75,6 +75,24 @@ impl AnonymousProtocol for Chatter {
     }
 }
 
+impl RefloodProtocol for Chatter {
+    fn reflood(&self, _ctx: &NodeContext, _state: &ChatterState) -> Vec<(usize, u64)> {
+        Vec::new()
+    }
+}
+
+/// A traced run of `protocol` under `scheduler`, with its step log.
+fn logged_run(
+    net: &Network,
+    protocol: &Chatter,
+    scheduler: &mut dyn Scheduler,
+) -> (RunResult<ChatterState, u64>, StepLog) {
+    let mut log = StepLog::new();
+    let config = ExecutionConfig::with_trace();
+    let run = run_observed(net, protocol, scheduler, config, |_| {}, 0, &mut log);
+    (run.result, log)
+}
+
 fn topologies() -> Vec<Network> {
     let mut rng = StdRng::seed_from_u64(0xD0D0);
     vec![
@@ -90,14 +108,10 @@ fn captured_delivery_order_replays_bit_identically() {
         fanout_rounds: 3,
         needed: 4,
     };
-    let capture_config = RunConfig::with_delivery_order(ExecutionConfig::with_trace());
     for net in topologies() {
         for mut scheduler in anet_sim::scheduler::standard_battery(99, 3) {
-            let original = run_with_config(&net, &protocol, scheduler.as_mut(), capture_config);
-            let order = original
-                .delivery_order
-                .clone()
-                .expect("delivery order was requested");
+            let (original, log) = logged_run(&net, &protocol, scheduler.as_mut());
+            let order = log.delivery_order();
             assert_eq!(
                 order.len() as u64,
                 original.metrics.messages_delivered,
@@ -106,7 +120,7 @@ fn captured_delivery_order_replays_bit_identically() {
             );
 
             let mut replay = ReplayScheduler::new(order.clone());
-            let replayed = run_with_config(&net, &protocol, &mut replay, capture_config);
+            let (replayed, replayed_log) = logged_run(&net, &protocol, &mut replay);
             assert_eq!(replayed.outcome, original.outcome);
             assert_eq!(replayed.metrics, original.metrics);
             assert_eq!(
@@ -115,7 +129,7 @@ fn captured_delivery_order_replays_bit_identically() {
             );
             assert_eq!(replayed.states, original.states);
             assert_eq!(replayed.trace, original.trace);
-            assert_eq!(replayed.delivery_order, Some(order.clone()));
+            assert_eq!(replayed_log, log);
 
             // The same order is feasible for the full-scan reference engine too
             // and reproduces the identical run there.
@@ -137,9 +151,9 @@ fn captured_delivery_order_replays_bit_identically() {
 /// A faulty run replays bit-identically from its step log: the captured
 /// `(edge, action)` sequence — drops, duplicates, reorders, crash losses and
 /// all — fed to [`ReplayScheduler::with_steps`] reproduces the run without the
-/// fault RNG, on both engines. The plain `delivery_order` is *not* enough for
-/// a faulty run (it only lists effective deliveries); the step log is the
-/// faithful record.
+/// fault RNG, on both engines. The plain [`StepLog::delivery_order`] is *not*
+/// enough for a faulty run (it only lists effective deliveries); the step log
+/// is the faithful record.
 #[test]
 fn faulty_run_replays_bit_identically_from_its_step_log() {
     use anet_sim::{FaultPlan, FaultyScheduler};
@@ -154,38 +168,32 @@ fn faulty_run_replays_bit_identically_from_its_step_log() {
         .with_reorder(3)
         .with_seed(13)
         .with_crash(anet_graph::NodeId(1), 5, 9);
-    let capture_config = RunConfig::with_delivery_order(ExecutionConfig::with_trace());
     for net in topologies() {
         for inner in anet_sim::scheduler::standard_battery(99, 3) {
             let mut faulty = FaultyScheduler::new(inner, plan.clone());
-            let original = run_with_config(&net, &protocol, &mut faulty, capture_config);
+            let (original, log) = logged_run(&net, &protocol, &mut faulty);
             let name = faulty.inner().name();
-            let steps = original.step_log.clone().expect("step log was requested");
-            let order = original
-                .delivery_order
-                .clone()
-                .expect("delivery order was requested");
             // The delivery order lists effective deliveries only; under a
             // lossy plan that is strictly fewer entries than engine steps.
+            let order = log.delivery_order();
             assert_eq!(
                 order.len() as u64,
                 original.metrics.messages_delivered,
                 "scheduler {name}"
             );
-            assert!(steps.len() >= order.len(), "scheduler {name}");
+            assert!(log.steps().len() >= order.len(), "scheduler {name}");
 
-            let mut replay = ReplayScheduler::with_steps(steps.clone());
-            let replayed = run_with_config(&net, &protocol, &mut replay, capture_config);
+            let mut replay = ReplayScheduler::with_steps(log.steps().to_vec());
+            let (replayed, replayed_log) = logged_run(&net, &protocol, &mut replay);
             assert_eq!(replayed.outcome, original.outcome, "scheduler {name}");
             assert_eq!(replayed.metrics, original.metrics, "scheduler {name}");
             assert_eq!(replayed.states, original.states, "scheduler {name}");
             assert_eq!(replayed.trace, original.trace, "scheduler {name}");
-            assert_eq!(replayed.delivery_order, Some(order), "scheduler {name}");
-            assert_eq!(replayed.step_log, Some(steps.clone()), "scheduler {name}");
+            assert_eq!(replayed_log, log, "scheduler {name}");
 
             // The step log drives the full-scan reference engine to the same
             // run as well.
-            let mut replay_full = ReplayScheduler::with_steps(steps);
+            let mut replay_full = ReplayScheduler::with_steps(log.steps().to_vec());
             let full = run_full_scan(
                 &net,
                 &protocol,
@@ -198,20 +206,4 @@ fn faulty_run_replays_bit_identically_from_its_step_log() {
             assert_eq!(full.states, original.states, "scheduler {name}");
         }
     }
-}
-
-#[test]
-fn delivery_order_is_not_recorded_unless_requested() {
-    let protocol = Chatter {
-        fanout_rounds: 1,
-        needed: 1,
-    };
-    let net = chain_gn(4).expect("valid");
-    let res = anet_sim::engine::run(
-        &net,
-        &protocol,
-        &mut anet_sim::scheduler::FifoScheduler::new(),
-        ExecutionConfig::default(),
-    );
-    assert!(res.delivery_order.is_none());
 }

@@ -9,8 +9,9 @@
 //! [`execute_unit`] does it for its one unit and is the per-unit oracle the
 //! differential tests compare the shard paths against. Either way the run
 //! itself is the same crate-private `execute_on`: exactly one cell of the
-//! standard battery via [`anet_sim::runner::run_battery_cell`] with trace
-//! recording on, the protocol's own success check, and a canonical
+//! standard battery under the unit's scenario, in one
+//! [`anet_sim::run_observed`] call whose [`TraceDigest`] hashes the sends as
+//! the run makes them, the protocol's own success check, and a canonical
 //! [`RunRecord`]. Two executions of the same unit — same process, different
 //! process, different host — produce byte-identical records, which is the
 //! invariant the whole shard/merge machinery rests on.
@@ -37,12 +38,12 @@ use anet_core::mapping::{corrupt_mapping_states, mapping_recovered, Mapping};
 use anet_core::{Payload, StateCorruption};
 use anet_graph::canon::{canonical_form, CanonicalForm};
 use anet_graph::Network;
-use anet_sim::engine::{
-    run_corrupted, run_recovering, run_with_config, ExecutionConfig, RunConfig,
-};
-use anet_sim::runner::{run_battery_cell, NamedRun};
+use anet_sim::runner::battery_size;
 use anet_sim::scheduler::standard_battery;
-use anet_sim::{FaultyScheduler, Outcome, RefloodProtocol};
+use anet_sim::{
+    run_observed, ExecutionConfig, FaultyScheduler, Outcome, RefloodProtocol, RunResult,
+    TraceDigest,
+};
 
 use crate::manifest::SweepUnit;
 use crate::record::RunRecord;
@@ -133,19 +134,28 @@ fn canonical(topology: &TopologySpec) -> Result<CanonicalForm, SweepError> {
 /// shard paths are tested against.
 ///
 /// The unit's [`ScenarioSpec`] selects the execution mode: pristine units run
-/// exactly as before scenarios existed ([`run_battery_cell`]); faulty units
-/// wrap the battery scheduler in a [`FaultyScheduler`] whose plan seed is a
-/// pure function of the dedup cluster key ([`ScenarioSpec::fault_plan`]);
-/// corrupted-start units run through [`run_corrupted`] with the protocol's
-/// state perturbation, and their `ok` column is the protocol's *recovery*
-/// predicate. In every mode the record is a pure function of the unit's
-/// equivalence class, so dedup and sharding stay byte-exact.
+/// their battery scheduler as is; faulty units wrap it in a
+/// [`FaultyScheduler`] whose plan seed is a pure function of the dedup
+/// cluster key ([`ScenarioSpec::fault_plan`]), with the scenario's re-flood
+/// retry budget; corrupted-start units perturb the protocol's initial states,
+/// and their `ok` column is the protocol's *recovery* predicate. In every
+/// mode the record is a pure function of the unit's equivalence class, so
+/// dedup and sharding stay byte-exact.
 ///
 /// # Errors
 ///
-/// Returns [`SweepError::Topology`] if the unit's topology parameters are
-/// rejected by the generator (a spec bug, not a runtime condition).
+/// Returns [`SweepError::Spec`] if the unit's battery index is outside the
+/// spec's battery, and [`SweepError::Topology`] if the unit's topology
+/// parameters are rejected by the generator.
 pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, SweepError> {
+    let battery = battery_size(spec.random_schedulers);
+    if unit.battery_index >= battery {
+        return Err(SweepError::Spec(format!(
+            "unit {} has battery index {}, but the spec's battery has {battery} schedulers",
+            unit.key(),
+            unit.battery_index
+        )));
+    }
     let network = canonical(&unit.topology)?
         .to_network()
         .map_err(SweepError::Topology)?;
@@ -155,126 +165,80 @@ pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, Swe
 /// Runs `unit` on `network`, which must be the canonical network of the
 /// unit's topology (a [`TopologyTable`] entry or [`execute_unit`]'s own).
 pub(crate) fn execute_on(spec: &SweepSpec, unit: &SweepUnit, network: &Network) -> RunRecord {
-    let config = RunConfig::from(ExecutionConfig {
-        max_deliveries: spec.max_deliveries,
-        record_trace: true,
-    });
     match &unit.protocol {
-        ProtocolSpec::Mapping => {
-            let protocol = Mapping::new();
-            let named = run_scenario_cell(
-                network,
-                &protocol,
-                config,
-                spec,
-                unit,
-                corrupt_mapping_states,
-            );
-            let ok = named.result.outcome.terminated()
-                && mapping_recovered(network, &named.result.states);
-            distil(unit, &named, ok)
-        }
-        ProtocolSpec::Labeling => {
-            let protocol = Labeling::new();
-            let named = run_scenario_cell(
-                network,
-                &protocol,
-                config,
-                spec,
-                unit,
-                corrupt_labeling_states,
-            );
-            let ok = named.result.outcome.terminated()
-                && labeling_recovered(network, &named.result.states);
-            distil(unit, &named, ok)
-        }
-        ProtocolSpec::GeneralBroadcast { payload_bits } => {
-            let protocol = GeneralBroadcast::new(Payload::synthetic(*payload_bits));
-            let named = run_scenario_cell(
-                network,
-                &protocol,
-                config,
-                spec,
-                unit,
-                corrupt_general_states,
-            );
-            let ok = named.result.outcome.terminated()
-                && general_recovered(network, &named.result.states);
-            distil(unit, &named, ok)
-        }
+        ProtocolSpec::Mapping => run_unit(
+            spec,
+            unit,
+            network,
+            &Mapping::new(),
+            mapping_recovered,
+            corrupt_mapping_states,
+        ),
+        ProtocolSpec::Labeling => run_unit(
+            spec,
+            unit,
+            network,
+            &Labeling::new(),
+            labeling_recovered,
+            corrupt_labeling_states,
+        ),
+        ProtocolSpec::GeneralBroadcast { payload_bits } => run_unit(
+            spec,
+            unit,
+            network,
+            &GeneralBroadcast::new(Payload::synthetic(*payload_bits)),
+            general_recovered,
+            corrupt_general_states,
+        ),
     }
 }
 
-/// Runs one battery cell under the unit's scenario.
+/// Runs the unit's battery cell under its scenario and distils the record.
 ///
-/// The pristine arm is exactly [`run_battery_cell`] — same battery
-/// construction, same scheduler state — so pristine records are byte-identical
-/// to every sweep that predates scenarios. Faulty units with a nonzero retry
-/// budget run through [`run_recovering`] (which is itself bit-identical to the
-/// single-shot engine whenever the fault plan destroys nothing); the re-flood
+/// Every scenario is one [`run_observed`] call: the fault plan (if any) wraps
+/// the battery scheduler, the corruption (if any) perturbs the initial
+/// states, and the retry budget is 0 unless the scenario sets one. Re-flood
 /// traffic lands in the ordinary `sent`/`total_bits` columns, so a retry
 /// record's overhead is directly comparable against its retry-free twin.
-fn run_scenario_cell<P: RefloodProtocol>(
-    network: &Network,
-    protocol: &P,
-    config: RunConfig,
+fn run_unit<P: RefloodProtocol>(
     spec: &SweepSpec,
     unit: &SweepUnit,
-    corrupt: impl FnOnce(&StateCorruption, &Network, &mut [P::State]),
-) -> NamedRun<P::State, P::Message> {
-    match &unit.scenario {
-        ScenarioSpec::Pristine => run_battery_cell(
-            network,
-            protocol,
-            config,
-            unit.seed,
-            spec.random_schedulers,
-            unit.battery_index,
-        ),
-        ScenarioSpec::Faulty { .. } => {
-            let plan = unit
-                .scenario
-                .fault_plan(unit.seed, unit.battery_index)
-                .expect("scenario is faulty");
-            let mut battery = standard_battery(unit.seed, spec.random_schedulers);
-            assert!(
-                unit.battery_index < battery.len(),
-                "battery index {} out of range for battery of {}",
-                unit.battery_index,
-                battery.len()
-            );
-            let inner = battery.remove(unit.battery_index);
-            let scheduler = inner.name();
-            let mut faulty = FaultyScheduler::new(inner, plan);
-            let retry = unit.scenario.retry_budget();
-            let result = if retry > 0 {
-                run_recovering(network, protocol, &mut faulty, config, retry).result
-            } else {
-                run_with_config(network, protocol, &mut faulty, config)
-            };
-            NamedRun { scheduler, result }
-        }
-        ScenarioSpec::Corrupt(corruption) => {
-            let mut battery = standard_battery(unit.seed, spec.random_schedulers);
-            assert!(
-                unit.battery_index < battery.len(),
-                "battery index {} out of range for battery of {}",
-                unit.battery_index,
-                battery.len()
-            );
-            let scheduler = &mut battery[unit.battery_index];
-            NamedRun {
-                scheduler: scheduler.name(),
-                result: run_corrupted(network, protocol, scheduler.as_mut(), config, |states| {
-                    corrupt(corruption, network, states)
-                }),
-            }
-        }
+    network: &Network,
+    protocol: &P,
+    recovered: fn(&Network, &[P::State]) -> bool,
+    corrupt: fn(&StateCorruption, &Network, &mut [P::State]),
+) -> RunRecord {
+    let mut scheduler =
+        standard_battery(unit.seed, spec.random_schedulers).swap_remove(unit.battery_index);
+    if let Some(plan) = unit.scenario.fault_plan(unit.seed, unit.battery_index) {
+        scheduler = Box::new(FaultyScheduler::new(scheduler, plan));
     }
+    let config = ExecutionConfig {
+        max_deliveries: spec.max_deliveries,
+        record_trace: false,
+    };
+    let corrupt_start = |states: &mut [P::State]| {
+        if let ScenarioSpec::Corrupt(corruption) = &unit.scenario {
+            corrupt(corruption, network, states);
+        }
+    };
+    let retry = unit.scenario.retry_budget();
+    let mut digest = TraceDigest::new();
+    let run = run_observed(
+        network,
+        protocol,
+        scheduler.as_mut(),
+        config,
+        corrupt_start,
+        retry,
+        &mut digest,
+    )
+    .result;
+    let ok = run.outcome.terminated() && recovered(network, &run.states);
+    distil(unit, &run, ok, digest.finish())
 }
 
-fn distil<S, M>(unit: &SweepUnit, named: &NamedRun<S, M>, ok: bool) -> RunRecord {
-    let result = &named.result;
+fn distil<S, M>(unit: &SweepUnit, result: &RunResult<S, M>, ok: bool, digest: u64) -> RunRecord {
     // A quiescent run that lost messages to the adversary did not merely run
     // out of work — it was starved: the faults destroyed traffic the protocol
     // needed. First-class outcome so fault sweeps can count starvation apart
@@ -304,11 +268,7 @@ fn distil<S, M>(unit: &SweepUnit, named: &NamedRun<S, M>, ok: bool) -> RunRecord
         dropped: result.metrics.messages_dropped,
         duplicated: result.metrics.messages_duplicated,
         crashed: result.metrics.crashed_deliveries,
-        trace_digest: result
-            .trace
-            .as_ref()
-            .expect("sweep runs always record traces")
-            .digest(),
+        trace_digest: digest,
     }
 }
 
@@ -483,6 +443,16 @@ mod tests {
         unit.topology = TopologySpec::ChainGn { n: 0 };
         let err = execute_unit(&spec, &unit).expect_err("degenerate chain");
         assert!(err.to_string().contains("chain"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_battery_index_is_a_spec_error() {
+        let spec = spec();
+        let mut unit = Manifest::from_spec(&spec).units[0].clone();
+        unit.battery_index = battery_size(spec.random_schedulers);
+        let err = execute_unit(&spec, &unit).expect_err("index past the battery");
+        assert!(matches!(err, SweepError::Spec(_)), "{err}");
+        assert!(err.to_string().contains("battery index"), "{err}");
     }
 
     #[test]

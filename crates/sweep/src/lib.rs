@@ -31,13 +31,14 @@
 //!    and canonicalized once ([`anet_graph::canon`]), its form interned to a
 //!    dense id and rebuilt into the canonical network its units run on.
 //!    Clustering and execution share that table. Each unit runs one cell of
-//!    the standard battery ([`anet_sim::runner::run_battery_cell`], wrapped in
-//!    the unit's fault plan or corrupted start when the scenario is
-//!    adversarial) with trace recording, applies the protocol's success *and
+//!    the standard battery (wrapped in the unit's fault plan or corrupted
+//!    start when the scenario is adversarial) in one
+//!    [`anet_sim::run_observed`] call, applies the protocol's success *and
 //!    recovery* checks, and emits a canonical JSONL [`RunRecord`] (outcome —
 //!    including `starved` for fault-killed quiescence — metrics, wire-bit
-//!    totals, adversary counters and the stable
-//!    [`anet_sim::trace::Trace::digest`]). [`execute_unit`] runs one unit the
+//!    totals, adversary counters and the stable trace digest, which an
+//!    [`anet_sim::TraceDigest`] observer computes as the run sends, without
+//!    keeping the trace). [`execute_unit`] runs one unit the
 //!    same way on a network it builds and canonicalizes itself: the per-unit
 //!    oracle the shard paths are tested against. Records are pure functions
 //!    of their units: any process, any time, same bytes.
