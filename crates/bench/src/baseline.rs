@@ -25,7 +25,7 @@ use anet_sim::engine::{run, run_recovering, ExecutionConfig, RunResult};
 use anet_sim::scheduler::FifoScheduler;
 use anet_sim::{FaultPlan, FaultyScheduler, Outcome, RefloodProtocol};
 
-use crate::{mapping_flood_workloads, recovery_workloads, striped_union, Workload};
+use crate::{mapping_flood_workloads, recovery_workloads, striped_union, Endpoints, Workload};
 
 /// Sampling effort for [`median_ns`].
 #[derive(Debug, Clone, Copy)]
@@ -389,6 +389,8 @@ const INTERVAL_SIZES: &[usize] = &[10, 100, 1_000, 10_000];
 const DELTA_STATE_SIZES: &[usize] = &[100, 1_000, 10_000];
 /// Timed in-place unions per sample of a delta-versus-state row.
 const DELTA_UNION_ITERS: usize = 64;
+/// Intervals of the delta the shared-state rows merge.
+const SHARED_DELTA_INTERVALS: usize = 8;
 /// The quadratic reference difference is only timed up to this size.
 const REFERENCE_DIFFERENCE_CAP: usize = 1_000;
 
@@ -399,27 +401,31 @@ type SetOp = fn(&IntervalUnion, &IntervalUnion) -> IntervalUnion;
 /// stripings (the merge collapses everything), `intersection` and
 /// `difference` run over half-overlapping stripings that fragment into one
 /// piece per stripe.
-fn interval_operands(op: &str, n: usize, heap: bool) -> (IntervalUnion, IntervalUnion) {
+fn interval_operands(op: &str, n: usize, endpoints: Endpoints) -> (IntervalUnion, IntervalUnion) {
     if op == "union" {
         (
-            striped_union(n, 2, 0, 1, heap),
-            striped_union(n, 2, 1, 1, heap),
+            striped_union(n, 2, 0, 1, endpoints),
+            striped_union(n, 2, 1, 1, endpoints),
         )
     } else {
         (
-            striped_union(n, 4, 0, 2, heap),
-            striped_union(n, 4, 1, 2, heap),
+            striped_union(n, 4, 0, 2, endpoints),
+            striped_union(n, 4, 1, 2, endpoints),
         )
     }
 }
 
 /// `BENCH_interval_algebra.json`: the interval-algebra fast paths versus the
 /// retained reference implementations over the striped workload sweep, with
-/// inline and heap endpoints, then the per-delivery shape
+/// each endpoint class of [`Endpoints`] (`inline` and `heap` are stored as
+/// fixed-point words, `exact` as dyadics), then the per-delivery shape
 /// ([`crate::delta_operands`]): a one-interval delta merged into an unshared
 /// state in place (`union_in_place/delta`) and carved by it
 /// (`difference/delta`, the delta minus the state), against states of 100 to
-/// 10 000 intervals.
+/// 10 000 intervals. Last, the copy-on-write detach path
+/// (`union_in_place/shared`): an 8-interval delta merged into an O(1)
+/// `clone()` of a state of 10 to 10 000 intervals, which copies the state's
+/// buffer before writing.
 ///
 /// With `cfg.cross_check`, every operation is checked equal to its reference
 /// on its operands before they are timed.
@@ -450,8 +456,9 @@ pub fn interval_algebra_baseline(cfg: &SampleConfig) -> Baseline {
     let mut rows = Vec::new();
     for &(op, fast, slow) in ops {
         for &n in INTERVAL_SIZES {
-            for (heap, repr) in [(false, "inline"), (true, "heap")] {
-                let (a, b) = interval_operands(op, n, heap);
+            for endpoints in Endpoints::ALL {
+                let repr = endpoints.name();
+                let (a, b) = interval_operands(op, n, endpoints);
                 if cfg.cross_check {
                     assert_eq!(fast(&a, &b), slow(&a, &b), "fast/reference divergence");
                 }
@@ -470,8 +477,9 @@ pub fn interval_algebra_baseline(cfg: &SampleConfig) -> Baseline {
     }
 
     for &n in DELTA_STATE_SIZES {
-        for (heap, repr) in [(false, "inline"), (true, "heap")] {
-            let (state, delta) = crate::delta_operands(n, heap);
+        for endpoints in Endpoints::ALL {
+            let repr = endpoints.name();
+            let (state, delta) = crate::delta_operands(n, endpoints);
             if cfg.cross_check {
                 let mut merged = state.deep_clone();
                 assert!(merged.union_in_place(&delta));
@@ -511,6 +519,28 @@ pub fn interval_algebra_baseline(cfg: &SampleConfig) -> Baseline {
             for (op, implementation, median_ns) in timed {
                 rows.push(row(op, implementation, repr, n, median_ns));
             }
+        }
+    }
+
+    for &n in INTERVAL_SIZES {
+        for endpoints in Endpoints::ALL {
+            let state = striped_union(n, 4, 0, 1, endpoints);
+            let delta = striped_union(SHARED_DELTA_INTERVALS, 4, 2, 1, endpoints);
+            if cfg.cross_check {
+                let mut merged = state.clone();
+                assert!(merged.union_in_place(&delta));
+                assert!(!merged.shares_storage_with(&state));
+                assert_eq!(merged, num_reference::union(&state, &delta));
+            }
+            // The clone is an O(1) handle: the merge detaches it from `state`.
+            let detach_ns = median_ns(cfg, || state.clone().union_in_place(&delta));
+            rows.push(row(
+                "union_in_place/shared",
+                "fast",
+                endpoints.name(),
+                n,
+                detach_ns,
+            ));
         }
     }
 
@@ -1224,7 +1254,7 @@ pub fn scaling_baseline(cfg: &SampleConfig) -> Baseline {
     // The interner's hash map under the in-repo FNV-1a hasher (its default
     // since the swap) versus std's SipHash, over label union keys shaped like
     // the mapping table's.
-    let keys: Vec<IntervalUnion> = striped_union(512, 2, 0, 1, true)
+    let keys: Vec<IntervalUnion> = striped_union(512, 2, 0, 1, Endpoints::Heap)
         .iter()
         .map(IntervalUnion::from)
         .collect();

@@ -193,30 +193,29 @@ pub fn f3(x: f64) -> String {
 /// `stride = 2, len = 1`) merge into a single interval; at `stride = 4,
 /// len = 2` they produce `count` intersection/difference fragments.
 ///
-/// `heap_endpoints` selects endpoint representation: `false` keeps every
-/// endpoint mantissa inline (≤ 64 bits), `true` widens each endpoint with 70
-/// extra low-order bits so every mantissa spills to the heap `BigUint` path.
+/// `endpoints` selects the endpoint class (see [`Endpoints`]).
 pub fn striped_union(
     count: usize,
     stride: u64,
     offset: u64,
     len: u64,
-    heap_endpoints: bool,
+    endpoints: Endpoints,
 ) -> anet_num::IntervalUnion {
     use anet_num::{BigUint, Dyadic, Interval, IntervalUnion};
     assert!(stride > 0 && len > 0, "degenerate striping");
     let span = count as u64 * stride + offset + len + 1;
     let k = 64 - span.leading_zeros(); // ceil(log2(span + 1)) for span >= 1
     let endpoint = |cell: u64| -> Dyadic {
-        if heap_endpoints {
-            // Widen the mantissa far past a machine word while keeping the
-            // stripes ordered and disjoint; the 2^65 + 1 tail keeps even the
-            // cell-0 endpoint above the inline limit (and the mantissa odd).
-            let widened = &(&(BigUint::from(cell) << 70) + &BigUint::pow2(65)) + &BigUint::one();
-            Dyadic::from_parts(widened, k + 70)
-        } else {
-            Dyadic::from_u64_parts(cell, k)
-        }
+        let widen = match endpoints {
+            Endpoints::Inline => return Dyadic::from_u64_parts(cell, k),
+            Endpoints::Heap => 70,
+            Endpoints::Exact => 130,
+        };
+        // Widen the mantissa far past a machine word while keeping the
+        // stripes ordered and disjoint; the 2^(widen - 5) + 1 tail keeps even
+        // the cell-0 endpoint above the inline limit (and the mantissa odd).
+        let tail = &BigUint::pow2(widen - 5) + &BigUint::one();
+        Dyadic::from_parts(&(BigUint::from(cell) << widen) + &tail, k + widen)
     };
     IntervalUnion::from_intervals((0..count as u64).map(|i| {
         let lo = i * stride + offset;
@@ -224,18 +223,47 @@ pub fn striped_union(
     }))
 }
 
+/// The endpoint classes of [`striped_union`], named by their baseline rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Endpoints {
+    /// Grid values: inline `Dyadic` mantissas, stored by an `IntervalUnion`
+    /// as fixed-point words.
+    Inline,
+    /// Grid values widened by 70 low-order bits: heap `Dyadic` mantissas of
+    /// 65–84 bits, still stored as words (at most 127 fractional bits).
+    Heap,
+    /// Grid values widened by 130 low-order bits: past 127 fractional bits,
+    /// so the union is stored as exact dyadics.
+    Exact,
+}
+
+impl Endpoints {
+    /// Every class, in baseline row order.
+    pub const ALL: [Endpoints; 3] = [Endpoints::Inline, Endpoints::Heap, Endpoints::Exact];
+
+    /// The class's name in baseline rows.
+    pub fn name(self) -> &'static str {
+        match self {
+            Endpoints::Inline => "inline",
+            Endpoints::Heap => "heap",
+            Endpoints::Exact => "exact",
+        }
+    }
+}
+
 /// The per-delivery shape of the interval protocols: a state of `count`
-/// stripes (`striped_union(count, 4, 0, 2, heap)`, width 2 cells with gaps
-/// of 2) and a one-interval delta near its middle that overlaps one stripe
-/// and reaches into the following gap, so merging it changes the state and
-/// carving it by the state leaves one piece.
+/// stripes (`striped_union(count, 4, 0, 2, endpoints)`, width 2 cells with
+/// gaps of 2) and a one-interval delta near its middle that overlaps one
+/// stripe and reaches into the following gap, so merging it changes the state
+/// and carving it by the state leaves one piece.
 pub fn delta_operands(
     count: usize,
-    heap_endpoints: bool,
+    endpoints: Endpoints,
 ) -> (anet_num::IntervalUnion, anet_num::IntervalUnion) {
-    let state = striped_union(count, 4, 0, 2, heap_endpoints);
-    let middle = state.endpoints().len() / 4 * 2;
-    let (lo, hi) = (&state.endpoints()[middle], &state.endpoints()[middle + 1]);
+    let state = striped_union(count, 4, 0, 2, endpoints);
+    let ends: Vec<anet_num::Dyadic> = state.endpoints().collect();
+    let middle = ends.len() / 4 * 2;
+    let (lo, hi) = (&ends[middle], &ends[middle + 1]);
     // The stripe [lo, hi) has width 2 cells: the delta starts one cell in and
     // ends one cell past the stripe's end, inside the gap.
     let cell = &hi
@@ -277,35 +305,36 @@ mod tests {
 
     #[test]
     fn striped_union_shapes_are_as_documented() {
-        for heap in [false, true] {
-            let evens = striped_union(100, 2, 0, 1, heap);
-            let odds = striped_union(100, 2, 1, 1, heap);
-            assert_eq!(evens.interval_count(), 100, "heap = {heap}");
-            assert_eq!(odds.interval_count(), 100, "heap = {heap}");
-            assert!(!evens.intersects(&odds), "heap = {heap}");
+        for class in Endpoints::ALL {
+            let evens = striped_union(100, 2, 0, 1, class);
+            let odds = striped_union(100, 2, 1, 1, class);
+            assert_eq!(evens.interval_count(), 100, "{class:?}");
+            assert_eq!(odds.interval_count(), 100, "{class:?}");
+            assert!(!evens.intersects(&odds), "{class:?}");
             // Interleaved stripes are all mutually adjacent: the union collapses
             // into one maximal interval (the adversarial all-merge case).
-            assert_eq!(evens.union(&odds).interval_count(), 1, "heap = {heap}");
-            let wide_a = striped_union(50, 4, 0, 2, heap);
-            let wide_b = striped_union(50, 4, 1, 2, heap);
+            assert_eq!(evens.union(&odds).interval_count(), 1, "{class:?}");
+            let wide_a = striped_union(50, 4, 0, 2, class);
+            let wide_b = striped_union(50, 4, 1, 2, class);
             assert_eq!(wide_a.intersection(&wide_b).interval_count(), 50);
             assert_eq!(wide_a.difference(&wide_b).interval_count(), 50);
             for iv in evens.iter() {
-                assert_eq!(iv.lo().is_inline(), !heap);
-                assert_eq!(iv.hi().is_inline(), !heap);
+                assert_eq!(iv.lo().is_inline(), class == Endpoints::Inline);
+                assert_eq!(iv.hi().is_inline(), class == Endpoints::Inline);
             }
+            assert_eq!(evens.is_word_sized(), class != Endpoints::Exact);
         }
     }
 
     #[test]
     fn delta_operands_change_the_state_and_leave_one_piece() {
-        for heap in [false, true] {
-            let (state, delta) = delta_operands(100, heap);
+        for class in Endpoints::ALL {
+            let (state, delta) = delta_operands(100, class);
             assert_eq!(state.interval_count(), 100);
             assert_eq!(delta.interval_count(), 1);
             let merged = state.union(&delta);
-            assert_ne!(merged, state, "heap = {heap}");
-            assert_eq!(merged.interval_count(), 100, "heap = {heap}");
+            assert_ne!(merged, state, "{class:?}");
+            assert_eq!(merged.interval_count(), 100, "{class:?}");
             assert_eq!(delta.difference(&state).interval_count(), 1);
             assert_eq!(delta.intersection(&state).interval_count(), 1);
         }

@@ -388,16 +388,19 @@ pub fn labels_unique(network: &Network, labels: &[IntervalUnion]) -> bool {
         if node == network.root() {
             continue;
         }
-        let ends = labels[node.index()].endpoints();
-        if ends.is_empty() {
+        let label = &labels[node.index()];
+        if label.is_empty() {
             return false;
         }
-        intervals.extend(ends.chunks_exact(2).map(|pair| (&pair[0], &pair[1])));
+        let mut ends = label.endpoints();
+        while let (Some(lo), Some(hi)) = (ends.next(), ends.next()) {
+            intervals.push((lo, hi));
+        }
     }
-    intervals.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    intervals.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut reach = None;
     for (lo, hi) in intervals {
-        if reach.is_some_and(|reach| lo < reach) {
+        if reach.as_ref().is_some_and(|reach| &lo < reach) {
             return false;
         }
         reach = reach.max(Some(hi));

@@ -661,9 +661,12 @@ impl AnonymousProtocol for Mapping {
         // 2. Labelling core (note: labels are *not* folded into β here; the vertex
         //    record carries them instead). As in `general_broadcast`, the per-port
         //    α increments and the β increment are computed *before* the state is
-        //    updated, so no `old_alpha`/`old_beta` snapshots are cloned.
+        //    updated, so no `old_alpha`/`old_beta` snapshots are cloned. Only the
+        //    one-time partition gives every port an α increment (`parts[j + 1]`
+        //    for port j); otherwise only port d − 1 can carry fresh mass.
         let was_labeled = state.is_labeled();
-        let mut alpha_deltas: Vec<IntervalUnion> = vec![IntervalUnion::empty(); d];
+        let mut parts: Vec<IntervalUnion> = Vec::new();
+        let mut fresh = IntervalUnion::empty();
         let mut beta_delta = IntervalUnion::empty();
 
         if d == 0 {
@@ -671,24 +674,21 @@ impl AnonymousProtocol for Mapping {
             state.beta.union_in_place(&message.beta);
         } else if !state.partitioned && !message.alpha.is_empty() {
             state.partitioned = true;
-            let parts =
-                canonical_partition_nonempty(&message.alpha, d + 1).expect("d + 1 >= 2 parts");
-            let mut parts = parts.into_iter();
-            state.label = parts.next().expect("partition has d + 1 parts");
+            parts = canonical_partition_nonempty(&message.alpha, d + 1).expect("d + 1 >= 2 parts");
+            state.label = std::mem::take(&mut parts[0]);
             beta_delta = message.beta.clone();
             beta_delta.subtract_assign(&state.beta);
             state.beta.union_in_place(&beta_delta);
-            for (j, part) in parts.enumerate() {
-                debug_assert!(state.alpha[j].is_empty());
-                state.alpha[j] = part.clone();
-                alpha_deltas[j] = part;
+            for (routed, part) in state.alpha.iter_mut().zip(&parts[1..]) {
+                debug_assert!(routed.is_empty());
+                *routed = part.clone();
             }
         } else {
             let mut overlap = message.alpha.intersection(&state.label);
             for routed in &state.alpha {
                 overlap.union_in_place(&message.alpha.intersection(routed));
             }
-            let mut fresh = message.alpha.clone();
+            fresh = message.alpha.clone();
             for routed in &state.alpha[..d - 1] {
                 fresh.subtract_assign(routed);
             }
@@ -701,7 +701,6 @@ impl AnonymousProtocol for Mapping {
             beta_delta.subtract_assign(&state.beta);
             state.beta.union_in_place(&beta_delta);
             state.alpha[d - 1].union_in_place(&fresh);
-            alpha_deltas[d - 1] = fresh;
         }
 
         let just_labeled = !was_labeled && state.is_labeled();
@@ -770,7 +769,12 @@ impl AnonymousProtocol for Mapping {
         drop(table);
         let records = SharedSlice::new(new_ids, records_bits);
 
-        for (j, alpha_delta) in alpha_deltas.into_iter().enumerate() {
+        for j in 0..d {
+            let alpha_delta = match parts.get_mut(j + 1) {
+                Some(part) => std::mem::take(part),
+                None if j == d - 1 => std::mem::take(&mut fresh),
+                None => IntervalUnion::empty(),
+            };
             let announce = if just_labeled {
                 Some(Announce {
                     src: state.own_ref(),

@@ -40,16 +40,24 @@ enum Mantissa {
 /// 2. the mantissa is stored **inline as a `u64`** whenever it fits, and spills
 ///    to a heap-allocated [`BigUint`] only beyond 64 significant bits.
 ///
-/// Invariant 2 is the small-value fast path: interval endpoints produced by
-/// repeated halvings and canonical partitions stay within a machine word for
-/// all practical network depths, so comparisons, `+`, `-` and normalisation
-/// run branch-cheap inline `u64`/`u128` arithmetic and **never allocate**. The
-/// `BigUint` spill path preserves exactness for adversarially deep values, and
-/// comparing a spilled value never allocates either: operands with one
-/// leading-bit position compare their top-aligned mantissa bits a word at a
-/// time. The two representations never coexist for the same value, so
-/// equality and hashing stay value-based. The always-heap implementations are
-/// retained in [`crate::reference`] for differential testing.
+/// Invariant 2 is the small-value fast path: comparisons, `+`, `-` and
+/// normalisation of inline values run branch-cheap `u64`/`u128` arithmetic
+/// and **never allocate**. Interval endpoints do not always stay inline: each
+/// canonical partition appends `O(log d)` bits, so endpoints grow with the
+/// depth of the network. Over the scheduler battery on the `sweep-cyclic`
+/// benchmark networks (random cyclic graphs of 20–50 vertices), 6 % of the
+/// labelling, general-broadcast and mapping sends carry an endpoint of 65 to
+/// 115 bits, and on the paper's chain family `G_n` at `n = 256` endpoints
+/// reach 511 bits. (Inside an [`crate::IntervalUnion`], endpoints of up to
+/// 127 fractional bits are stored as fixed-point words instead, so these
+/// spills happen only where a union is converted back to dyadics.) The
+/// `BigUint` spill path
+/// preserves exactness for arbitrarily deep values, and comparing a spilled
+/// value never allocates: operands with one leading-bit position compare
+/// their top-aligned mantissa bits a word at a time. The two representations
+/// never coexist for the same value, so equality and hashing stay
+/// value-based. The always-heap implementations are retained in
+/// [`crate::reference`] for differential testing.
 ///
 /// # Example
 ///
@@ -137,6 +145,27 @@ impl Dyadic {
             mantissa: Mantissa::Small(mantissa >> reduce),
             exponent: exponent - reduce,
         }
+    }
+
+    /// `self · 2^bits` (for `bits < 128`) when that product is an integer no
+    /// larger than `2^bits`: the value lies in `[0, 1]` and has at most `bits`
+    /// fractional bits. This is the fixed-point word an
+    /// [`crate::IntervalUnion`] stores for such an endpoint.
+    #[inline]
+    pub(crate) fn to_fixed(&self, bits: u32) -> Option<u128> {
+        let shift = bits.checked_sub(self.exponent)?;
+        let m = match &self.mantissa {
+            Mantissa::Small(m) => u128::from(*m),
+            Mantissa::Big(b) => b.to_u128()?,
+        };
+        // m / 2^e <= 1 exactly when m <= 2^e, and then m · 2^shift <= 2^bits.
+        (m <= 1 << self.exponent).then(|| m << shift)
+    }
+
+    /// The value `word / 2^bits`: the inverse of [`Dyadic::to_fixed`].
+    #[inline]
+    pub(crate) fn from_fixed(word: u128, bits: u32) -> Self {
+        Dyadic::from_u128_parts(word, bits)
     }
 
     /// Builds `mantissa / 2^exponent` from a double-word intermediate, spilling

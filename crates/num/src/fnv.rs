@@ -10,6 +10,20 @@
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
+/// The 64-bit FNV prime.
+const PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `PRIME_POW[k]` is `PRIME^k` (mod 2⁶⁴): absorbing `k` zero bytes.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(PRIME);
+        k += 1;
+    }
+    pow
+};
+
 impl Fnv1a {
     /// A hasher in the standard FNV-1a initial state.
     pub fn new() -> Self {
@@ -20,13 +34,25 @@ impl Fnv1a {
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+            self.0 = self.0.wrapping_mul(PRIME);
         }
     }
 
     /// Absorbs a `u64` as its little-endian bytes.
+    ///
+    /// Absorbing a zero byte xors nothing in and leaves one multiply by the
+    /// prime, so the value's zero high bytes fold into a single multiply by
+    /// a power of the prime: the result equals [`Fnv1a::write`] of all eight
+    /// bytes, for every value.
     pub fn write_u64(&mut self, value: u64) {
-        self.write(&value.to_le_bytes());
+        let significant = 8 - value.leading_zeros() as usize / 8;
+        let mut rest = value;
+        for _ in 0..significant {
+            self.0 ^= rest & 0xff;
+            self.0 = self.0.wrapping_mul(PRIME);
+            rest >>= 8;
+        }
+        self.0 = self.0.wrapping_mul(PRIME_POW[8 - significant]);
     }
 
     /// The current hash value.
@@ -115,5 +141,27 @@ mod tests {
         let mut b = Fnv1a::new();
         b.write(&[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01]);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    /// The folded zero high bytes match the byte loop at zero, on both sides
+    /// of every byte-length boundary, and at the maximum — from the initial
+    /// state and after earlier input.
+    #[test]
+    fn write_u64_matches_the_byte_loop_at_every_length() {
+        let mut values = vec![0, u64::MAX];
+        for k in 1..8 {
+            values.extend([(1u64 << (8 * k)) - 1, 1 << (8 * k)]);
+        }
+        for value in values {
+            for prefix in [&b""[..], b"foobar"] {
+                let mut folded = Fnv1a::new();
+                folded.write(prefix);
+                folded.write_u64(value);
+                let mut bytes = Fnv1a::new();
+                bytes.write(prefix);
+                bytes.write(&value.to_le_bytes());
+                assert_eq!(folded.finish(), bytes.finish(), "value {value:#x}");
+            }
+        }
     }
 }

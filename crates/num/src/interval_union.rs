@@ -1,6 +1,7 @@
 //! Finite unions of disjoint intervals over `[0, 1)` — the commodity of the
 //! general-graph protocols (Definition 4.1).
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fmt;
@@ -13,9 +14,9 @@ use crate::{bits, Dyadic, Interval, NumError};
 /// # Representation: the flattened endpoint array
 ///
 /// The value is stored as one dense buffer of alternating endpoints
-/// `[lo₀, hi₀, lo₁, hi₁, …]` (a `Vec<Dyadic>`) rather than a list of interval
-/// structs. The buffer obeys three invariants, which together are the
-/// **canonical-form contract**:
+/// `[lo₀, hi₀, lo₁, hi₁, …]` rather than a list of interval structs. The
+/// buffer obeys three invariants, which together are the **canonical-form
+/// contract**:
 ///
 /// 1. **Even length** — endpoints come in `(lo, hi)` pairs; pair `i` denotes
 ///    the half-open interval `[e[2i], e[2i+1])`.
@@ -25,8 +26,43 @@ use crate::{bits, Dyadic, Interval, NumError};
 ///    intervals are disjoint **and non-adjacent** — touching intervals are
 ///    merged at construction time, so a gap between pairs is always a strict
 ///    gap of positive measure.
-/// 3. **Empty is empty** — the empty set is the absent buffer, never a
+/// 3. **Empty is empty** — the empty set holds no buffer, never a
 ///    zero-length one, so `is_empty` is a null check.
+///
+/// # Endpoint storage: fixed-point words, exact dyadics past 127 bits
+///
+/// The buffer holds its endpoints in one of two encodings:
+///
+/// * **Words.** An endpoint `v ∈ [0, 1]` with at most 127 fractional bits is
+///   the `u128` word `v · 2¹²⁷`, so `1` is `2¹²⁷`. Comparing two words is one
+///   integer compare, with no representation branch and no heap mantissa, and
+///   an endpoint takes 16 bytes. Every endpoint the protocols produce on
+///   networks of moderate depth fits: each canonical partition appends
+///   `O(log d)` bits (Theorem 4.3).
+/// * **Exact.** A `Vec<Dyadic>`, used only when some endpoint lies above 1
+///   ([`Interval::new`] accepts it) or has more than 127 fractional bits —
+///   deep chains of partitions reach them.
+///
+/// A fourth invariant, the **canonical representation**, makes the encoding
+/// a function of the value: a union is stored as words *exactly when* every
+/// endpoint fits a word. Equal values therefore share one encoding, so `==`,
+/// [`Ord`] and [`Hash`](std::hash::Hash) compare or hash the stored buffers
+/// directly, as [`Dyadic`]'s inline/heap invariant lets it derive its own.
+/// Debug builds check all four invariants after every operation, and
+/// [`IntervalUnion::is_word_sized`] reports the encoding.
+///
+/// Values change encoding only at the API edges. [`Interval`]s and
+/// [`Dyadic`]s come in through [`From<Interval>`],
+/// [`IntervalUnion::from_intervals`] and [`IntervalUnion::contains_point`],
+/// and go out through [`IntervalUnion::iter`],
+/// [`IntervalUnion::first_interval`], [`IntervalUnion::endpoints`] and
+/// [`IntervalUnion::total_length`]; the canonical partitions split the first
+/// interval as dyadics. Inside, every merge kernel has one body, generic over
+/// the endpoint type, which runs on the encoding both operands share. An
+/// operand pair of mixed encodings runs on dyadics, the word side converted,
+/// and the result is stored as words again when every endpoint fits.
+///
+/// # The set operations
 ///
 /// Two values compare equal with `==` exactly when they denote the same point
 /// set. The set operations *rely* on canonicity: they walk the two flat
@@ -49,8 +85,8 @@ use crate::{bits, Dyadic, Interval, NumError};
 ///   absorbs pairs); operands of comparable size, and the out-of-place
 ///   [`IntervalUnion::union`], take one linear merge of both arrays.
 ///
-/// The original collect-sort-merge implementations are retained in
-/// [`crate::reference`] for differential testing.
+/// The original collect-sort-merge implementations over dyadics are retained
+/// in [`crate::reference`] for differential testing.
 ///
 /// # Copy-on-write aliasing contract
 ///
@@ -62,24 +98,22 @@ use crate::{bits, Dyadic, Interval, NumError};
 ///
 /// Writers respect the aliasing: the in-place operations
 /// ([`IntervalUnion::union_in_place`], [`IntervalUnion::intersect_assign`],
-/// [`IntervalUnion::subtract_assign`]) either merge into a scratch buffer and
-/// then *adopt* the result, or (a small operand's union) splice it into the
-/// buffer itself — reusing the existing allocation when this handle is the
-/// buffer's sole owner, and detaching onto a fresh buffer (leaving every
-/// sibling handle untouched) when the buffer is shared. A write that changes
-/// nothing never detaches. Mutating through one handle therefore **never**
-/// changes the value observed through another;
-/// sharing is an invisible optimisation, observable only through
+/// [`IntervalUnion::subtract_assign`]) either merge into a thread-local
+/// scratch buffer and then *adopt* the result, or (a small operand's union)
+/// splice it into the buffer itself — reusing the existing allocation when
+/// this handle is the buffer's sole owner, and detaching onto a fresh buffer
+/// (leaving every sibling handle untouched) when the buffer is shared. A
+/// write that changes nothing never detaches. Mutating through one handle
+/// therefore **never** changes the value observed through another; sharing
+/// is an invisible optimisation, observable only through
 /// [`IntervalUnion::shares_storage_with`] (and the allocator). Steady-state
-/// unshared traffic performs no allocation beyond endpoint clones (which are
-/// themselves allocation-free while endpoints stay on the [`Dyadic`] inline
-/// fast path); the `*_with` variants take an explicit reusable scratch
-/// buffer, the plain ones use a thread-local one.
+/// unshared traffic on word-sized values allocates nothing beyond buffer
+/// growth.
 ///
 /// All set operations (`union`, `intersection`, `difference`) are exact, and
 /// [`IntervalUnion::wire_bits`] still charges the *encoded intervals* — the
 /// paper's bit counts are a property of the value, not of how many handles
-/// share its buffer.
+/// share its buffer or how its endpoints are stored.
 ///
 /// # Example
 ///
@@ -105,9 +139,133 @@ use crate::{bits, Dyadic, Interval, NumError};
 /// reports); it is *not* the subset order.
 #[derive(Clone, Default)]
 pub struct IntervalUnion {
-    /// `None` ⟺ the empty set; `Some` holds the canonical endpoint buffer
-    /// (non-empty, even length, strictly increasing).
-    endpoints: Option<Arc<Vec<Dyadic>>>,
+    /// `None` ⟺ the empty set; `Some` holds the canonical endpoint buffer.
+    /// One pointer, so messages carrying unions stay small.
+    endpoints: Option<Arc<Buffer>>,
+}
+
+/// The endpoint array of a non-empty [`IntervalUnion`] in its canonical
+/// encoding (non-empty, even length, strictly increasing; an in-place write
+/// may leave it empty, or exact with every endpoint fitting a word, until
+/// [`IntervalUnion::settle`] runs). The derived `==` and `Hash` are
+/// value-based because the encoding is a function of the value.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Buffer {
+    /// Every endpoint as a fixed-point word with [`FRACTION_BITS`]
+    /// fractional bits, at most [`ONE`].
+    Words(Vec<u128>),
+    /// Some endpoint does not fit a word.
+    Exact(Vec<Dyadic>),
+}
+
+/// One endpoint encoding of a [`Buffer`]: `u128` words or exact [`Dyadic`]s.
+/// The copy-on-write kernels are generic over it; an implementation only
+/// maps the encoding to its buffer variant and its scratch buffer.
+trait Endpoint: Ord + Clone {
+    /// The endpoints of a buffer stored in this encoding.
+    fn of(buffer: &Buffer) -> &[Self];
+    /// The endpoint vector of a buffer stored in this encoding.
+    fn of_mut(buffer: &mut Buffer) -> &mut Vec<Self>;
+    /// A buffer storing `endpoints` in this encoding.
+    fn store(endpoints: Vec<Self>) -> Buffer;
+    /// Runs `f` on this encoding's thread-local merge buffer.
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
+}
+
+impl Buffer {
+    fn len(&self) -> usize {
+        match self {
+            Buffer::Words(w) => w.len(),
+            Buffer::Exact(e) => e.len(),
+        }
+    }
+}
+
+impl Endpoint for u128 {
+    fn of(buffer: &Buffer) -> &[u128] {
+        match buffer {
+            Buffer::Words(w) => w,
+            Buffer::Exact(_) => unreachable!("an exact buffer read as words"),
+        }
+    }
+
+    fn of_mut(buffer: &mut Buffer) -> &mut Vec<u128> {
+        match buffer {
+            Buffer::Words(w) => w,
+            Buffer::Exact(_) => unreachable!("an exact buffer written as words"),
+        }
+    }
+
+    fn store(endpoints: Vec<u128>) -> Buffer {
+        Buffer::Words(endpoints)
+    }
+
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<u128>) -> R) -> R {
+        WORD_SCRATCH.with_borrow_mut(f)
+    }
+}
+
+impl Endpoint for Dyadic {
+    fn of(buffer: &Buffer) -> &[Dyadic] {
+        match buffer {
+            Buffer::Exact(e) => e,
+            Buffer::Words(_) => unreachable!("a word buffer read as dyadics"),
+        }
+    }
+
+    fn of_mut(buffer: &mut Buffer) -> &mut Vec<Dyadic> {
+        match buffer {
+            Buffer::Exact(e) => e,
+            Buffer::Words(_) => unreachable!("a word buffer written as dyadics"),
+        }
+    }
+
+    fn store(endpoints: Vec<Dyadic>) -> Buffer {
+        Buffer::Exact(endpoints)
+    }
+
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Dyadic>) -> R) -> R {
+        EXACT_SCRATCH.with_borrow_mut(f)
+    }
+}
+
+/// Fractional bits of a word endpoint: the word `w` stands for `w / 2¹²⁷`.
+const FRACTION_BITS: u32 = 127;
+
+/// The word of the endpoint 1.
+const ONE: u128 = 1 << FRACTION_BITS;
+
+/// The word of a dyadic, if it lies in `[0, 1]` with at most
+/// [`FRACTION_BITS`] fractional bits.
+#[inline]
+fn word(d: &Dyadic) -> Option<u128> {
+    d.to_fixed(FRACTION_BITS)
+}
+
+/// The value of a word.
+#[inline]
+fn dyadic(w: u128) -> Dyadic {
+    Dyadic::from_fixed(w, FRACTION_BITS)
+}
+
+/// The words of a dyadic endpoint array, if every endpoint fits one.
+fn words_of(e: &[Dyadic]) -> Option<Vec<u128>> {
+    // Check before allocating: an exact array usually fails early.
+    if e.iter().any(|d| word(d).is_none()) {
+        return None;
+    }
+    Some(e.iter().filter_map(word).collect())
+}
+
+/// [`Dyadic::positional_bits`] of a word's value: 0 for 0, 1 for 1, and
+/// otherwise its fractional bits.
+#[inline]
+fn positional_bits(w: u128) -> u64 {
+    match w {
+        0 => 0,
+        ONE => 1,
+        w => u64::from(FRACTION_BITS - w.trailing_zeros()),
+    }
 }
 
 /// [`IntervalUnion::union_in_place`] splices the other operand's parts into
@@ -116,19 +274,21 @@ pub struct IntervalUnion {
 const SPLICE_RATIO: usize = 4;
 
 thread_local! {
-    /// Reusable merge buffer for the in-place ops without an explicit scratch.
-    static SCRATCH: RefCell<Vec<Dyadic>> = const { RefCell::new(Vec::new()) };
+    /// Reusable merge buffer of the in-place ops on word-sized values.
+    static WORD_SCRATCH: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
+    /// Reusable merge buffer of the in-place ops on exact values.
+    static EXACT_SCRATCH: RefCell<Vec<Dyadic>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Picks the interval with the smaller lower endpoint off the front of `a` or
 /// `b` (cursors `i`/`j` advance by a whole pair), for the union merge.
 #[inline]
-fn next_pair<'a>(
-    a: &'a [Dyadic],
-    b: &'a [Dyadic],
+fn next_pair<'a, E: Ord>(
+    a: &'a [E],
+    b: &'a [E],
     i: &mut usize,
     j: &mut usize,
-) -> Option<(&'a Dyadic, &'a Dyadic)> {
+) -> Option<(&'a E, &'a E)> {
     let from_a = match (a.get(*i), b.get(*j)) {
         (Some(x), Some(y)) => x <= y,
         (Some(_), None) => true,
@@ -152,7 +312,7 @@ fn next_pair<'a>(
 /// The open run is tracked by *reference* into the operand buffers and
 /// endpoints are cloned only when an output pair is emitted, so a merge that
 /// collapses many touching intervals performs O(output) clones, not O(input).
-fn union_into(a: &[Dyadic], b: &[Dyadic], out: &mut Vec<Dyadic>) {
+fn union_into<E: Ord + Clone>(a: &[E], b: &[E], out: &mut Vec<E>) {
     debug_assert!(out.is_empty());
     let (mut i, mut j) = (0usize, 0usize);
     let Some((first_lo, first_hi)) = next_pair(a, b, &mut i, &mut j) else {
@@ -192,7 +352,7 @@ const END: usize = 1;
 /// which keeps merges of comparable operands as cheap as a plain two-pointer
 /// walk.
 #[inline(always)]
-fn skip_pairs(e: &[Dyadic], from: usize, side: usize, holds: impl Fn(&Dyadic) -> bool) -> usize {
+fn skip_pairs<E>(e: &[E], from: usize, side: usize, holds: impl Fn(&E) -> bool) -> usize {
     if from == e.len() || !holds(&e[from + side]) {
         return from;
     }
@@ -202,7 +362,7 @@ fn skip_pairs(e: &[Dyadic], from: usize, side: usize, holds: impl Fn(&Dyadic) ->
 /// [`skip_pairs`] past its first step: the pair at `from` is known to be
 /// skipped.
 #[inline(never)]
-fn gallop_pairs(e: &[Dyadic], from: usize, side: usize, holds: impl Fn(&Dyadic) -> bool) -> usize {
+fn gallop_pairs<E>(e: &[E], from: usize, side: usize, holds: impl Fn(&E) -> bool) -> usize {
     // The pair at `done` is skipped.
     let (mut done, mut step) = (from, 2);
     loop {
@@ -227,7 +387,7 @@ fn gallop_pairs(e: &[Dyadic], from: usize, side: usize, holds: impl Fn(&Dyadic) 
 /// Output pieces inherit sortedness, and consecutive pieces are separated by a
 /// strict gap (whichever operand interval ended starts its successor strictly
 /// beyond the piece's end, by non-adjacency), so `out` is canonical.
-fn intersection_into(a: &[Dyadic], b: &[Dyadic], out: &mut Vec<Dyadic>) {
+fn intersection_into<E: Ord + Clone>(a: &[E], b: &[E], out: &mut Vec<E>) {
     debug_assert!(out.is_empty());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -257,7 +417,7 @@ fn intersection_into(a: &[Dyadic], b: &[Dyadic], out: &mut Vec<Dyadic>) {
 /// O(small · log large) comparisons plus the output. `out` is canonical by
 /// construction (pieces of one `a`-interval are strictly separated by carved
 /// `b`-mass, and distinct `a`-intervals by `a`'s own gaps).
-fn difference_into(a: &[Dyadic], b: &[Dyadic], out: &mut Vec<Dyadic>) {
+fn difference_into<E: Ord + Clone>(a: &[E], b: &[E], out: &mut Vec<E>) {
     debug_assert!(out.is_empty());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() {
@@ -268,7 +428,7 @@ fn difference_into(a: &[Dyadic], b: &[Dyadic], out: &mut Vec<Dyadic>) {
         }
         // The sweep cursor is a reference into the operands; endpoints are
         // cloned only when a surviving piece is emitted.
-        let mut cursor: &Dyadic = xl;
+        let mut cursor: &E = xl;
         let mut k = j;
         loop {
             if k >= b.len() || &b[k] >= xh {
@@ -298,29 +458,271 @@ fn difference_into(a: &[Dyadic], b: &[Dyadic], out: &mut Vec<Dyadic>) {
     }
 }
 
+/// The in-place union for an operand much smaller than `own`, the shape of
+/// every protocol delivery (a delta of a pair or two merged into an
+/// accumulated state of tens to thousands of pairs); returns whether the
+/// value changed.
+///
+/// Each part of `parts` (a canonical endpoint array) finds the window of own
+/// pairs it overlaps or touches — by binary search for the first part, by
+/// [`skip_pairs`] onward from there for the rest — and that window is
+/// replaced in place by the one merged pair: O(|parts| · log |own|)
+/// comparisons plus one tail move per part that inserts or absorbs pairs,
+/// instead of a merge over the whole own array and a full-array change
+/// check. Parts at or above the top endpoint (the shape of an accumulator
+/// absorbing mass in ascending order) need no search and move nothing.
+///
+/// Copy-on-write is unchanged: the leading parts `own` already covers are
+/// checked without writing, so a no-op union never detaches a shared buffer,
+/// and the first uncovered part detaches it (leaving every sibling handle on
+/// the old value) before anything is written.
+fn splice_union<E: Endpoint>(own: &mut Arc<Buffer>, parts: &[E]) -> bool {
+    let e = E::of(own);
+    // The first own pair ending at or after a part's start is the only one
+    // that can cover the part. A first part at or above the top endpoint
+    // (an accumulator absorbing mass in ascending order) needs no search;
+    // one below lands anywhere (a binary search); later parts land at or
+    // after it (a galloping skip).
+    let last = e.len() - 1;
+    let mut start = match parts[0].cmp(&e[last]) {
+        Ordering::Greater => e.len(),
+        Ordering::Equal => last - 1,
+        Ordering::Less => e.partition_point(|x| x < &parts[0]) & !1,
+    };
+    let mut k = 0;
+    while start < e.len() && e[start] <= parts[k] && parts[k + 1] <= e[start + 1] {
+        k += 2;
+        if k == parts.len() {
+            return false;
+        }
+        start = skip_pairs(e, start, END, |x| x < &parts[k]);
+    }
+    let buf = E::of_mut(Arc::make_mut(own));
+    for part in parts[k..].chunks_exact(2) {
+        let (lo, hi) = (&part[0], &part[1]);
+        // Window [start, end): own pairs ending at or after `lo` and
+        // starting at or before `hi` (touching pairs merge, as the
+        // canonical gap rule demands).
+        start = skip_pairs(buf, start, END, |x| x < lo);
+        let end = skip_pairs(buf, start, START, |x| x <= hi);
+        if start == end {
+            buf.splice(start..start, [lo.clone(), hi.clone()]);
+        } else {
+            if lo < &buf[start] {
+                buf[start] = lo.clone();
+            }
+            if hi > &buf[end - 1] {
+                buf[end - 1] = hi.clone();
+            }
+            buf.drain(start + 1..end - 1);
+        }
+        // The next part starts above `hi` but may still touch the pair at
+        // `start`, so its search starts there.
+    }
+    true
+}
+
+/// Swaps the merged endpoint buffer `scratch` into `own` when it differs from
+/// the current value; returns whether it did, and always leaves `scratch`
+/// cleared (capacity retained where possible).
+///
+/// This is where copy-on-write happens: a uniquely owned buffer is reused in
+/// place (allocation-free steady state), a shared one is left to its sibling
+/// handles and replaced by a fresh buffer.
+fn adopt_if_changed<E: Endpoint>(own: &mut Arc<Buffer>, scratch: &mut Vec<E>) -> bool {
+    let changed = E::of(own) != scratch.as_slice();
+    if changed {
+        match Arc::get_mut(own) {
+            // Sole owner: recycle the existing allocation.
+            Some(buffer) => std::mem::swap(E::of_mut(buffer), scratch),
+            // Shared: detach into a fresh buffer. The scratch buffer is
+            // donated to the new value, so this one path gives up the
+            // scratch capacity.
+            None => *own = Arc::new(E::store(std::mem::take(scratch))),
+        }
+    }
+    scratch.clear();
+    changed
+}
+
+/// `a ⊆ b` for canonical endpoint arrays: since `b` is non-adjacent, each
+/// interval of `a` must lie inside a *single* maximal interval of `b`.
+fn is_subset<E: Ord>(a: &[E], b: &[E]) -> bool {
+    let mut j = 0usize;
+    let mut i = 0usize;
+    while i < a.len() {
+        let (lo, hi) = (&a[i], &a[i + 1]);
+        while j < b.len() && &b[j + 1] < hi {
+            j += 2;
+        }
+        if j >= b.len() || &b[j] > lo {
+            return false;
+        }
+        i += 2;
+    }
+    true
+}
+
+/// Whether two canonical endpoint arrays share a point: a two-pointer sweep
+/// with early exit.
+fn overlaps<E: Ord>(a: &[E], b: &[E]) -> bool {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        let (xl, xh) = (&a[i], &a[i + 1]);
+        let (yl, yh) = (&b[j], &b[j + 1]);
+        if xl < yh && yl < xh {
+            return true;
+        }
+        if xh <= yh {
+            i += 2;
+        } else {
+            j += 2;
+        }
+    }
+    false
+}
+
+/// A binary set operation, run by one merge kernel body on either encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SetOp {
+    Union,
+    Intersection,
+    Difference,
+}
+
+impl SetOp {
+    /// Merges two canonical endpoint arrays into the empty `out`.
+    fn merge_into<E: Ord + Clone>(self, a: &[E], b: &[E], out: &mut Vec<E>) {
+        match self {
+            SetOp::Union => union_into(a, b, out),
+            SetOp::Intersection => intersection_into(a, b, out),
+            SetOp::Difference => difference_into(a, b, out),
+        }
+    }
+
+    /// The merged canonical endpoint array of `a` and `b`, in a fresh buffer.
+    fn merged<E: Ord + Clone>(self, a: &[E], b: &[E]) -> Vec<E> {
+        // A union never outgrows both inputs; the other outputs are usually
+        // a delta's few pieces, so they grow on demand.
+        let capacity = if self == SetOp::Union {
+            a.len() + b.len()
+        } else {
+            0
+        };
+        let mut out = Vec::with_capacity(capacity);
+        self.merge_into(a, b, &mut out);
+        out
+    }
+
+    /// `own ∘= other` on `own`'s encoding `E`, through that encoding's
+    /// scratch buffer; returns whether the value changed. A union with an
+    /// operand of at most 1/[`SPLICE_RATIO`] of `own`'s size is spliced in
+    /// place. The result may be empty, or exact with every endpoint fitting
+    /// a word: the caller restores the canonical representation.
+    fn assign<E: Endpoint>(self, own: &mut Arc<Buffer>, other: &[E]) -> bool {
+        if self == SetOp::Union && other.len() * SPLICE_RATIO <= E::of(own).len() {
+            return splice_union(own, other);
+        }
+        E::with_scratch(|scratch| {
+            scratch.clear();
+            self.merge_into(E::of(own), other, scratch);
+            adopt_if_changed(own, scratch)
+        })
+    }
+}
+
+/// A borrowed endpoint array in either encoding, read as dyadics.
+#[derive(Debug, Clone, Copy)]
+enum Ends<'a> {
+    Words(&'a [u128]),
+    Exact(&'a [Dyadic]),
+}
+
+impl Ends<'_> {
+    fn len(self) -> usize {
+        match self {
+            Ends::Words(w) => w.len(),
+            Ends::Exact(e) => e.len(),
+        }
+    }
+
+    fn get(self, i: usize) -> Dyadic {
+        match self {
+            Ends::Words(w) => dyadic(w[i]),
+            Ends::Exact(e) => e[i].clone(),
+        }
+    }
+}
+
+/// Two operands' endpoint arrays in one encoding.
+enum Pair<'a> {
+    /// Both operands are word-sized.
+    Words(&'a [u128], &'a [u128]),
+    /// At least one operand is exact; a word-sized one is converted.
+    Exact(Cow<'a, [Dyadic]>, Cow<'a, [Dyadic]>),
+}
+
+impl IntervalUnion {
+    fn ends(&self) -> Ends<'_> {
+        match self.endpoints.as_deref() {
+            None => Ends::Words(&[]),
+            Some(Buffer::Words(w)) => Ends::Words(w),
+            Some(Buffer::Exact(e)) => Ends::Exact(e),
+        }
+    }
+
+    /// The endpoint array as words, if the value is word-sized.
+    fn words(&self) -> Option<&[u128]> {
+        match self.endpoints.as_deref() {
+            None => Some(&[]),
+            Some(Buffer::Words(w)) => Some(w),
+            Some(Buffer::Exact(_)) => None,
+        }
+    }
+
+    /// The endpoint array as dyadics (converted from words if need be).
+    fn exact(&self) -> Cow<'_, [Dyadic]> {
+        match self.endpoints.as_deref() {
+            None => Cow::Borrowed(&[]),
+            Some(Buffer::Words(w)) => Cow::Owned(w.iter().map(|&v| dyadic(v)).collect()),
+            Some(Buffer::Exact(e)) => Cow::Borrowed(e),
+        }
+    }
+}
+
+/// The operands' endpoint arrays on words when both are word-sized, and on
+/// dyadics otherwise.
+fn pair<'a>(a: &'a IntervalUnion, b: &'a IntervalUnion) -> Pair<'a> {
+    match (a.words(), b.words()) {
+        (Some(x), Some(y)) => Pair::Words(x, y),
+        _ => Pair::Exact(a.exact(), b.exact()),
+    }
+}
+
 /// Borrowing iterator over the maximal disjoint intervals of an
 /// [`IntervalUnion`], yielding each pair of endpoints as an owned
-/// [`Interval`] (two endpoint clones per item — allocation-free while the
-/// endpoints stay on the [`Dyadic`] inline fast path).
+/// [`Interval`] (allocation-free while the endpoints' mantissas fit the
+/// [`Dyadic`] inline fast path).
 #[derive(Debug, Clone)]
 pub struct Intervals<'a> {
-    rest: &'a [Dyadic],
+    ends: Ends<'a>,
+    next: usize,
 }
 
 impl Iterator for Intervals<'_> {
     type Item = Interval;
 
     fn next(&mut self) -> Option<Interval> {
-        if self.rest.len() < 2 {
+        if self.next >= self.ends.len() {
             return None;
         }
-        let iv = Interval::new_unchecked(self.rest[0].clone(), self.rest[1].clone());
-        self.rest = &self.rest[2..];
+        let iv = Interval::new_unchecked(self.ends.get(self.next), self.ends.get(self.next + 1));
+        self.next += 2;
         Some(iv)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.rest.len() / 2;
+        let n = (self.ends.len() - self.next) / 2;
         (n, Some(n))
     }
 }
@@ -335,47 +737,97 @@ impl IntervalUnion {
 
     /// The full unit interval `[0, 1)`.
     pub fn unit() -> Self {
-        IntervalUnion::from_endpoints(vec![Dyadic::zero(), Dyadic::one()])
+        IntervalUnion::from_words(vec![0, ONE])
     }
 
-    /// Wraps an endpoint buffer that is already canonical (debug-asserted).
-    fn from_endpoints(endpoints: Vec<Dyadic>) -> Self {
+    /// Wraps a canonical buffer, or the empty set for an empty one
+    /// (debug-asserted).
+    fn from_buffer(buffer: Buffer) -> Self {
         let out = IntervalUnion {
-            endpoints: if endpoints.is_empty() {
-                None
-            } else {
-                Some(Arc::new(endpoints))
-            },
+            endpoints: (buffer.len() > 0).then(|| Arc::new(buffer)),
         };
         out.debug_assert_canonical();
         out
+    }
+
+    /// Wraps a canonical word array.
+    fn from_words(words: Vec<u128>) -> Self {
+        IntervalUnion::from_buffer(Buffer::Words(words))
+    }
+
+    /// Wraps a canonical dyadic array, stored as words when every endpoint
+    /// fits one.
+    fn from_dyadics(endpoints: Vec<Dyadic>) -> Self {
+        IntervalUnion::from_buffer(match words_of(&endpoints) {
+            Some(words) => Buffer::Words(words),
+            None => Buffer::Exact(endpoints),
+        })
+    }
+
+    /// Restores the canonical representation after an in-place write changed
+    /// the value: an emptied buffer becomes the empty set, and an exact
+    /// buffer whose endpoints now all fit words becomes words.
+    fn settle(&mut self) {
+        match self.endpoints.as_deref() {
+            Some(buffer) if buffer.len() == 0 => self.endpoints = None,
+            Some(Buffer::Exact(e)) => {
+                if let Some(words) = words_of(e) {
+                    self.endpoints = Some(Arc::new(Buffer::Words(words)));
+                }
+            }
+            _ => {}
+        }
+        self.debug_assert_canonical();
     }
 
     #[inline]
     fn debug_assert_canonical(&self) {
         #[cfg(debug_assertions)]
         {
-            let e = self.endpoints();
-            debug_assert!(e.len().is_multiple_of(2), "endpoint array has odd length");
-            debug_assert!(
-                self.endpoints.as_ref().is_none_or(|v| !v.is_empty()),
-                "empty set must be the absent buffer"
-            );
-            for w in e.windows(2) {
-                debug_assert!(
-                    w[0] < w[1],
-                    "endpoint array is not strictly increasing (empty, unsorted, \
-                     overlapping or adjacent intervals)"
-                );
+            fn assert_pairs<E: Ord>(e: &[E]) {
+                debug_assert!(!e.is_empty(), "empty set must hold no buffer");
+                debug_assert!(e.len().is_multiple_of(2), "endpoint array has odd length");
+                for w in e.windows(2) {
+                    debug_assert!(
+                        w[0] < w[1],
+                        "endpoint array is not strictly increasing (empty, unsorted, \
+                         overlapping or adjacent intervals)"
+                    );
+                }
+            }
+            match self.endpoints.as_deref() {
+                None => {}
+                Some(Buffer::Words(w)) => {
+                    assert_pairs(w);
+                    debug_assert!(w.last() <= Some(&ONE), "word endpoint above one");
+                }
+                Some(Buffer::Exact(e)) => {
+                    assert_pairs(e);
+                    debug_assert!(
+                        e.iter().any(|d| word(d).is_none()),
+                        "exact buffer whose endpoints all fit words"
+                    );
+                }
             }
         }
     }
 
-    /// The flattened canonical endpoint array `[lo₀, hi₀, lo₁, hi₁, …]`:
-    /// even length, strictly increasing (see the type-level invariants).
+    /// The flattened canonical endpoint array `[lo₀, hi₀, lo₁, hi₁, …]` as
+    /// owned dyadics: even length, strictly increasing (see the type-level
+    /// invariants).
+    pub fn endpoints(&self) -> impl ExactSizeIterator<Item = Dyadic> + '_ {
+        let ends = self.ends();
+        (0..ends.len()).map(move |i| ends.get(i))
+    }
+
+    /// Returns `true` unless some endpoint lies above 1 or has more than 127
+    /// fractional bits — that is, when the endpoints are stored as 128-bit
+    /// fixed-point words (the empty union is word-sized). Like
+    /// [`Dyadic::is_inline`], this observes the representation, not the
+    /// value's behaviour.
     #[inline]
-    pub fn endpoints(&self) -> &[Dyadic] {
-        self.endpoints.as_ref().map_or(&[], |v| v.as_slice())
+    pub fn is_word_sized(&self) -> bool {
+        !matches!(self.endpoints.as_deref(), Some(Buffer::Exact(_)))
     }
 
     /// Returns `true` if `self` and `other` share one endpoint buffer — i.e.
@@ -402,7 +854,7 @@ impl IntervalUnion {
             endpoints: self
                 .endpoints
                 .as_ref()
-                .map(|v| Arc::new(Vec::clone(v.as_ref()))),
+                .map(|buffer| Arc::new(Buffer::clone(buffer))),
         }
     }
 
@@ -431,7 +883,7 @@ impl IntervalUnion {
                 }
             }
         }
-        IntervalUnion::from_endpoints(out)
+        IntervalUnion::from_dyadics(out)
     }
 
     /// Returns `true` if the union contains no points.
@@ -443,42 +895,41 @@ impl IntervalUnion {
     /// Returns `true` if the union is exactly `[0, 1)` — the terminal's acceptance
     /// condition `α ∪ β = [0, 1)`.
     pub fn is_unit(&self) -> bool {
-        let e = self.endpoints();
-        e.len() == 2 && e[0].is_zero() && e[1].is_one()
+        self.words() == Some(&[0, ONE][..])
     }
 
     /// Number of maximal disjoint intervals.
     #[inline]
     pub fn interval_count(&self) -> usize {
-        self.endpoints().len() / 2
+        self.ends().len() / 2
     }
 
     /// Iterates over the maximal disjoint intervals in increasing order.
     pub fn iter(&self) -> Intervals<'_> {
         Intervals {
-            rest: self.endpoints(),
+            ends: self.ends(),
+            next: 0,
         }
     }
 
     /// The first (smallest) maximal interval, if any.
     pub fn first_interval(&self) -> Option<Interval> {
-        let e = self.endpoints();
-        (!e.is_empty()).then(|| Interval::new_unchecked(e[0].clone(), e[1].clone()))
+        self.iter().next()
+    }
+
+    /// Every maximal interval but the first.
+    fn rest(&self) -> IntervalUnion {
+        match self.endpoints.as_deref() {
+            None => IntervalUnion::empty(),
+            Some(Buffer::Words(w)) => IntervalUnion::from_words(w[2..].to_vec()),
+            Some(Buffer::Exact(e)) => IntervalUnion::from_dyadics(e[2..].to_vec()),
+        }
     }
 
     /// Total measure of the union.
     pub fn total_length(&self) -> Dyadic {
-        let mut total = Dyadic::zero();
-        let e = self.endpoints();
-        let mut i = 0;
-        while i < e.len() {
-            let len = e[i + 1]
-                .checked_sub(&e[i])
-                .expect("endpoint invariant lo < hi");
-            total += &len;
-            i += 2;
-        }
-        total
+        self.iter()
+            .fold(Dyadic::zero(), |total, iv| &total + &iv.length())
     }
 
     /// Returns `true` if the point lies in the union.
@@ -486,7 +937,13 @@ impl IntervalUnion {
         // Binary search over the flat endpoint array: the number of endpoints
         // `<= point` is odd exactly when `point` falls inside a pair (it has
         // passed a `lo` but not the matching `hi`).
-        self.endpoints().partition_point(|e| e <= point) % 2 == 1
+        let below = match (self.endpoints.as_deref(), word(point)) {
+            (None, _) => 0,
+            (Some(Buffer::Words(w)), Some(p)) => w.partition_point(|&e| e <= p),
+            (Some(Buffer::Words(w)), None) => w.partition_point(|&e| dyadic(e) <= *point),
+            (Some(Buffer::Exact(e)), _) => e.partition_point(|e| e <= point),
+        };
+        below % 2 == 1
     }
 
     /// Set union — a linear merge of the two canonical operands.
@@ -500,10 +957,46 @@ impl IntervalUnion {
         if other.is_empty() {
             return self.clone();
         }
-        let (a, b) = (self.endpoints(), other.endpoints());
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        union_into(a, b, &mut out);
-        IntervalUnion::from_endpoints(out)
+        self.merged(other, SetOp::Union)
+    }
+
+    /// `self ∘ other` into a fresh buffer, in the operands' common encoding.
+    /// Word operands always yield words (every output endpoint is an input
+    /// endpoint); any other pair yields words when every endpoint fits.
+    fn merged(&self, other: &IntervalUnion, op: SetOp) -> IntervalUnion {
+        match pair(self, other) {
+            Pair::Words(a, b) => IntervalUnion::from_words(op.merged(a, b)),
+            Pair::Exact(a, b) => IntervalUnion::from_dyadics(op.merged(&a, &b)),
+        }
+    }
+
+    /// `self ∘= other` for non-empty operands in separate buffers; returns
+    /// whether the value changed. Word operands merge through the word
+    /// scratch buffer (or splice, see [`SetOp::assign`]); an exact `self`
+    /// merges through the dyadic one, a word-sized `other` converted. A
+    /// word-sized `self` with an exact `other` merges out of place and is
+    /// replaced only if the value changed.
+    fn assign(&mut self, other: &IntervalUnion, op: SetOp) -> bool {
+        let own = self
+            .endpoints
+            .as_mut()
+            .expect("assign takes a non-empty self");
+        let changed = match (own.as_ref(), other.words()) {
+            (Buffer::Words(_), Some(theirs)) => op.assign(own, theirs),
+            (Buffer::Exact(_), _) => op.assign(own, &other.exact()),
+            (Buffer::Words(_), None) => {
+                let merged = self.merged(other, op);
+                let changed = merged != *self;
+                if changed {
+                    *self = merged;
+                }
+                return changed;
+            }
+        };
+        if changed {
+            self.settle();
+        }
+        changed
     }
 
     /// In-place set union; returns `true` if the value changed.
@@ -514,22 +1007,11 @@ impl IntervalUnion {
     /// An operand of at most a quarter of `self`'s endpoints is spliced into
     /// the buffer in place, at O(log n) comparisons per part (see the type
     /// docs); comparable operands merge through a reusable thread-local
-    /// scratch buffer. Steady-state calls on unshared values allocate nothing
-    /// beyond endpoint clones and buffer growth, and a call on a *shared* value
+    /// scratch buffer. Steady-state calls on unshared word-sized values
+    /// allocate nothing beyond buffer growth, and a call on a *shared* value
     /// detaches this handle only (copy-on-write — every sibling handle keeps
-    /// the old value). Use [`IntervalUnion::union_in_place_with`] to thread an
-    /// explicit scratch buffer instead.
+    /// the old value).
     pub fn union_in_place(&mut self, other: &IntervalUnion) -> bool {
-        SCRATCH.with(|scratch| self.union_in_place_with(other, &mut scratch.borrow_mut()))
-    }
-
-    /// [`IntervalUnion::union_in_place`] with an explicit scratch buffer, which
-    /// is left cleared (capacity retained) for reuse.
-    pub fn union_in_place_with(
-        &mut self,
-        other: &IntervalUnion,
-        scratch: &mut Vec<Dyadic>,
-    ) -> bool {
         if other.is_empty() || self.shares_storage_with(other) {
             return false;
         }
@@ -539,76 +1021,7 @@ impl IntervalUnion {
             self.endpoints = other.endpoints.clone();
             return true;
         }
-        if other.endpoints().len() * SPLICE_RATIO <= self.endpoints().len() {
-            return self.splice_union(other.endpoints());
-        }
-        scratch.clear();
-        union_into(self.endpoints(), other.endpoints(), scratch);
-        self.adopt_if_changed(scratch)
-    }
-
-    /// The in-place union for an operand much smaller than `self`, the shape
-    /// of every protocol delivery (a delta of a pair or two merged into an
-    /// accumulated state of tens to thousands of pairs).
-    ///
-    /// Each part of `parts` (a canonical endpoint array) finds the window of
-    /// own pairs it overlaps or touches — by binary search for the first part,
-    /// by [`skip_pairs`] onward from there for the rest — and that window is
-    /// replaced in place by the one merged pair: O(|parts| · log |self|)
-    /// comparisons plus one tail move per part that inserts or absorbs pairs,
-    /// instead of a merge over the whole own array and a full-array change
-    /// check. Parts at or above the top endpoint (the shape of an accumulator
-    /// absorbing mass in ascending order) need no search and move nothing.
-    ///
-    /// Copy-on-write is unchanged: the leading parts `self` already covers are
-    /// checked without writing, so a no-op union never detaches a shared
-    /// buffer, and the first uncovered part detaches it (leaving every sibling
-    /// handle on the old value) before anything is written.
-    fn splice_union(&mut self, parts: &[Dyadic]) -> bool {
-        let own = self.endpoints();
-        // The first own pair ending at or after a part's start is the only one
-        // that can cover the part. A first part at or above the top endpoint
-        // (an accumulator absorbing mass in ascending order) needs no search;
-        // one below lands anywhere (a binary search); later parts land at or
-        // after it (a galloping skip).
-        let last = own.len() - 1;
-        let mut start = match parts[0].cmp(&own[last]) {
-            Ordering::Greater => own.len(),
-            Ordering::Equal => last - 1,
-            Ordering::Less => own.partition_point(|x| x < &parts[0]) & !1,
-        };
-        let mut k = 0;
-        while start < own.len() && own[start] <= parts[k] && parts[k + 1] <= own[start + 1] {
-            k += 2;
-            if k == parts.len() {
-                return false;
-            }
-            start = skip_pairs(own, start, END, |x| x < &parts[k]);
-        }
-        let buf = Arc::make_mut(self.endpoints.as_mut().expect("checked non-empty"));
-        for part in parts[k..].chunks_exact(2) {
-            let (lo, hi) = (&part[0], &part[1]);
-            // Window [start, end): own pairs ending at or after `lo` and
-            // starting at or before `hi` (touching pairs merge, as the
-            // canonical gap rule demands).
-            start = skip_pairs(buf, start, END, |x| x < lo);
-            let end = skip_pairs(buf, start, START, |x| x <= hi);
-            if start == end {
-                buf.splice(start..start, [lo.clone(), hi.clone()]);
-            } else {
-                if lo < &buf[start] {
-                    buf[start] = lo.clone();
-                }
-                if hi > &buf[end - 1] {
-                    buf[end - 1] = hi.clone();
-                }
-                buf.drain(start + 1..end - 1);
-            }
-            // The next part starts above `hi` but may still touch the pair at
-            // `start`, so its search starts there.
-        }
-        self.debug_assert_canonical();
-        true
+        self.assign(other, SetOp::Union)
     }
 
     /// Set intersection — one pass over the two canonical operands, skipping
@@ -621,27 +1034,14 @@ impl IntervalUnion {
         if self.shares_storage_with(other) {
             return self.clone();
         }
-        let mut out = Vec::new();
-        intersection_into(self.endpoints(), other.endpoints(), &mut out);
-        IntervalUnion::from_endpoints(out)
+        self.merged(other, SetOp::Intersection)
     }
 
     /// In-place set intersection; returns `true` if the value changed.
     ///
     /// Merges through a reusable thread-local scratch buffer (copy-on-write on
-    /// shared values, like [`IntervalUnion::union_in_place`]); see
-    /// [`IntervalUnion::intersect_assign_with`] for the explicit-scratch variant.
+    /// shared values, like [`IntervalUnion::union_in_place`]).
     pub fn intersect_assign(&mut self, other: &IntervalUnion) -> bool {
-        SCRATCH.with(|scratch| self.intersect_assign_with(other, &mut scratch.borrow_mut()))
-    }
-
-    /// [`IntervalUnion::intersect_assign`] with an explicit scratch buffer, which
-    /// is left cleared (capacity retained) for reuse.
-    pub fn intersect_assign_with(
-        &mut self,
-        other: &IntervalUnion,
-        scratch: &mut Vec<Dyadic>,
-    ) -> bool {
         if self.is_empty() || self.shares_storage_with(other) {
             return false;
         }
@@ -649,9 +1049,7 @@ impl IntervalUnion {
             self.endpoints = None;
             return true;
         }
-        scratch.clear();
-        intersection_into(self.endpoints(), other.endpoints(), scratch);
-        self.adopt_if_changed(scratch)
+        self.assign(other, SetOp::Intersection)
     }
 
     /// Set difference `self \ other` — one pass over the two canonical
@@ -665,28 +1063,15 @@ impl IntervalUnion {
         if self.shares_storage_with(other) {
             return IntervalUnion::empty();
         }
-        let mut out = Vec::new();
-        difference_into(self.endpoints(), other.endpoints(), &mut out);
-        IntervalUnion::from_endpoints(out)
+        self.merged(other, SetOp::Difference)
     }
 
     /// In-place set difference `self \= other`; returns `true` if the value
     /// changed.
     ///
     /// Merges through a reusable thread-local scratch buffer (copy-on-write on
-    /// shared values, like [`IntervalUnion::union_in_place`]); see
-    /// [`IntervalUnion::subtract_assign_with`] for the explicit-scratch variant.
+    /// shared values, like [`IntervalUnion::union_in_place`]).
     pub fn subtract_assign(&mut self, other: &IntervalUnion) -> bool {
-        SCRATCH.with(|scratch| self.subtract_assign_with(other, &mut scratch.borrow_mut()))
-    }
-
-    /// [`IntervalUnion::subtract_assign`] with an explicit scratch buffer, which
-    /// is left cleared (capacity retained) for reuse.
-    pub fn subtract_assign_with(
-        &mut self,
-        other: &IntervalUnion,
-        scratch: &mut Vec<Dyadic>,
-    ) -> bool {
         if self.is_empty() || other.is_empty() {
             return false;
         }
@@ -695,136 +1080,109 @@ impl IntervalUnion {
             self.endpoints = None;
             return true;
         }
-        scratch.clear();
-        difference_into(self.endpoints(), other.endpoints(), scratch);
-        self.adopt_if_changed(scratch)
+        self.assign(other, SetOp::Difference)
     }
 
-    /// Swaps in the merged endpoint buffer when it differs from the current
-    /// value; always leaves `scratch` cleared (capacity retained where
-    /// possible).
-    ///
-    /// This is where copy-on-write happens: a uniquely owned buffer is reused
-    /// in place (allocation-free steady state), a shared one is left to its
-    /// sibling handles and replaced by a fresh buffer.
-    fn adopt_if_changed(&mut self, scratch: &mut Vec<Dyadic>) -> bool {
-        let changed = self.endpoints() != scratch.as_slice();
-        if changed {
-            if scratch.is_empty() {
-                self.endpoints = None;
-            } else {
-                match self.endpoints.as_mut().and_then(Arc::get_mut) {
-                    // Sole owner: recycle the existing allocation.
-                    Some(vec) => std::mem::swap(vec, scratch),
-                    // Shared (or empty): detach into a fresh buffer. The
-                    // scratch buffer is donated to the new value, so this one
-                    // path gives up the scratch capacity.
-                    None => self.endpoints = Some(Arc::new(std::mem::take(scratch))),
-                }
-            }
-            self.debug_assert_canonical();
-        }
-        scratch.clear();
-        changed
-    }
-
-    /// Returns `true` if `self ⊆ other`. Allocation-free: since `other` is
-    /// canonical (non-adjacent), each interval of `self` must lie inside a
-    /// *single* maximal interval of `other`.
+    /// Returns `true` if `self ⊆ other`. Allocation-free on word-sized
+    /// operands.
     pub fn is_subset_of(&self, other: &IntervalUnion) -> bool {
         if self.shares_storage_with(other) {
             return true;
         }
-        let (a, b) = (self.endpoints(), other.endpoints());
-        let mut j = 0usize;
-        let mut i = 0usize;
-        while i < a.len() {
-            let (lo, hi) = (&a[i], &a[i + 1]);
-            while j < b.len() && &b[j + 1] < hi {
-                j += 2;
-            }
-            if j >= b.len() || &b[j] > lo {
-                return false;
-            }
-            i += 2;
+        match pair(self, other) {
+            Pair::Words(a, b) => is_subset(a, b),
+            Pair::Exact(a, b) => is_subset(&a, &b),
         }
-        true
     }
 
     /// Returns `true` if the two unions share at least one point.
-    /// Allocation-free two-pointer sweep with early exit.
+    /// Allocation-free on word-sized operands.
     pub fn intersects(&self, other: &IntervalUnion) -> bool {
         if self.shares_storage_with(other) {
             return !self.is_empty();
         }
-        let (a, b) = (self.endpoints(), other.endpoints());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            let (xl, xh) = (&a[i], &a[i + 1]);
-            let (yl, yh) = (&b[j], &b[j + 1]);
-            if xl < yh && yl < xh {
-                return true;
-            }
-            if xh <= yh {
-                i += 2;
-            } else {
-                j += 2;
-            }
+        match pair(self, other) {
+            Pair::Words(a, b) => overlaps(a, b),
+            Pair::Exact(a, b) => overlaps(&a, &b),
         }
-        false
     }
 
     /// Bits needed to transmit the union: a gamma-coded interval count followed by
     /// each interval's self-delimited endpoints.
     ///
-    /// This charges the **encoded intervals**, independent of buffer sharing:
-    /// a label flooded as one shared buffer with many handles still pays full
-    /// price on every edge, so Theorem 4.3's `O(|E| · |V| log d_out)` bound is
-    /// accounted exactly as before.
+    /// This charges the **encoded intervals**, independent of buffer sharing
+    /// and of endpoint storage: a label flooded as one shared buffer with
+    /// many handles still pays full price on every edge, so Theorem 4.3's
+    /// `O(|E| · |V| log d_out)` bound is accounted exactly as before. A word's
+    /// positional bits are read off the word itself (its fractional bits are
+    /// 127 minus its trailing zeros).
     pub fn wire_bits(&self) -> u64 {
-        let e = self.endpoints();
-        bits::elias_gamma_bits((e.len() / 2) as u64)
-            + e.iter()
+        let endpoints: u64 = match self.endpoints.as_deref() {
+            None => 0,
+            Some(Buffer::Words(w)) => w
+                .iter()
+                .map(|&w| bits::length_prefixed_bits(positional_bits(w)))
+                .sum(),
+            Some(Buffer::Exact(e)) => e
+                .iter()
                 .map(|d| bits::length_prefixed_bits(d.positional_bits()))
-                .sum::<u64>()
+                .sum(),
+        };
+        bits::elias_gamma_bits(self.interval_count() as u64) + endpoints
     }
 }
 
 impl PartialEq for IntervalUnion {
     fn eq(&self, other: &Self) -> bool {
-        self.shares_storage_with(other) || self.endpoints() == other.endpoints()
+        // The derived buffer `==` never equates a word-sized value with an
+        // exact one: by the canonical representation they differ.
+        match (&self.endpoints, &other.endpoints) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            (None, None) => true,
+            _ => false,
+        }
     }
 }
 
 impl Eq for IntervalUnion {}
 
 impl PartialOrd for IntervalUnion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for IntervalUnion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Lexicographic on the flat endpoint arrays — identical to the former
-        // lexicographic order on interval lists, because pairs are fixed-width.
-        self.endpoints().cmp(other.endpoints())
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Lexicographic on the flat endpoint arrays — identical to the
+        // lexicographic order on interval lists, because pairs are
+        // fixed-width — and, words being an order-preserving encoding, on
+        // the stored buffers when both share one encoding.
+        match (self.endpoints.as_deref(), other.endpoints.as_deref()) {
+            (Some(Buffer::Words(a)), Some(Buffer::Words(b))) => a.cmp(b),
+            (Some(Buffer::Exact(a)), Some(Buffer::Exact(b))) => a.cmp(b),
+            _ => self.endpoints().cmp(other.endpoints()),
+        }
     }
 }
 
 impl std::hash::Hash for IntervalUnion {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.endpoints().hash(state);
+        // Value-based by the canonical representation: equal values hash
+        // the same buffer.
+        self.endpoints.as_deref().hash(state);
     }
 }
 
 impl From<Interval> for IntervalUnion {
     fn from(interval: Interval) -> Self {
         if interval.is_empty() {
-            IntervalUnion::empty()
-        } else {
-            let (lo, hi) = interval.into_parts();
-            IntervalUnion::from_endpoints(vec![lo, hi])
+            return IntervalUnion::empty();
+        }
+        let (lo, hi) = interval.into_parts();
+        match (word(&lo), word(&hi)) {
+            (Some(lo), Some(hi)) => IntervalUnion::from_words(vec![lo, hi]),
+            _ => IntervalUnion::from_dyadics(vec![lo, hi]),
         }
     }
 }
@@ -889,18 +1247,15 @@ pub fn canonical_partition(
     if parts == 1 {
         return Ok(vec![alpha.clone()]);
     }
-    if alpha.is_empty() {
+    let Some(first) = alpha.first_interval() else {
         return Ok(vec![IntervalUnion::empty(); parts]);
-    }
-    let e = alpha.endpoints();
-    let first = Interval::new_unchecked(e[0].clone(), e[1].clone());
-    let rest = IntervalUnion::from_endpoints(e[2..].to_vec());
+    };
     let mut out: Vec<IntervalUnion> = first
         .split(parts - 1)?
         .into_iter()
         .map(IntervalUnion::from)
         .collect();
-    out.push(rest);
+    out.push(alpha.rest());
     Ok(out)
 }
 
@@ -953,6 +1308,10 @@ mod tests {
         IntervalUnion::from_intervals(list.iter().map(|&(l, h, e)| iv(l, h, e)))
     }
 
+    fn words(u: &IntervalUnion) -> &[u128] {
+        u.words().expect("grid endpoints are word-sized")
+    }
+
     #[test]
     fn canonical_form_merges_overlaps_and_adjacency() {
         let u = union_of(&[(0, 2, 3), (2, 4, 3), (6, 7, 3), (5, 6, 3)]);
@@ -969,7 +1328,7 @@ mod tests {
         assert_eq!(u, IntervalUnion::empty());
         assert_eq!(u, IntervalUnion::default());
         assert!(IntervalUnion::from(Interval::empty()).is_empty());
-        assert!(u.endpoints().is_empty());
+        assert_eq!(u.endpoints().len(), 0);
     }
 
     #[test]
@@ -1024,7 +1383,8 @@ mod tests {
             let expected = a.union(&b);
             let shared = a.clone();
             let mut acc = a.clone();
-            let changed = acc.splice_union(b.endpoints());
+            let own = acc.endpoints.as_mut().expect("non-empty state");
+            let changed = splice_union(own, words(&b));
             assert_eq!(acc, expected, "a = {a:?}, b = {b:?}");
             assert_eq!(changed, acc != a, "a = {a:?}, b = {b:?}");
             assert_eq!(shared, a, "a = {a:?}, b = {b:?}: sibling handle changed");
@@ -1043,9 +1403,8 @@ mod tests {
             assert!(delta.endpoints().len() * SPLICE_RATIO <= state.endpoints().len());
             let mut acc = state.clone();
             let changed = acc.union_in_place(&delta);
-            let mut scratch = Vec::new();
-            union_into(state.endpoints(), delta.endpoints(), &mut scratch);
-            assert_eq!(acc.endpoints(), &scratch[..], "delta = {delta:?}");
+            let merged = SetOp::Union.merged(words(&state), words(&delta));
+            assert_eq!(words(&acc), merged, "delta = {delta:?}");
             assert_eq!(changed, acc != state, "delta = {delta:?}");
         }
     }
@@ -1116,18 +1475,58 @@ mod tests {
     }
 
     #[test]
-    fn in_place_ops_with_explicit_scratch() {
-        let mut scratch = Vec::new();
+    fn in_place_ops_chain_on_one_value() {
         let mut a = union_of(&[(0, 4, 3), (6, 8, 3)]);
-        assert!(a.union_in_place_with(&union_of(&[(4, 5, 3)]), &mut scratch));
+        assert!(a.union_in_place(&union_of(&[(4, 5, 3)])));
         assert_eq!(a, union_of(&[(0, 5, 3), (6, 8, 3)]));
-        assert!(scratch.is_empty());
-        let cap = scratch.capacity();
-        assert!(cap > 0, "scratch capacity is retained for reuse");
-        assert!(a.intersect_assign_with(&union_of(&[(2, 7, 3)]), &mut scratch));
+        assert!(a.intersect_assign(&union_of(&[(2, 7, 3)])));
         assert_eq!(a, union_of(&[(2, 5, 3), (6, 7, 3)]));
-        assert!(a.subtract_assign_with(&union_of(&[(3, 4, 3)]), &mut scratch));
+        assert!(a.subtract_assign(&union_of(&[(3, 4, 3)])));
         assert_eq!(a, union_of(&[(2, 3, 3), (4, 5, 3), (6, 7, 3)]));
+    }
+
+    /// A word's positional bits are its dyadic value's, for every count of
+    /// fractional bits and at both ends of `[0, 1]`, and the encoding round
+    /// trips.
+    #[test]
+    fn words_encode_dyadics_and_their_positional_bits() {
+        let mut cases = vec![0, ONE, ONE - 1, ONE >> 1, 3 << 60, (1 << 64) + 1];
+        cases.extend((0..FRACTION_BITS).map(|k| 1u128 << k));
+        for w in cases {
+            let d = dyadic(w);
+            assert_eq!(positional_bits(w), d.positional_bits(), "word {w:#x}");
+            assert_eq!(word(&d), Some(w), "word {w:#x}");
+        }
+        assert_eq!(word(&Dyadic::from_pow2_neg(FRACTION_BITS + 1)), None);
+        assert_eq!(word(&Dyadic::from_u64_parts(3, 1)), None);
+    }
+
+    /// Endpoints above 1 or past 127 fractional bits keep a union exact, and
+    /// an operation that drops every such endpoint stores words again.
+    #[test]
+    fn exact_storage_only_past_the_word_range() {
+        let deep = Dyadic::from_pow2_neg(FRACTION_BITS + 1);
+        let tiny = IntervalUnion::from(Interval::new(Dyadic::zero(), deep).unwrap());
+        let above = IntervalUnion::from(Interval::new(Dyadic::one(), Dyadic::from_u64(2)).unwrap());
+        assert!(!tiny.is_word_sized() && !above.is_word_sized());
+        assert!(IntervalUnion::unit().is_word_sized());
+        assert!(IntervalUnion::empty().is_word_sized());
+
+        let mut absorbed = tiny.clone();
+        assert!(absorbed.union_in_place(&IntervalUnion::unit()));
+        assert!(absorbed.is_unit() && absorbed.is_word_sized());
+        let mut widened = IntervalUnion::unit();
+        assert!(widened.union_in_place(&above));
+        assert!(!widened.is_word_sized());
+        assert_eq!(widened.interval_count(), 1);
+        assert!(widened.subtract_assign(&above));
+        assert!(widened.is_unit() && widened.is_word_sized());
+        let mut cut = tiny.union(&above);
+        assert!(cut.intersect_assign(&IntervalUnion::unit()));
+        assert_eq!(cut, tiny);
+        assert!(cut.subtract_assign(&tiny));
+        assert!(cut.is_empty());
+        assert_eq!(IntervalUnion::unit().difference(&tiny).interval_count(), 1);
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //!   value — the protocols' per-out-port hot path — is an O(1) refcount bump,
 //!   and the set operations walk dense endpoint buffers at a cost that follows
 //!   the smaller operand (galloping search, and in-place splices of small
-//!   unions), so merging a delivery's delta costs O(delta · log state).
+//!   unions), so merging a delivery's delta costs O(delta · log state). The
+//!   endpoints are 128-bit fixed-point words (`v · 2¹²⁷`) whenever every
+//!   endpoint lies in `[0, 1]` with at most 127 fractional bits, and exact
+//!   [`Dyadic`]s otherwise; the encoding is a function of the value, and
+//!   values convert to and from [`Interval`]s and [`Dyadic`]s only at the
+//!   API's edges.
 //! * [`partition`] — the paper's splitting rules: the power-of-two scalar rule of
 //!   Section 3.1 and the canonical interval partition of Section 4.
 //! * [`bits`] — self-delimiting integer codes used to account for wire sizes.

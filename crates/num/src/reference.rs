@@ -4,9 +4,10 @@
 //! inline `u64` mantissa whenever the value fits in a machine word (and
 //! compares heap mantissas word by word without allocating), and the
 //! [`crate::IntervalUnion`] set operations are single passes over the
-//! canonical operands that gallop over the larger one or splice a small
-//! operand in place. This module keeps the original, slower-but-obvious
-//! implementations alive:
+//! canonical operands, stored as fixed-point words where they fit, that
+//! gallop over the larger one or splice a small operand in place. This module
+//! keeps the original, slower-but-obvious implementations over dyadics
+//! alive:
 //!
 //! * the dyadic operations always widen both operands to [`BigUint`] mantissas
 //!   aligned to a common exponent (the pre-fast-path semantics), and

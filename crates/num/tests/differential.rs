@@ -11,13 +11,18 @@
 //! * boundary-touching and adjacent-merge grids,
 //! * deep-exponent dyadics crossing the inline→heap mantissa boundary,
 //!   including pairs with one leading-bit position (the comparisons decided
-//!   word by word below the top bit), and
+//!   word by word below the top bit),
+//! * unions on either side of the word/exact storage boundary — endpoints
+//!   with 126, 127 and 128 fractional bits, endpoints equal to and above 1,
+//!   and unions widened past 127 bits — as word×word, exact×exact and mixed
+//!   operand pairs, and
 //! * skewed operands: deltas of a few intervals against states of hundreds,
 //!   the shape every protocol delivery merges (galloping skips and in-place
 //!   splices).
 
-use anet_num::{reference, BigUint, Dyadic, Interval, IntervalUnion};
+use anet_num::{bits, reference, BigUint, Dyadic, Interval, IntervalUnion};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Strategy: a dyadic whose mantissa straddles the inline→heap boundary.
 ///
@@ -88,11 +93,19 @@ fn adjacent_union() -> impl Strategy<Value = IntervalUnion> {
     })
 }
 
+/// Whether an endpoint fits a 128-bit fixed-point word: it lies in `[0, 1]`
+/// with at most 127 fractional bits.
+fn fits_word(d: &Dyadic) -> bool {
+    d <= &Dyadic::one() && d.exponent() <= 127
+}
+
 /// Asserts that a union satisfies the endpoint-array canonical-form contract
-/// the linear merges rely on: even length, strictly increasing (so intervals
-/// are non-empty, sorted, pairwise disjoint and non-adjacent), empty ⟺ absent.
-fn assert_canonical(u: &IntervalUnion) -> Result<(), proptest::test_runner::TestCaseError> {
-    let e = u.endpoints();
+/// the linear merges rely on — even length, strictly increasing (so intervals
+/// are non-empty, sorted, pairwise disjoint and non-adjacent), empty ⟺ absent
+/// — and the canonical representation: stored as words exactly when every
+/// endpoint fits one.
+fn assert_canonical(u: &IntervalUnion) -> Result<(), TestCaseError> {
+    let e: Vec<Dyadic> = u.endpoints().collect();
     prop_assert_eq!(e.len() % 2, 0, "endpoint array has odd length");
     prop_assert_eq!(e.is_empty(), u.is_empty());
     prop_assert_eq!(e.len() / 2, u.interval_count());
@@ -103,18 +116,44 @@ fn assert_canonical(u: &IntervalUnion) -> Result<(), proptest::test_runner::Test
             u
         );
     }
+    prop_assert_eq!(
+        u.is_word_sized(),
+        e.iter().all(fits_word),
+        "storage does not follow the endpoints: {:?}",
+        u
+    );
     Ok(())
 }
 
-/// Monotone widening that pushes every endpoint mantissa past the 64-bit
-/// inline limit: multiplication by the heap constant `1 + 2^-70` preserves
-/// strict order (and zero), so a widened union is canonical iff the original
-/// was, but every non-zero endpoint takes the heap `BigUint` path.
-fn widen_to_heap(u: &IntervalUnion) -> IntervalUnion {
-    let factor = Dyadic::from_parts(&BigUint::pow2(70) + &BigUint::one(), 70);
+/// The wire size of a union recomputed from its materialized dyadic
+/// intervals: the gamma-coded count and each interval's self-delimited
+/// positional endpoints.
+fn encoded_bits(u: &IntervalUnion) -> u64 {
+    bits::elias_gamma_bits(u.interval_count() as u64)
+        + u.iter().map(|iv| iv.endpoint_bits()).sum::<u64>()
+}
+
+/// Monotone widening of every endpoint by the factor `1 + 2^-k`, which
+/// preserves strict order (and zero), so a widened union is canonical iff
+/// the original was. Every non-zero endpoint gains `k` fractional bits.
+fn widen(u: &IntervalUnion, k: u32) -> IntervalUnion {
+    let factor = Dyadic::from_parts(&BigUint::pow2(k) + &BigUint::one(), k);
     IntervalUnion::from_intervals(u.iter().map(|iv| {
         Interval::new(iv.lo() * &factor, iv.hi() * &factor).expect("widening is monotone")
     }))
+}
+
+/// Widening by `1 + 2^-70`: every non-zero endpoint mantissa passes the
+/// 64-bit inline limit of [`Dyadic`], while the union stays word-sized (grid
+/// endpoints reach at most 86 fractional bits).
+fn widen_to_heap(u: &IntervalUnion) -> IntervalUnion {
+    widen(u, 70)
+}
+
+/// Widening by `1 + 2^-130`: every non-zero endpoint passes 127 fractional
+/// bits, so a non-empty union is stored exact.
+fn widen_past_words(u: &IntervalUnion) -> IntervalUnion {
+    widen(u, 130)
 }
 
 /// Strategy: a soup union with every endpoint on the heap mantissa path.
@@ -122,21 +161,102 @@ fn heap_union() -> impl Strategy<Value = IntervalUnion> {
     soup_union().prop_map(|u| widen_to_heap(&u))
 }
 
-/// Strategy: a skewed pair `(state, delta, heap)`: a state of exactly 50–299
-/// maximal intervals on a `2^-12` grid (gaps of at least one cell keep every
-/// stripe maximal) and a delta of 1–3 intervals whose endpoints are state
-/// endpoints shifted by −1, 0 or +1 cells, so deltas touch, overlap, bridge
-/// and nest in state intervals far more often than random placement would.
-/// With `heap`, every third grid cell maps to a heap mantissa a fraction of a
-/// cell above its inline value instead: the map stays a strictly increasing
-/// function of the cell (touching cells still touch), and neighbouring inline
-/// and heap endpoints share a leading-bit position, so the searches compare
-/// across representations at equal magnitude.
-fn skewed_operands() -> impl Strategy<Value = (IntervalUnion, IntervalUnion, bool)> {
+/// Strategy: an endpoint at the word/exact storage boundary — 0, 1, a value
+/// above 1, a grid value, or a value in `(0, 1)` with exactly 126, 127 or 128
+/// fractional bits. All share the top bits `top / 16`, so endpoints of
+/// different classes interleave, touch and coincide.
+fn boundary_endpoint() -> impl Strategy<Value = Dyadic> {
+    (0u8..7, 0u64..16, any::<u64>()).prop_map(|(class, top, low)| match class {
+        0 => Dyadic::zero(),
+        1 => Dyadic::one(),
+        2 => Dyadic::from_u64_parts(16 + top, 4),
+        3 => Dyadic::from_u64_parts(top, 4),
+        _ => {
+            let bits = 122 + u32::from(class); // 126, 127 or 128
+            let tail = BigUint::from(low | 1);
+            Dyadic::from_parts(&(BigUint::from(top) << (bits - 4)) + &tail, bits)
+        }
+    })
+}
+
+/// Strategy: a union of up to 6 intervals between boundary endpoints, so
+/// roughly half the unions are stored exact.
+fn boundary_union() -> impl Strategy<Value = IntervalUnion> {
+    prop::collection::vec((boundary_endpoint(), boundary_endpoint()), 0..7).prop_map(|ends| {
+        IntervalUnion::from_intervals(ends.into_iter().map(|(a, b)| {
+            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+            Interval::new(lo, hi).expect("ordered")
+        }))
+    })
+}
+
+/// Checks every set operation of `a` and `b` — out of place, in place with a
+/// sibling handle sharing the receiver's buffer, and the derived predicates —
+/// against the reference, with the canonical representation and the wire
+/// size of every result.
+fn check_against_reference(a: &IntervalUnion, b: &IntervalUnion) -> Result<(), TestCaseError> {
+    let union = reference::union(a, b);
+    let meet = reference::intersection(a, b);
+    let carved = reference::difference(a, b);
+    let fast = [a.union(b), a.intersection(b), a.difference(b)];
+    for (got, want) in fast.iter().zip([&union, &meet, &carved]) {
+        prop_assert_eq!(got, want);
+        assert_canonical(got)?;
+        prop_assert_eq!(got.wire_bits(), encoded_bits(got));
+    }
+    prop_assert_eq!(&b.difference(a), &reference::difference(b, a));
+    prop_assert_eq!(a.intersects(b), !meet.is_empty());
+    prop_assert_eq!(a.is_subset_of(b), carved.is_empty());
+
+    let frozen = a.deep_clone();
+    for (op, want) in [&union, &meet, &carved].into_iter().enumerate() {
+        let sibling = a.clone();
+        let mut writer = a.clone();
+        let changed = match op {
+            0 => writer.union_in_place(b),
+            1 => writer.intersect_assign(b),
+            _ => writer.subtract_assign(b),
+        };
+        prop_assert_eq!(&writer, want);
+        prop_assert_eq!(changed, writer != *a);
+        assert_canonical(&writer)?;
+        prop_assert_eq!(&sibling, &frozen);
+        if changed {
+            prop_assert!(!writer.shares_storage_with(&sibling));
+        }
+    }
+    Ok(())
+}
+
+/// How [`skewed_operands`] maps every third grid cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cells {
+    /// Every cell is its inline grid value.
+    Inline,
+    /// Every third cell is a heap mantissa of 65–84 bits: still a word.
+    Heap,
+    /// Every third cell has 142 fractional bits: stored exact.
+    Exact,
+}
+
+/// Strategy: a skewed triple `(state, delta, cells)`: a state of exactly
+/// 50–299 maximal intervals on a `2^-12` grid (gaps of at least one cell keep
+/// every stripe maximal) and a delta of 1–3 intervals whose endpoints are
+/// state endpoints shifted by −1, 0 or +1 cells, so deltas touch, overlap,
+/// bridge and nest in state intervals far more often than random placement
+/// would. Except under [`Cells::Inline`], every third grid cell maps to a
+/// value a fraction of a cell above its grid value instead — a heap mantissa
+/// that still fits a word, or an endpoint past 127 fractional bits: the map
+/// stays a strictly increasing function of the cell (touching cells still
+/// touch), and neighbouring endpoints share a leading-bit position, so the
+/// searches compare across representations at equal magnitude. Under
+/// [`Cells::Exact`] the state is stored exact and the delta may be stored
+/// either way.
+fn skewed_operands() -> impl Strategy<Value = (IntervalUnion, IntervalUnion, Cells)> {
     let stripes = prop::collection::vec((1u64..4, 1u64..4), 50..300);
     let delta = prop::collection::vec((0usize..1 << 16, 0u64..3, 0usize..9, 0u64..3), 1..4);
-    (stripes, delta, 0u8..2).prop_map(|(stripes, delta, heap)| {
-        let heap = heap == 1;
+    (stripes, delta, 0u8..3).prop_map(|(stripes, delta, mode)| {
+        let mode = [Cells::Inline, Cells::Heap, Cells::Exact][usize::from(mode)];
         let mut cells = Vec::with_capacity(2 * stripes.len());
         let mut at = 0u64;
         for (gap, len) in stripes {
@@ -145,13 +265,19 @@ fn skewed_operands() -> impl Strategy<Value = (IntervalUnion, IntervalUnion, boo
             at += len;
             cells.push(at);
         }
-        let tail = &BigUint::pow2(65) + &BigUint::one();
         let cell = |c: u64| {
-            if heap && c.is_multiple_of(3) {
-                Dyadic::from_parts(&(BigUint::from(c) << 70) + &tail, 12 + 70)
-            } else {
-                Dyadic::from_u64_parts(c, 12)
+            // A tail below the cell's grid value, wider than 64 bits.
+            let shift = match mode {
+                _ if !c.is_multiple_of(3) => 0,
+                Cells::Inline => 0,
+                Cells::Heap => 70,
+                Cells::Exact => 130,
+            };
+            if shift == 0 {
+                return Dyadic::from_u64_parts(c, 12);
             }
+            let tail = &BigUint::pow2(shift - 5) + &BigUint::one();
+            Dyadic::from_parts(&(BigUint::from(c) << shift) + &tail, 12 + shift)
         };
         let interval = |lo: u64, hi: u64| Interval::new(cell(lo), cell(hi)).expect("ordered");
         let state =
@@ -167,7 +293,7 @@ fn skewed_operands() -> impl Strategy<Value = (IntervalUnion, IntervalUnion, boo
                 interval(lo, hi)
             },
         ));
-        (state, delta, heap)
+        (state, delta, mode)
     })
 }
 
@@ -326,14 +452,44 @@ proptest! {
         prop_assert_eq!(hb.difference(&a), reference::difference(&hb, &a));
     }
 
+    // ---- Word/exact storage boundary ----------------------------------------
+
+    #[test]
+    fn set_ops_match_reference_at_the_storage_boundary(a in boundary_union(), b in boundary_union()) {
+        assert_canonical(&a)?;
+        assert_canonical(&b)?;
+        prop_assert_eq!(a.wire_bits(), encoded_bits(&a));
+        check_against_reference(&a, &b)?;
+    }
+
+    #[test]
+    fn set_ops_match_reference_on_word_exact_and_mixed_pairs(
+        a in soup_union(),
+        b in adjacent_union(),
+        widen_a in any::<bool>(),
+        widen_b in any::<bool>(),
+    ) {
+        // Word×word, exact×exact and both mixed orders, by which operands
+        // are widened past 127 fractional bits.
+        let a = if widen_a { widen_past_words(&a) } else { a };
+        let b = if widen_b { widen_past_words(&b) } else { b };
+        prop_assert_eq!(a.is_word_sized(), a.is_empty() || !widen_a);
+        prop_assert_eq!(b.is_word_sized(), b.is_empty() || !widen_b);
+        check_against_reference(&a, &b)?;
+        check_against_reference(&b, &a)?;
+    }
+
     // ---- Skewed operands: small deltas against large states ----------------
 
     #[test]
     fn skewed_set_ops_match_reference(operands in skewed_operands()) {
-        let (state, delta, heap) = operands;
+        let (state, delta, cells) = operands;
         prop_assert!(state.interval_count() >= 50);
         prop_assert!((1..=3).contains(&delta.interval_count()));
-        prop_assert_eq!(state.endpoints().iter().any(|e| !e.is_inline()), heap);
+        prop_assert_eq!(state.endpoints().any(|e| !e.is_inline()), cells != Cells::Inline);
+        prop_assert_eq!(state.is_word_sized(), cells != Cells::Exact);
+        assert_canonical(&state)?;
+        assert_canonical(&delta)?;
         let union = reference::union(&state, &delta);
         let meet = reference::intersection(&delta, &state);
         let fresh = reference::difference(&delta, &state);

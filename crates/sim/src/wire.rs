@@ -46,7 +46,8 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// out-port. Carrying the batch as an owned `Vec` makes each send pay a deep
 /// clone; a `SharedSlice` is an `Arc<[T]>`, so the per-port (and per-trace-event)
 /// clone is a reference-count bump regardless of batch size — which is why
-/// [`Clone`] here deliberately does **not** require `T: Clone`.
+/// [`Clone`] here deliberately does **not** require `T: Clone`. An empty batch
+/// (most activations flood nothing) holds no `Arc` and allocates nothing.
 ///
 /// The wire size is supplied at construction: the slice elements are typically
 /// run-local names (interned ids) whose honest on-the-wire cost is the encoding
@@ -56,7 +57,8 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// sizes, keeping the [`Wire`] consistency contract.
 #[derive(Debug)]
 pub struct SharedSlice<T> {
-    items: Arc<[T]>,
+    /// `None` for an empty batch.
+    items: Option<Arc<[T]>>,
     encoded_bits: u64,
 }
 
@@ -65,7 +67,7 @@ impl<T> SharedSlice<T> {
     /// an edge (self-delimiting encoding, length prefix included).
     pub fn new(items: Vec<T>, encoded_bits: u64) -> Self {
         SharedSlice {
-            items: items.into(),
+            items: (!items.is_empty()).then(|| items.into()),
             encoded_bits,
         }
     }
@@ -77,17 +79,17 @@ impl<T> SharedSlice<T> {
 
     /// The shared elements.
     pub fn items(&self) -> &[T] {
-        &self.items
+        self.items.as_deref().unwrap_or(&[])
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.items().len()
     }
 
     /// Whether the batch holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.items.is_none()
     }
 
     /// The declared encoded size in bits (same value [`Wire::wire_bits`] reports).
@@ -102,7 +104,7 @@ impl<T> SharedSlice<T> {
 impl<T> Clone for SharedSlice<T> {
     fn clone(&self) -> Self {
         SharedSlice {
-            items: Arc::clone(&self.items),
+            items: self.items.clone(),
             encoded_bits: self.encoded_bits,
         }
     }
@@ -110,7 +112,7 @@ impl<T> Clone for SharedSlice<T> {
 
 impl<T: PartialEq> PartialEq for SharedSlice<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.encoded_bits == other.encoded_bits && self.items == other.items
+        self.encoded_bits == other.encoded_bits && self.items() == other.items()
     }
 }
 
@@ -120,7 +122,7 @@ impl<T> std::ops::Deref for SharedSlice<T> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
-        &self.items
+        self.items()
     }
 }
 
