@@ -422,10 +422,13 @@ fn interval_operands(op: &str, n: usize, endpoints: Endpoints) -> (IntervalUnion
 /// ([`crate::delta_operands`]): a one-interval delta merged into an unshared
 /// state in place (`union_in_place/delta`) and carved by it
 /// (`difference/delta`, the delta minus the state), against states of 100 to
-/// 10 000 intervals. Last, the copy-on-write detach path
-/// (`union_in_place/shared`): an 8-interval delta merged into an O(1)
-/// `clone()` of a state of 10 to 10 000 intervals, which copies the state's
-/// buffer before writing.
+/// 10 000 intervals, and the redundant β echo: an O(1) `clone()` of a
+/// one-interval delta carved in place by a state it lies inside
+/// (`subtract_assign/echo_inside`, an empty result) or misses
+/// (`subtract_assign/echo_outside`, unchanged). Last, the copy-on-write
+/// detach path (`union_in_place/shared`): an 8-interval delta merged into an
+/// O(1) `clone()` of a state of 10 to 10 000 intervals, which copies the
+/// state's buffer before writing.
 ///
 /// With `cfg.cross_check`, every operation is checked equal to its reference
 /// on its operands before they are timed.
@@ -518,6 +521,27 @@ pub fn interval_algebra_baseline(cfg: &SampleConfig) -> Baseline {
             ];
             for (op, implementation, median_ns) in timed {
                 rows.push(row(op, implementation, repr, n, median_ns));
+            }
+
+            // The redundant β echo: a shared one-interval delta carved in
+            // place by a state it lies inside (the delta's part inside the
+            // stripe) or misses (its part in the gap).
+            let echoes = [
+                ("subtract_assign/echo_inside", delta.intersection(&state)),
+                ("subtract_assign/echo_outside", delta.difference(&state)),
+            ];
+            for (op, echo) in echoes {
+                if cfg.cross_check {
+                    let mut carved = echo.clone();
+                    let changed = carved.subtract_assign(&state);
+                    assert_eq!(carved, num_reference::difference(&echo, &state));
+                    assert_eq!(changed, carved.is_empty());
+                    assert!(changed || carved.shares_storage_with(&echo));
+                }
+                let fast = median_ns(cfg, || echo.clone().subtract_assign(&state));
+                rows.push(row(op, "fast", repr, n, fast));
+                let reference = median_ns(cfg, || num_reference::difference(&echo, &state));
+                rows.push(row(op, "reference", repr, n, reference));
             }
         }
     }

@@ -32,6 +32,20 @@
 //! [`Wire::wire_bits`] still charges the encoded intervals on every edge. The
 //! pre-CoW deep-clone implementation is retained in [`mod@reference`] and pinned
 //! bit-identical by the `general_broadcast_differential` suite.
+//!
+//! ## The echo path
+//!
+//! β floods every piece of cycle evidence to every vertex downstream, so on
+//! cyclic networks most deliveries are *echoes*: an empty α and a β the
+//! receiver mostly or wholly holds already. An empty α routes nothing, so a
+//! vertex with out-edges answers an α-empty message with no overlap or
+//! fresh-mass work: one allocation-free test `β' ⊆ β`, which ends the
+//! delivery with no clone, merge or emission when it holds. Otherwise the
+//! increment `β' \ β` is carved in place from an O(1) clone of `β'` — so a
+//! `β'` the vertex holds none of stays the sender's buffer — and flooded on
+//! every out-port, exactly as the general rule would. Only vertices of
+//! out-degree zero keep the running coverage [`GeneralState::seen`], so an
+//! echo at a routing vertex touches nothing else.
 
 use anet_graph::Network;
 use anet_num::partition::canonical_partition_nonempty;
@@ -74,8 +88,11 @@ pub struct GeneralState {
     pub partitioned: bool,
     /// Whether the payload has been received.
     pub received: bool,
-    /// For vertices with out-degree zero (in particular the terminal): everything
-    /// received so far. The stopping predicate is `seen == [0, 1)`.
+    /// Everything received so far (α and β alike), kept only at vertices with
+    /// out-degree zero — in particular the terminal, whose stopping predicate
+    /// is `seen == [0, 1)`. It stays empty at every vertex with an out-port:
+    /// nothing reads it there, and keeping it would cost a merge per
+    /// delivery.
     pub seen: IntervalUnion,
 }
 
@@ -90,6 +107,8 @@ impl GeneralState {
     }
 
     /// The terminal's coverage: everything it has received (α and β alike).
+    /// Empty at a vertex with out-edges, which keeps no coverage (see
+    /// [`GeneralState::seen`]).
     pub fn coverage(&self) -> &IntervalUnion {
         &self.seen
     }
@@ -151,12 +170,12 @@ impl AnonymousProtocol for GeneralBroadcast {
         out: &mut Vec<(usize, GeneralMessage)>,
     ) {
         state.received = true;
-        state.seen.union_in_place(&message.alpha);
-        state.seen.union_in_place(&message.beta);
         let d = ctx.out_degree;
         if d == 0 {
             // Nowhere to forward; `seen` is the stopping-predicate input when this
             // vertex happens to be the terminal.
+            state.seen.union_in_place(&message.alpha);
+            state.seen.union_in_place(&message.beta);
             state.beta.union_in_place(&message.beta);
             return;
         }
@@ -166,7 +185,26 @@ impl AnonymousProtocol for GeneralBroadcast {
         // message components are small deltas, the in-place set ops merge
         // them into the state without intermediate allocations, and the
         // emitted batch lands in the engine's reused scratch buffer.
-        if !state.partitioned && !message.alpha.is_empty() {
+        if message.alpha.is_empty() {
+            // A β echo (see the module docs): held evidence ends it.
+            if message.beta.is_subset_of(&state.beta) {
+                return;
+            }
+            // A β the vertex has none of stays the sender's shared buffer.
+            let mut beta_delta = message.beta.clone();
+            beta_delta.subtract_assign(&state.beta);
+            state.beta.union_in_place(&beta_delta);
+            for j in 0..d {
+                out.push((
+                    j,
+                    GeneralMessage {
+                        alpha: IntervalUnion::empty(),
+                        beta: beta_delta.clone(),
+                        payload: self.payload.clone(),
+                    },
+                ));
+            }
+        } else if !state.partitioned {
             // First interval mass: one-time canonical partition among the out-ports.
             state.partitioned = true;
             let parts = canonical_partition_nonempty(&message.alpha, d)
@@ -567,6 +605,97 @@ mod tests {
                 named.scheduler
             );
             assert!(named.result.states[v.index()].received);
+        }
+    }
+
+    fn half(k: u64) -> IntervalUnion {
+        IntervalUnion::from(anet_num::Interval::from_dyadic_parts(k, k + 1, 1).unwrap())
+    }
+
+    /// An α-empty delivery whose β the vertex already holds emits nothing and
+    /// leaves the state as it was; one with new β floods just the new part.
+    #[test]
+    fn beta_echo_of_held_evidence_is_silent() {
+        let protocol = GeneralBroadcast::new(Payload::from_bytes(b"e"));
+        let ctx = NodeContext::new(1, 2);
+        let mut state = protocol.initial_state(&ctx);
+        let mut out = Vec::new();
+        let first = GeneralMessage {
+            alpha: half(0),
+            beta: half(1),
+            payload: protocol.payload().clone(),
+        };
+        protocol.on_receive_into(&ctx, &mut state, 0, &first, &mut out);
+        assert_eq!(out.len(), 2);
+        assert_eq!(state.beta, half(1));
+
+        for beta in [
+            state.beta.clone(),
+            state.beta.deep_clone(),
+            IntervalUnion::empty(),
+        ] {
+            let before = state.clone();
+            out.clear();
+            let echo = GeneralMessage {
+                alpha: IntervalUnion::empty(),
+                beta,
+                payload: protocol.payload().clone(),
+            };
+            protocol.on_receive_into(&ctx, &mut state, 0, &echo, &mut out);
+            assert!(out.is_empty(), "an echo of held β was forwarded");
+            assert_eq!(state, before);
+        }
+
+        // New β is flooded on every port: the part the vertex lacks, and the
+        // sender's own buffer when the vertex holds none of it.
+        for (beta, shared) in [(IntervalUnion::unit(), false), (half(0), true)] {
+            state.beta = half(1);
+            out.clear();
+            let echo = GeneralMessage {
+                alpha: IntervalUnion::empty(),
+                beta,
+                payload: protocol.payload().clone(),
+            };
+            protocol.on_receive_into(&ctx, &mut state, 0, &echo, &mut out);
+            assert_eq!(out.len(), 2);
+            for (j, (port, message)) in out.iter().enumerate() {
+                assert_eq!(*port, j);
+                assert!(message.alpha.is_empty());
+                assert_eq!(message.beta, half(0));
+                assert_eq!(message.beta.shares_storage_with(&echo.beta), shared);
+            }
+        }
+        assert!(state.beta.is_unit());
+        assert!(state.seen.is_empty(), "a routing vertex keeps no coverage");
+    }
+
+    /// `seen` is kept only where the stopping predicate reads it: empty at
+    /// every vertex with out-edges, the full coverage at the terminal.
+    #[test]
+    fn only_sinks_keep_their_coverage() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let net = random_cyclic(&mut rng, 16, 0.2, 0.3).unwrap();
+        assert!(!classify::is_dag(net.graph()));
+        let protocol = GeneralBroadcast::new(Payload::from_bytes(b"k"));
+        for named in run_under_battery(&net, &protocol, ExecutionConfig::default(), 3, 3) {
+            assert!(
+                named.result.outcome.terminated(),
+                "sched {}",
+                named.scheduler
+            );
+            for node in net.graph().nodes() {
+                let st = &named.result.states[node.index()];
+                if net.graph().out_degree(node) > 0 {
+                    assert!(
+                        st.seen.is_empty(),
+                        "sched {} node {node:?}",
+                        named.scheduler
+                    );
+                }
+            }
+            let terminal = &named.result.states[net.terminal().index()];
+            assert_eq!(&terminal.seen, terminal.coverage());
+            assert!(terminal.coverage().is_unit(), "sched {}", named.scheduler);
         }
     }
 

@@ -13,6 +13,10 @@
 //! the scheduler battery and asserts identical traces, metrics and wire-bit
 //! totals, and `BENCH_labeling.json` pins the speedup. Do not use it on hot
 //! paths.
+//!
+//! Like the parent module, it keeps [`GeneralState::seen`] only at vertices
+//! of out-degree zero. Nothing reads `seen` anywhere else, so this changes no
+//! message, metric or outcome; it keeps the suite's full-state equality.
 
 use anet_graph::Network;
 use anet_num::partition::canonical_partition_nonempty;
@@ -65,10 +69,11 @@ impl AnonymousProtocol for GeneralBroadcast {
         message: &GeneralMessage,
     ) -> Vec<(usize, GeneralMessage)> {
         state.received = true;
-        state.seen = num_reference::union(&state.seen, &message.alpha);
-        state.seen = num_reference::union(&state.seen, &message.beta);
         let d = ctx.out_degree;
         if d == 0 {
+            // Only vertices of out-degree zero keep `seen` (see `GeneralState`).
+            state.seen = num_reference::union(&state.seen, &message.alpha);
+            state.seen = num_reference::union(&state.seen, &message.beta);
             state.beta = num_reference::union(&state.beta, &message.beta);
             return Vec::new();
         }

@@ -21,6 +21,18 @@
 //! [`Wire::wire_bits`] still charges the encoded intervals on every edge. The
 //! pre-CoW deep-clone implementation is retained in [`mod@reference`] and pinned
 //! bit-identical by the `labeling_differential` suite.
+//!
+//! ## The echo path
+//!
+//! β floods every piece of cycle evidence (and every claimed label) to every
+//! vertex downstream, so on cyclic networks most deliveries are *echoes*: an
+//! empty α and a β the receiver mostly or wholly holds already. An empty α
+//! routes nothing, so a routing vertex answers an α-empty message with no
+//! overlap or fresh-mass work: one allocation-free test `β' ⊆ β`, which ends
+//! the delivery with no clone, merge or emission when it holds. Otherwise
+//! the increment `β' \ β` is carved in place from an O(1) clone of `β'` —
+//! so a `β'` the vertex holds none of stays the sender's buffer — and
+//! flooded on every out-port, exactly as the general rule would.
 
 use anet_graph::{Network, NodeId};
 use anet_num::bits;
@@ -153,7 +165,25 @@ impl AnonymousProtocol for Labeling {
         // Increments are computed before the state is updated (see
         // `general_broadcast`): no `old_alpha`/`old_beta` snapshots are cloned,
         // and the emitted batch lands in the engine's reused scratch buffer.
-        if !state.partitioned && !message.alpha.is_empty() {
+        if message.alpha.is_empty() {
+            // A β echo (see the module docs): held evidence ends it.
+            if message.beta.is_subset_of(&state.beta) {
+                return;
+            }
+            // A β the vertex has none of stays the sender's shared buffer.
+            let mut beta_delta = message.beta.clone();
+            beta_delta.subtract_assign(&state.beta);
+            state.beta.union_in_place(&beta_delta);
+            for j in 0..d {
+                out.push((
+                    j,
+                    LabelMessage {
+                        alpha: IntervalUnion::empty(),
+                        beta: beta_delta.clone(),
+                    },
+                ));
+            }
+        } else if !state.partitioned {
             state.partitioned = true;
             let parts =
                 canonical_partition_nonempty(&message.alpha, d + 1).expect("d + 1 >= 2 parts");
@@ -612,6 +642,78 @@ mod tests {
                 "labels diverge along the replayed path"
             );
         }
+    }
+
+    fn half(k: u64) -> IntervalUnion {
+        IntervalUnion::from(anet_num::Interval::from_dyadic_parts(k, k + 1, 1).unwrap())
+    }
+
+    /// An α-empty delivery whose β the vertex already holds emits nothing and
+    /// leaves the state as it was; one with new β floods just the new part.
+    #[test]
+    fn beta_echo_of_held_evidence_is_silent() {
+        let protocol = Labeling::new();
+        let ctx = NodeContext::new(1, 2);
+        let mut state = protocol.initial_state(&ctx);
+        let mut out = Vec::new();
+        let first = LabelMessage {
+            alpha: half(0),
+            beta: half(1),
+        };
+        protocol.on_receive_into(&ctx, &mut state, 0, &first, &mut out);
+        assert_eq!(out.len(), 2);
+        assert!(state.label.is_subset_of(&state.beta));
+
+        for beta in [
+            state.beta.clone(),
+            state.beta.deep_clone(),
+            half(1),
+            state.label.clone(),
+        ] {
+            let before = state.clone();
+            out.clear();
+            let echo = LabelMessage {
+                alpha: IntervalUnion::empty(),
+                beta,
+            };
+            protocol.on_receive_into(&ctx, &mut state, 0, &echo, &mut out);
+            assert!(out.is_empty(), "an echo of held β was forwarded");
+            assert_eq!(state, before);
+        }
+
+        // A β the vertex holds none of is flooded as the sender's buffer.
+        let routed = state.alpha[0].clone();
+        assert!(!routed.intersects(&state.beta));
+        out.clear();
+        let echo = LabelMessage {
+            alpha: IntervalUnion::empty(),
+            beta: routed.clone(),
+        };
+        protocol.on_receive_into(&ctx, &mut state, 0, &echo, &mut out);
+        assert_eq!(out.len(), 2);
+        for (_, message) in &out {
+            assert!(message.beta.shares_storage_with(&routed));
+        }
+        assert!(routed.is_subset_of(&state.beta));
+
+        // A β that reaches past what the vertex holds floods the difference.
+        let held = state.beta.clone();
+        let wider = IntervalUnion::unit();
+        out.clear();
+        let echo = LabelMessage {
+            alpha: IntervalUnion::empty(),
+            beta: wider.clone(),
+        };
+        protocol.on_receive_into(&ctx, &mut state, 0, &echo, &mut out);
+        let news = wider.difference(&held);
+        assert!(!news.is_empty());
+        assert_eq!(out.len(), 2);
+        for (j, (port, message)) in out.iter().enumerate() {
+            assert_eq!(*port, j);
+            assert!(message.alpha.is_empty());
+            assert_eq!(message.beta, news);
+        }
+        assert!(state.beta.is_unit());
     }
 
     #[test]

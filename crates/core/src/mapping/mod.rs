@@ -76,6 +76,21 @@
 //! The terminal view is a flat `Vec` indexed by label id rather than a
 //! `BTreeMap<Interval, _>`, so absorbing a record is two or three array
 //! index operations instead of ordered-map hops over interval keys.
+//!
+//! # The echo path
+//!
+//! β floods cycle evidence to every vertex downstream, so on cyclic networks
+//! many deliveries are *echoes*: an empty α, no announcement, no records, and
+//! a β the receiver mostly or wholly holds already. Such a message cannot
+//! touch the record table, so it is answered before the table's `Mutex` is
+//! taken: one allocation-free test `β' ⊆ β` ends the delivery with no clone,
+//! merge or emission when it holds; otherwise the increment `β' \ β` is
+//! carved in place from an O(1) clone of `β'` (a `β'` the vertex holds none
+//! of stays the sender's buffer) and flooded on every out-port, exactly as
+//! the general rule would. A message with an empty α that does carry records
+//! or an announcement takes the full path — its records are absorbed and
+//! flooded — but its labelling core is the same in-place difference, with no
+//! overlap or fresh-mass work.
 
 pub mod reference;
 
@@ -639,6 +654,29 @@ impl AnonymousProtocol for Mapping {
     ) {
         state.received = true;
         let d = ctx.out_degree;
+        if message.alpha.is_empty() && message.announce.is_none() && message.records.is_empty() {
+            // A β echo (see the module docs): held evidence ends it, before
+            // the record table's lock.
+            if message.beta.is_subset_of(&state.beta) {
+                return;
+            }
+            // A β the vertex has none of stays the sender's shared buffer.
+            let mut beta_delta = message.beta.clone();
+            beta_delta.subtract_assign(&state.beta);
+            state.beta.union_in_place(&beta_delta);
+            for j in 0..d {
+                out.push((
+                    j,
+                    MappingMessage {
+                        alpha: IntervalUnion::empty(),
+                        beta: beta_delta.clone(),
+                        announce: None,
+                        records: MappingMessage::no_records(),
+                    },
+                ));
+            }
+            return;
+        }
         // One table lock per activation covers absorption, record creation and
         // message composition.
         let mut table = self.table.lock().expect("record table lock poisoned");
@@ -672,7 +710,12 @@ impl AnonymousProtocol for Mapping {
         if d == 0 {
             state.label.union_in_place(&message.alpha);
             state.beta.union_in_place(&message.beta);
-        } else if !state.partitioned && !message.alpha.is_empty() {
+        } else if message.alpha.is_empty() {
+            // An empty α routes nothing: only β can grow.
+            beta_delta = message.beta.clone();
+            beta_delta.subtract_assign(&state.beta);
+            state.beta.union_in_place(&beta_delta);
+        } else if !state.partitioned {
             state.partitioned = true;
             parts = canonical_partition_nonempty(&message.alpha, d + 1).expect("d + 1 >= 2 parts");
             state.label = std::mem::take(&mut parts[0]);
@@ -1364,6 +1407,165 @@ mod tests {
             .filter(|r| matches!(r, MapRecord::Edge { .. }))
             .count();
         assert_eq!(edge_count, net.edge_count());
+    }
+
+    fn half(k: u64) -> IntervalUnion {
+        IntervalUnion::from(Interval::from_dyadic_parts(k, k + 1, 1).unwrap())
+    }
+
+    fn echo(beta: IntervalUnion) -> MappingMessage {
+        MappingMessage {
+            alpha: IntervalUnion::empty(),
+            beta,
+            announce: None,
+            records: MappingMessage::no_records(),
+        }
+    }
+
+    /// A vertex of in-degree 1 and out-degree 2 that took its label from a
+    /// message with α = [0, 1/2) and β = [1/2, 1), and the protocol value.
+    fn labeled_vertex() -> (Mapping, NodeContext, MappingState) {
+        let protocol = Mapping::new();
+        let ctx = NodeContext::new(1, 2);
+        let mut state = protocol.initial_state(&ctx);
+        let first = MappingMessage {
+            alpha: half(0),
+            beta: half(1),
+            announce: Some(Announce {
+                src: VertexRef::Root,
+                src_port: 0,
+            }),
+            records: MappingMessage::no_records(),
+        };
+        let mut out = Vec::new();
+        protocol.on_receive_into(&ctx, &mut state, 0, &first, &mut out);
+        assert!(state.is_labeled());
+        assert_eq!(out.len(), 2);
+        (protocol, ctx, state)
+    }
+
+    /// The state a delivery can change, for before/after comparisons.
+    fn snapshot(
+        state: &MappingState,
+    ) -> (
+        IntervalUnion,
+        Vec<IntervalUnion>,
+        IntervalUnion,
+        Vec<RecordId>,
+        usize,
+    ) {
+        (
+            state.label.clone(),
+            state.alpha.clone(),
+            state.beta.clone(),
+            state.known.iter().collect(),
+            state.pending_announces.len(),
+        )
+    }
+
+    /// A bare β echo of held evidence emits nothing, changes nothing and
+    /// never takes the record table's lock: it still returns with the lock
+    /// poisoned, which makes every locking path panic.
+    #[test]
+    fn beta_echo_of_held_evidence_is_silent_and_lock_free() {
+        let (protocol, ctx, mut state) = labeled_vertex();
+        let table = Arc::clone(&protocol.table);
+        let _ = std::thread::spawn(move || {
+            let _guard = table.lock().unwrap();
+            panic!("poisoning the record table");
+        })
+        .join();
+        assert!(protocol.table.is_poisoned());
+        let mut out = Vec::new();
+        for beta in [
+            state.beta.clone(),
+            state.beta.deep_clone(),
+            IntervalUnion::empty(),
+        ] {
+            let before = snapshot(&state);
+            protocol.on_receive_into(&ctx, &mut state, 0, &echo(beta), &mut out);
+            assert!(out.is_empty(), "an echo of held β was forwarded");
+            assert_eq!(snapshot(&state), before);
+        }
+        // New β is flooded on every port, still without the table: the part
+        // the vertex lacks, and the sender's own buffer when it holds none.
+        for (beta, shared) in [(IntervalUnion::unit(), false), (half(0), true)] {
+            state.beta = half(1);
+            out.clear();
+            let message = echo(beta);
+            protocol.on_receive_into(&ctx, &mut state, 0, &message, &mut out);
+            assert_eq!(out.len(), 2);
+            for (j, (port, onward)) in out.iter().enumerate() {
+                assert_eq!(*port, j);
+                assert_eq!(onward, &echo(half(0)));
+                assert_eq!(onward.beta.shares_storage_with(&message.beta), shared);
+            }
+            assert!(state.beta.is_unit());
+        }
+    }
+
+    /// An α-empty message of held β that carries an announcement or records
+    /// still absorbs them and floods what is new.
+    #[test]
+    fn beta_echo_carrying_records_or_an_announcement_is_absorbed() {
+        let (protocol, ctx, mut state) = labeled_vertex();
+        let mut out = Vec::new();
+        let announce = Announce {
+            src: VertexRef::Labeled(Interval::from_dyadic_parts(1, 2, 2).unwrap()),
+            src_port: 3,
+        };
+        let known_before = state.known.len();
+        let message = MappingMessage {
+            announce: Some(announce.clone()),
+            ..echo(state.beta.clone())
+        };
+        protocol.on_receive_into(&ctx, &mut state, 0, &message, &mut out);
+        let edge = MapRecord::Edge {
+            src: announce.src,
+            src_port: announce.src_port,
+            dst: state.own_ref(),
+        };
+        let flooded = protocol.resolve_records(out[0].1.records.items());
+        assert_eq!(flooded, vec![edge.clone()]);
+        assert_eq!(state.known.len(), known_before + 1);
+        assert_eq!(out.len(), 2);
+        assert!(out
+            .iter()
+            .all(|(_, m)| m.alpha.is_empty() && m.beta.is_empty()));
+
+        // A record learned from upstream is absorbed and flooded on; one the
+        // vertex already knows is not flooded again.
+        let record = MapRecord::Vertex {
+            label: Interval::from_dyadic_parts(3, 4, 3).unwrap(),
+            in_degree: 2,
+            out_degree: 1,
+        };
+        let (id, bits) = {
+            let mut table = protocol.table.lock().unwrap();
+            let id = table.intern(&record);
+            (id, table.bits_of(id))
+        };
+        let carried = MappingMessage {
+            records: SharedSlice::new(vec![id], bits::elias_gamma_bits(1) + bits),
+            ..echo(state.beta.clone())
+        };
+        out.clear();
+        protocol.on_receive_into(&ctx, &mut state, 0, &carried, &mut out);
+        assert!(state.known.contains(id));
+        assert_eq!(out.len(), 2);
+        let onward = MappingMessage {
+            records: carried.records.clone(),
+            ..echo(IntervalUnion::empty())
+        };
+        for (j, (port, message)) in out.iter().enumerate() {
+            assert_eq!(*port, j);
+            assert_eq!(message, &onward);
+        }
+        out.clear();
+        let before = snapshot(&state);
+        protocol.on_receive_into(&ctx, &mut state, 0, &carried, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(snapshot(&state), before);
     }
 
     #[test]

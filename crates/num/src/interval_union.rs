@@ -99,16 +99,35 @@ use crate::{bits, Dyadic, Interval, NumError};
 /// Writers respect the aliasing: the in-place operations
 /// ([`IntervalUnion::union_in_place`], [`IntervalUnion::intersect_assign`],
 /// [`IntervalUnion::subtract_assign`]) either merge into a thread-local
-/// scratch buffer and then *adopt* the result, or (a small operand's union)
-/// splice it into the buffer itself — reusing the existing allocation when
-/// this handle is the buffer's sole owner, and detaching onto a fresh buffer
-/// (leaving every sibling handle untouched) when the buffer is shared. A
-/// write that changes nothing never detaches. Mutating through one handle
-/// therefore **never** changes the value observed through another; sharing
-/// is an invisible optimisation, observable only through
-/// [`IntervalUnion::shares_storage_with`] (and the allocator). Steady-state
-/// unshared traffic on word-sized values allocates nothing beyond buffer
-/// growth.
+/// scratch buffer (one per encoding) and then *adopt* the result, or (a
+/// small operand's union) splice it into the buffer itself — reusing the
+/// existing allocation when this handle is the buffer's sole owner, and
+/// detaching onto a fresh buffer (leaving every sibling handle untouched)
+/// when the buffer is shared. Mutating through one handle therefore
+/// **never** changes the value observed through another; sharing is an
+/// invisible optimisation, observable only through
+/// [`IntervalUnion::shares_storage_with`] (and the allocator).
+///
+/// # Allocation contract of the in-place writes
+///
+/// On operands of one encoding, an in-place write allocates only for a
+/// result that is new and non-empty:
+///
+/// * a write that changes nothing keeps this handle — shared or not, it
+///   never detaches — and allocates nothing;
+/// * a write that empties the value leaves the empty set, with no buffer
+///   built (the shape of `delta \= state` for a delta the state already
+///   holds);
+/// * a sole owner's merged result swaps buffers with the scratch, so both
+///   allocations are recycled, and a splice grows the buffer in place;
+/// * a shared receiver detaches onto a buffer of exactly the result's size,
+///   its endpoints moved out of the scratch rather than cloned. The scratch
+///   keeps its capacity, so steady-state traffic allocates nothing beyond
+///   the results it keeps, and a detached one-pair result does not inherit
+///   the capacity of the largest merge the thread ever ran.
+///
+/// A word-sized value written with an exact operand (or the reverse) first
+/// converts the word side to dyadics, which allocates.
 ///
 /// All set operations (`union`, `intersection`, `difference`) are exact, and
 /// [`IntervalUnion::wire_bits`] still charges the *encoded intervals* — the
@@ -146,7 +165,7 @@ pub struct IntervalUnion {
 
 /// The endpoint array of a non-empty [`IntervalUnion`] in its canonical
 /// encoding (non-empty, even length, strictly increasing; an in-place write
-/// may leave it empty, or exact with every endpoint fitting a word, until
+/// may leave it exact with every endpoint fitting a word until
 /// [`IntervalUnion::settle`] runs). The derived `==` and `Hash` are
 /// value-based because the encoding is a function of the value.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -522,23 +541,32 @@ fn splice_union<E: Endpoint>(own: &mut Arc<Buffer>, parts: &[E]) -> bool {
     true
 }
 
-/// Swaps the merged endpoint buffer `scratch` into `own` when it differs from
-/// the current value; returns whether it did, and always leaves `scratch`
-/// cleared (capacity retained where possible).
+/// Makes the merged endpoint array `scratch` the value of `endpoints` (a
+/// non-empty value) when it differs from it; returns whether it did, and
+/// always leaves `scratch` cleared with its capacity kept.
 ///
-/// This is where copy-on-write happens: a uniquely owned buffer is reused in
-/// place (allocation-free steady state), a shared one is left to its sibling
-/// handles and replaced by a fresh buffer.
-fn adopt_if_changed<E: Endpoint>(own: &mut Arc<Buffer>, scratch: &mut Vec<E>) -> bool {
+/// This is where copy-on-write happens, under the type's allocation
+/// contract: an unchanged value keeps its handle, an emptied one holds no
+/// buffer, a sole owner swaps buffers with `scratch`, and a shared one
+/// detaches onto an exact-size buffer its endpoints are moved into, so the
+/// scratch keeps the capacity of the largest merge and the result does not.
+fn adopt_if_changed<E: Endpoint>(
+    endpoints: &mut Option<Arc<Buffer>>,
+    scratch: &mut Vec<E>,
+) -> bool {
+    let own = endpoints
+        .as_mut()
+        .expect("an in-place write takes a non-empty value");
     let changed = E::of(own) != scratch.as_slice();
     if changed {
-        match Arc::get_mut(own) {
-            // Sole owner: recycle the existing allocation.
-            Some(buffer) => std::mem::swap(E::of_mut(buffer), scratch),
-            // Shared: detach into a fresh buffer. The scratch buffer is
-            // donated to the new value, so this one path gives up the
-            // scratch capacity.
-            None => *own = Arc::new(E::store(std::mem::take(scratch))),
+        if scratch.is_empty() {
+            *endpoints = None;
+        } else if let Some(buffer) = Arc::get_mut(own) {
+            std::mem::swap(E::of_mut(buffer), scratch);
+        } else {
+            let mut detached = Vec::with_capacity(scratch.len());
+            detached.append(scratch);
+            *own = Arc::new(E::store(detached));
         }
     }
     scratch.clear();
@@ -546,19 +574,18 @@ fn adopt_if_changed<E: Endpoint>(own: &mut Arc<Buffer>, scratch: &mut Vec<E>) ->
 }
 
 /// `a ⊆ b` for canonical endpoint arrays: since `b` is non-adjacent, each
-/// interval of `a` must lie inside a *single* maximal interval of `b`.
+/// interval of `a` must lie inside a *single* maximal interval of `b` — the
+/// first one not ending before it does. [`skip_pairs`] gallops to that pair,
+/// so testing whether an `n`-pair state already holds a `k`-pair delta costs
+/// O(k log n) comparisons.
 fn is_subset<E: Ord>(a: &[E], b: &[E]) -> bool {
     let mut j = 0usize;
-    let mut i = 0usize;
-    while i < a.len() {
-        let (lo, hi) = (&a[i], &a[i + 1]);
-        while j < b.len() && &b[j + 1] < hi {
-            j += 2;
-        }
-        if j >= b.len() || &b[j] > lo {
+    for pair in a.chunks_exact(2) {
+        let (lo, hi) = (&pair[0], &pair[1]);
+        j = skip_pairs(b, j, END, |x| x < hi);
+        if j == b.len() || &b[j] > lo {
             return false;
         }
-        i += 2;
     }
     true
 }
@@ -614,19 +641,24 @@ impl SetOp {
         out
     }
 
-    /// `own ∘= other` on `own`'s encoding `E`, through that encoding's
-    /// scratch buffer; returns whether the value changed. A union with an
-    /// operand of at most 1/[`SPLICE_RATIO`] of `own`'s size is spliced in
-    /// place. The result may be empty, or exact with every endpoint fitting
-    /// a word: the caller restores the canonical representation.
-    fn assign<E: Endpoint>(self, own: &mut Arc<Buffer>, other: &[E]) -> bool {
+    /// `endpoints ∘= other` for a non-empty value stored in encoding `E`,
+    /// through that encoding's scratch buffer; returns whether the value
+    /// changed. A union with an operand of at most 1/[`SPLICE_RATIO`] of the
+    /// value's size is spliced in place. The result may be exact with every
+    /// endpoint fitting a word: the caller restores the canonical
+    /// representation.
+    fn assign<E: Endpoint>(self, endpoints: &mut Option<Arc<Buffer>>, other: &[E]) -> bool {
+        let own = endpoints
+            .as_mut()
+            .expect("an in-place write takes a non-empty value");
         if self == SetOp::Union && other.len() * SPLICE_RATIO <= E::of(own).len() {
             return splice_union(own, other);
         }
         E::with_scratch(|scratch| {
             scratch.clear();
+            let own = endpoints.as_deref().expect("checked non-empty above");
             self.merge_into(E::of(own), other, scratch);
-            adopt_if_changed(own, scratch)
+            adopt_if_changed(endpoints, scratch)
         })
     }
 }
@@ -765,17 +797,13 @@ impl IntervalUnion {
     }
 
     /// Restores the canonical representation after an in-place write changed
-    /// the value: an emptied buffer becomes the empty set, and an exact
-    /// buffer whose endpoints now all fit words becomes words.
+    /// the value: an exact buffer whose endpoints now all fit words becomes
+    /// words.
     fn settle(&mut self) {
-        match self.endpoints.as_deref() {
-            Some(buffer) if buffer.len() == 0 => self.endpoints = None,
-            Some(Buffer::Exact(e)) => {
-                if let Some(words) = words_of(e) {
-                    self.endpoints = Some(Arc::new(Buffer::Words(words)));
-                }
+        if let Some(Buffer::Exact(e)) = self.endpoints.as_deref() {
+            if let Some(words) = words_of(e) {
+                self.endpoints = Some(Arc::new(Buffer::Words(words)));
             }
-            _ => {}
         }
         self.debug_assert_canonical();
     }
@@ -977,14 +1005,10 @@ impl IntervalUnion {
     /// word-sized `self` with an exact `other` merges out of place and is
     /// replaced only if the value changed.
     fn assign(&mut self, other: &IntervalUnion, op: SetOp) -> bool {
-        let own = self
-            .endpoints
-            .as_mut()
-            .expect("assign takes a non-empty self");
-        let changed = match (own.as_ref(), other.words()) {
-            (Buffer::Words(_), Some(theirs)) => op.assign(own, theirs),
-            (Buffer::Exact(_), _) => op.assign(own, &other.exact()),
-            (Buffer::Words(_), None) => {
+        let changed = match (self.is_word_sized(), other.words()) {
+            (true, Some(theirs)) => op.assign(&mut self.endpoints, theirs),
+            (false, _) => op.assign(&mut self.endpoints, &other.exact()),
+            (true, None) => {
                 let merged = self.merged(other, op);
                 let changed = merged != *self;
                 if changed {
@@ -1040,7 +1064,8 @@ impl IntervalUnion {
     /// In-place set intersection; returns `true` if the value changed.
     ///
     /// Merges through a reusable thread-local scratch buffer (copy-on-write on
-    /// shared values, like [`IntervalUnion::union_in_place`]).
+    /// shared values, like [`IntervalUnion::union_in_place`]; see the type
+    /// docs for what it allocates).
     pub fn intersect_assign(&mut self, other: &IntervalUnion) -> bool {
         if self.is_empty() || self.shares_storage_with(other) {
             return false;
@@ -1070,7 +1095,12 @@ impl IntervalUnion {
     /// changed.
     ///
     /// Merges through a reusable thread-local scratch buffer (copy-on-write on
-    /// shared values, like [`IntervalUnion::union_in_place`]).
+    /// shared values, like [`IntervalUnion::union_in_place`]). A result that
+    /// is empty or unchanged allocates nothing, even on a shared value, and
+    /// an unchanged one keeps sharing its buffer: carving a received delta
+    /// in place on an O(1) clone allocates only for a result that differs
+    /// from the delta, where the out-of-place [`IntervalUnion::difference`]
+    /// builds a buffer for every non-empty result.
     pub fn subtract_assign(&mut self, other: &IntervalUnion) -> bool {
         if self.is_empty() || other.is_empty() {
             return false;
@@ -1083,8 +1113,9 @@ impl IntervalUnion {
         self.assign(other, SetOp::Difference)
     }
 
-    /// Returns `true` if `self ⊆ other`. Allocation-free on word-sized
-    /// operands.
+    /// Returns `true` if `self ⊆ other`. Gallops over `other`'s pairs, so a
+    /// `k`-pair `self` against an `n`-pair `other` costs O(k log n)
+    /// comparisons. Allocation-free on operands of one encoding.
     pub fn is_subset_of(&self, other: &IntervalUnion) -> bool {
         if self.shares_storage_with(other) {
             return true;
@@ -1442,6 +1473,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// In-place writes build a buffer only for a result that is new and
+    /// non-empty: an emptied value holds none, an unchanged one keeps its
+    /// handle, and a shared one detaches onto an exact-size buffer while the
+    /// scratch keeps the capacity of the largest merge.
+    #[test]
+    fn in_place_writes_allocate_only_kept_results() {
+        let state = IntervalUnion::from_intervals((0..64).map(|k| iv(4 * k, 4 * k + 2, 9)));
+        let mut warm = state.deep_clone();
+        assert!(warm.subtract_assign(&union_of(&[(1, 2, 9)])));
+        let capacity = WORD_SCRATCH.with_borrow(Vec::capacity);
+        assert!(capacity >= state.endpoints().len());
+
+        let delta = union_of(&[(1, 3, 9)]);
+        let sibling = delta.clone();
+        let mut carved = delta.clone();
+        assert!(carved.subtract_assign(&state));
+        assert_eq!(carved, union_of(&[(2, 3, 9)]));
+        match carved.endpoints.as_deref() {
+            Some(Buffer::Words(w)) => assert_eq!(w.capacity(), 2),
+            _ => panic!("a word-sized result must be stored as words"),
+        }
+        assert_eq!(WORD_SCRATCH.with_borrow(Vec::capacity), capacity);
+        assert_eq!(sibling, union_of(&[(1, 3, 9)]));
+
+        let mut emptied = sibling.clone();
+        assert!(emptied.subtract_assign(&union_of(&[(0, 4, 9)])));
+        assert!(emptied.endpoints.is_none());
+        let mut kept = sibling.clone();
+        assert!(!kept.subtract_assign(&union_of(&[(5, 6, 9)])));
+        assert!(!kept.intersect_assign(&union_of(&[(0, 4, 9)])));
+        assert!(kept.shares_storage_with(&sibling));
+        assert_eq!(WORD_SCRATCH.with_borrow(Vec::capacity), capacity);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   operand pairs, and
 //! * skewed operands: deltas of a few intervals against states of hundreds,
 //!   the shape every protocol delivery merges (galloping skips and in-place
-//!   splices).
+//!   splices), including the redundant β echo — a shared delta the state
+//!   already holds, or misses, tested and carved in place.
 
 use anet_num::{bits, reference, BigUint, Dyadic, Interval, IntervalUnion};
 use proptest::prelude::*;
@@ -528,6 +529,43 @@ proptest! {
         prop_assert_eq!(&delta.difference(&state), &fresh);
         prop_assert_eq!(&state.difference(&delta), &carved);
         assert_canonical(&state.difference(&delta))?;
+
+        // The echo test, both ways: a delta inside the state is redundant.
+        prop_assert_eq!(delta.is_subset_of(&state), fresh.is_empty());
+        prop_assert_eq!(state.is_subset_of(&delta), carved.is_empty());
+        prop_assert!(meet.is_subset_of(&state));
+        prop_assert_eq!(fresh.is_subset_of(&state), fresh.is_empty());
+
+        // Echo writes: a shared delta that lies inside the state (`meet`) or
+        // misses it (`fresh`), carved and cut in place by the state. Carving
+        // what the state holds, or cutting what it misses, empties the delta
+        // and leaves no buffer; the other two writes change nothing and keep
+        // sharing. The sibling handle never moves.
+        for (echo, inside) in [(&meet, true), (&fresh, false)] {
+            let frozen_echo = echo.deep_clone();
+            for subtract in [true, false] {
+                let sibling = echo.clone();
+                let mut writer = echo.clone();
+                let (changed, want) = if subtract {
+                    (writer.subtract_assign(&state), reference::difference(echo, &state))
+                } else {
+                    (writer.intersect_assign(&state), reference::intersection(echo, &state))
+                };
+                prop_assert_eq!(&writer, &want);
+                if subtract == inside {
+                    prop_assert!(writer.is_empty());
+                    prop_assert_eq!(changed, !echo.is_empty());
+                } else {
+                    prop_assert_eq!(&writer, echo);
+                    prop_assert!(!changed);
+                    prop_assert!(writer.shares_storage_with(&sibling));
+                }
+                assert_canonical(&writer)?;
+                prop_assert_eq!(writer.wire_bits(), encoded_bits(&writer));
+                prop_assert_eq!(&sibling, &frozen_echo);
+                prop_assert_eq!(echo, &frozen_echo);
+            }
+        }
     }
 
     // ---- Copy-on-write aliasing contract ------------------------------------
