@@ -42,17 +42,23 @@
 //! fresh-mass work: one allocation-free test `β' ⊆ β`, which ends the
 //! delivery with no clone, merge or emission when it holds. Otherwise the
 //! increment `β' \ β` is carved in place from an O(1) clone of `β'` — so a
-//! `β'` the vertex holds none of stays the sender's buffer — and flooded on
-//! every out-port, exactly as the general rule would. Only vertices of
-//! out-degree zero keep the running coverage [`GeneralState::seen`], so an
-//! echo at a routing vertex touches nothing else.
+//! `β'` the vertex holds none of stays the sender's buffer — and emitted
+//! once, payload included, to [`OutPort::All`]: the engine stores that one
+//! message and queues it on every out-port in port order, the same sends,
+//! sequence numbers and wire bits as the general rule's per-port messages.
+//! The subsequent-mass step floods the same way whenever it routes no fresh
+//! mass. The retained [`mod@reference`] still emits per port, so the
+//! differential suite checks each flood against its per-port form. Only
+//! vertices of out-degree zero keep the running coverage
+//! [`GeneralState::seen`], so an echo at a routing vertex touches nothing
+//! else.
 
 use anet_graph::Network;
 use anet_num::partition::canonical_partition_nonempty;
 use anet_num::IntervalUnion;
 use anet_sim::engine::{run, ExecutionConfig};
 use anet_sim::scheduler::Scheduler;
-use anet_sim::{AnonymousProtocol, NodeContext, RefloodProtocol, Wire};
+use anet_sim::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol, Wire};
 
 use crate::outcome::BroadcastReport;
 use crate::{CoreError, Payload};
@@ -130,6 +136,15 @@ impl GeneralBroadcast {
     pub fn payload(&self) -> &Payload {
         &self.payload
     }
+
+    /// A message with no α: the β increment `beta` and the payload.
+    fn echo(&self, beta: IntervalUnion) -> GeneralMessage {
+        GeneralMessage {
+            alpha: IntervalUnion::empty(),
+            beta,
+            payload: self.payload.clone(),
+        }
+    }
 }
 
 impl AnonymousProtocol for GeneralBroadcast {
@@ -167,7 +182,7 @@ impl AnonymousProtocol for GeneralBroadcast {
         state: &mut GeneralState,
         _in_port: usize,
         message: &GeneralMessage,
-        out: &mut Vec<(usize, GeneralMessage)>,
+        out: &mut Vec<(OutPort, GeneralMessage)>,
     ) {
         state.received = true;
         let d = ctx.out_degree;
@@ -194,16 +209,7 @@ impl AnonymousProtocol for GeneralBroadcast {
             let mut beta_delta = message.beta.clone();
             beta_delta.subtract_assign(&state.beta);
             state.beta.union_in_place(&beta_delta);
-            for j in 0..d {
-                out.push((
-                    j,
-                    GeneralMessage {
-                        alpha: IntervalUnion::empty(),
-                        beta: beta_delta.clone(),
-                        payload: self.payload.clone(),
-                    },
-                ));
-            }
+            out.push((OutPort::All, self.echo(beta_delta)));
         } else if !state.partitioned {
             // First interval mass: one-time canonical partition among the out-ports.
             state.partitioned = true;
@@ -218,7 +224,7 @@ impl AnonymousProtocol for GeneralBroadcast {
                 debug_assert!(state.alpha[j].is_empty());
                 if !part.is_empty() || !beta_delta.is_empty() {
                     out.push((
-                        j,
+                        OutPort::Port(j),
                         GeneralMessage {
                             alpha: part.clone(),
                             beta: beta_delta.clone(),
@@ -247,29 +253,27 @@ impl AnonymousProtocol for GeneralBroadcast {
             state.alpha[d - 1].union_in_place(&fresh);
             // g: on port j send the α_j increment and the β increment; send
             // nothing on ports where neither changed. Only the last port can
-            // carry an α increment outside the partition step.
+            // carry an α increment outside the partition step; without one,
+            // every port carries the same β increment, as one flood.
+            if fresh.is_empty() {
+                if !beta_delta.is_empty() {
+                    out.push((OutPort::All, self.echo(beta_delta)));
+                }
+                return;
+            }
             if !beta_delta.is_empty() {
                 for j in 0..d - 1 {
-                    out.push((
-                        j,
-                        GeneralMessage {
-                            alpha: IntervalUnion::empty(),
-                            beta: beta_delta.clone(),
-                            payload: self.payload.clone(),
-                        },
-                    ));
+                    out.push((OutPort::Port(j), self.echo(beta_delta.clone())));
                 }
             }
-            if !fresh.is_empty() || !beta_delta.is_empty() {
-                out.push((
-                    d - 1,
-                    GeneralMessage {
-                        alpha: fresh,
-                        beta: beta_delta,
-                        payload: self.payload.clone(),
-                    },
-                ));
-            }
+            out.push((
+                OutPort::Port(d - 1),
+                GeneralMessage {
+                    alpha: fresh,
+                    beta: beta_delta,
+                    payload: self.payload.clone(),
+                },
+            ));
         }
     }
 
@@ -646,8 +650,8 @@ mod tests {
             assert_eq!(state, before);
         }
 
-        // New β is flooded on every port: the part the vertex lacks, and the
-        // sender's own buffer when the vertex holds none of it.
+        // New β is flooded, once for every out-port: the part the vertex
+        // lacks, and the sender's own buffer when the vertex holds none of it.
         for (beta, shared) in [(IntervalUnion::unit(), false), (half(0), true)] {
             state.beta = half(1);
             out.clear();
@@ -657,13 +661,8 @@ mod tests {
                 payload: protocol.payload().clone(),
             };
             protocol.on_receive_into(&ctx, &mut state, 0, &echo, &mut out);
-            assert_eq!(out.len(), 2);
-            for (j, (port, message)) in out.iter().enumerate() {
-                assert_eq!(*port, j);
-                assert!(message.alpha.is_empty());
-                assert_eq!(message.beta, half(0));
-                assert_eq!(message.beta.shares_storage_with(&echo.beta), shared);
-            }
+            assert_eq!(out, vec![(OutPort::All, protocol.echo(half(0)))]);
+            assert_eq!(out[0].1.beta.shares_storage_with(&echo.beta), shared);
         }
         assert!(state.beta.is_unit());
         assert!(state.seen.is_empty(), "a routing vertex keeps no coverage");

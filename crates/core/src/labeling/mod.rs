@@ -32,7 +32,13 @@
 //! the delivery with no clone, merge or emission when it holds. Otherwise
 //! the increment `β' \ β` is carved in place from an O(1) clone of `β'` —
 //! so a `β'` the vertex holds none of stays the sender's buffer — and
-//! flooded on every out-port, exactly as the general rule would.
+//! emitted once, to [`OutPort::All`]: the engine stores that one message and
+//! queues it on every out-port in port order, the same sends, sequence
+//! numbers and wire bits as the general rule's per-port messages. The
+//! subsequent-mass step floods the same way whenever it routes no fresh
+//! mass, since every port then carries the same β increment. The retained
+//! [`mod@reference`] still emits per port, so the differential suite checks
+//! each flood against its per-port form.
 
 use anet_graph::{Network, NodeId};
 use anet_num::bits;
@@ -41,7 +47,7 @@ use anet_num::IntervalUnion;
 use anet_sim::engine::{run, ExecutionConfig, RunResult};
 use anet_sim::metrics::RunMetrics;
 use anet_sim::scheduler::Scheduler;
-use anet_sim::{AnonymousProtocol, NodeContext, RefloodProtocol, Wire};
+use anet_sim::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol, Wire};
 
 use crate::CoreError;
 
@@ -55,6 +61,16 @@ pub struct LabelMessage {
     pub alpha: IntervalUnion,
     /// Newly discovered cycle evidence (including freshly claimed labels).
     pub beta: IntervalUnion,
+}
+
+impl LabelMessage {
+    /// A message with no α: the β increment `beta` alone.
+    fn echo(beta: IntervalUnion) -> Self {
+        LabelMessage {
+            alpha: IntervalUnion::empty(),
+            beta,
+        }
+    }
 }
 
 impl Wire for LabelMessage {
@@ -148,7 +164,7 @@ impl AnonymousProtocol for Labeling {
         state: &mut LabelingState,
         _in_port: usize,
         message: &LabelMessage,
-        out: &mut Vec<(usize, LabelMessage)>,
+        out: &mut Vec<(OutPort, LabelMessage)>,
     ) {
         state.received = true;
         let d = ctx.out_degree;
@@ -174,15 +190,7 @@ impl AnonymousProtocol for Labeling {
             let mut beta_delta = message.beta.clone();
             beta_delta.subtract_assign(&state.beta);
             state.beta.union_in_place(&beta_delta);
-            for j in 0..d {
-                out.push((
-                    j,
-                    LabelMessage {
-                        alpha: IntervalUnion::empty(),
-                        beta: beta_delta.clone(),
-                    },
-                ));
-            }
+            out.push((OutPort::All, LabelMessage::echo(beta_delta)));
         } else if !state.partitioned {
             state.partitioned = true;
             let parts =
@@ -198,7 +206,7 @@ impl AnonymousProtocol for Labeling {
                 debug_assert!(state.alpha[j].is_empty());
                 if !part.is_empty() || !beta_delta.is_empty() {
                     out.push((
-                        j,
+                        OutPort::Port(j),
                         LabelMessage {
                             alpha: part.clone(),
                             beta: beta_delta.clone(),
@@ -227,26 +235,25 @@ impl AnonymousProtocol for Labeling {
             beta_delta.subtract_assign(&state.beta);
             state.beta.union_in_place(&beta_delta);
             state.alpha[d - 1].union_in_place(&fresh);
+            if fresh.is_empty() {
+                // Every port carries the same β increment: one flood.
+                if !beta_delta.is_empty() {
+                    out.push((OutPort::All, LabelMessage::echo(beta_delta)));
+                }
+                return;
+            }
             if !beta_delta.is_empty() {
                 for j in 0..d - 1 {
-                    out.push((
-                        j,
-                        LabelMessage {
-                            alpha: IntervalUnion::empty(),
-                            beta: beta_delta.clone(),
-                        },
-                    ));
+                    out.push((OutPort::Port(j), LabelMessage::echo(beta_delta.clone())));
                 }
             }
-            if !fresh.is_empty() || !beta_delta.is_empty() {
-                out.push((
-                    d - 1,
-                    LabelMessage {
-                        alpha: fresh,
-                        beta: beta_delta,
-                    },
-                ));
-            }
+            out.push((
+                OutPort::Port(d - 1),
+                LabelMessage {
+                    alpha: fresh,
+                    beta: beta_delta,
+                },
+            ));
         }
     }
 
@@ -681,7 +688,8 @@ mod tests {
             assert_eq!(state, before);
         }
 
-        // A β the vertex holds none of is flooded as the sender's buffer.
+        // A β the vertex holds none of is flooded, once for every out-port,
+        // as the sender's buffer.
         let routed = state.alpha[0].clone();
         assert!(!routed.intersects(&state.beta));
         out.clear();
@@ -690,10 +698,9 @@ mod tests {
             beta: routed.clone(),
         };
         protocol.on_receive_into(&ctx, &mut state, 0, &echo, &mut out);
-        assert_eq!(out.len(), 2);
-        for (_, message) in &out {
-            assert!(message.beta.shares_storage_with(&routed));
-        }
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, OutPort::All);
+        assert!(out[0].1.beta.shares_storage_with(&routed));
         assert!(routed.is_subset_of(&state.beta));
 
         // A β that reaches past what the vertex holds floods the difference.
@@ -707,12 +714,7 @@ mod tests {
         protocol.on_receive_into(&ctx, &mut state, 0, &echo, &mut out);
         let news = wider.difference(&held);
         assert!(!news.is_empty());
-        assert_eq!(out.len(), 2);
-        for (j, (port, message)) in out.iter().enumerate() {
-            assert_eq!(*port, j);
-            assert!(message.alpha.is_empty());
-            assert_eq!(message.beta, news);
-        }
+        assert_eq!(out, vec![(OutPort::All, LabelMessage::echo(news))]);
         assert!(state.beta.is_unit());
     }
 

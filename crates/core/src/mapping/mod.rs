@@ -86,11 +86,18 @@
 //! taken: one allocation-free test `β' ⊆ β` ends the delivery with no clone,
 //! merge or emission when it holds; otherwise the increment `β' \ β` is
 //! carved in place from an O(1) clone of `β'` (a `β'` the vertex holds none
-//! of stays the sender's buffer) and flooded on every out-port, exactly as
-//! the general rule would. A message with an empty α that does carry records
-//! or an announcement takes the full path — its records are absorbed and
-//! flooded — but its labelling core is the same in-place difference, with no
-//! overlap or fresh-mass work.
+//! of stays the sender's buffer) and emitted once, to [`OutPort::All`]: the
+//! engine stores that one message and queues it on every out-port in port
+//! order, the same sends, sequence numbers and wire bits as the general
+//! rule's per-port messages. A message with an empty α that does carry
+//! records or an announcement takes the full path — its records are absorbed
+//! and flooded — but its labelling core is the same in-place difference,
+//! with no overlap or fresh-mass work. The full path's composition floods
+//! too whenever every port carries the same message: outside the partition
+//! (and labelling) step, with no fresh mass, each port gets the same β
+//! increment and record batch. The retained [`mod@reference`] still emits
+//! per port, so the differential suite checks each flood against its
+//! per-port form.
 
 pub mod reference;
 
@@ -105,7 +112,7 @@ use anet_num::{Interval, IntervalUnion};
 use anet_sim::engine::{run, ExecutionConfig};
 use anet_sim::metrics::RunMetrics;
 use anet_sim::scheduler::Scheduler;
-use anet_sim::{AnonymousProtocol, NodeContext, RefloodProtocol, SharedSlice, Wire};
+use anet_sim::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol, SharedSlice, Wire};
 
 use crate::CoreError;
 
@@ -325,6 +332,17 @@ pub struct MappingMessage {
 impl MappingMessage {
     fn no_records() -> SharedSlice<RecordId> {
         SharedSlice::empty(bits::elias_gamma_bits(0))
+    }
+
+    /// A message with no α and no announcement: the β increment `beta` and
+    /// the record batch `records`.
+    fn echo(beta: IntervalUnion, records: SharedSlice<RecordId>) -> Self {
+        MappingMessage {
+            alpha: IntervalUnion::empty(),
+            beta,
+            announce: None,
+            records,
+        }
     }
 }
 
@@ -650,7 +668,7 @@ impl AnonymousProtocol for Mapping {
         state: &mut MappingState,
         _in_port: usize,
         message: &MappingMessage,
-        out: &mut Vec<(usize, MappingMessage)>,
+        out: &mut Vec<(OutPort, MappingMessage)>,
     ) {
         state.received = true;
         let d = ctx.out_degree;
@@ -664,17 +682,10 @@ impl AnonymousProtocol for Mapping {
             let mut beta_delta = message.beta.clone();
             beta_delta.subtract_assign(&state.beta);
             state.beta.union_in_place(&beta_delta);
-            for j in 0..d {
-                out.push((
-                    j,
-                    MappingMessage {
-                        alpha: IntervalUnion::empty(),
-                        beta: beta_delta.clone(),
-                        announce: None,
-                        records: MappingMessage::no_records(),
-                    },
-                ));
-            }
+            out.push((
+                OutPort::All,
+                MappingMessage::echo(beta_delta, MappingMessage::no_records()),
+            ));
             return;
         }
         // One table lock per activation covers absorption, record creation and
@@ -812,6 +823,16 @@ impl AnonymousProtocol for Mapping {
         drop(table);
         let records = SharedSlice::new(new_ids, records_bits);
 
+        if parts.is_empty() && fresh.is_empty() {
+            // Neither the partition nor the labelling step (which come
+            // together) and no fresh mass: every port carries the same β
+            // increment and record batch, as one flood.
+            debug_assert!(!just_labeled);
+            if !beta_delta.is_empty() || !records.is_empty() {
+                out.push((OutPort::All, MappingMessage::echo(beta_delta, records)));
+            }
+            return;
+        }
         for j in 0..d {
             let alpha_delta = match parts.get_mut(j + 1) {
                 Some(part) => std::mem::take(part),
@@ -832,7 +853,7 @@ impl AnonymousProtocol for Mapping {
                 || !records.is_empty()
             {
                 out.push((
-                    j,
+                    OutPort::Port(j),
                     MappingMessage {
                         alpha: alpha_delta,
                         beta: beta_delta.clone(),
@@ -1414,12 +1435,7 @@ mod tests {
     }
 
     fn echo(beta: IntervalUnion) -> MappingMessage {
-        MappingMessage {
-            alpha: IntervalUnion::empty(),
-            beta,
-            announce: None,
-            records: MappingMessage::no_records(),
-        }
+        MappingMessage::echo(beta, MappingMessage::no_records())
     }
 
     /// A vertex of in-degree 1 and out-degree 2 that took its label from a
@@ -1487,19 +1503,16 @@ mod tests {
             assert!(out.is_empty(), "an echo of held β was forwarded");
             assert_eq!(snapshot(&state), before);
         }
-        // New β is flooded on every port, still without the table: the part
-        // the vertex lacks, and the sender's own buffer when it holds none.
+        // New β is flooded, once for every out-port, still without the
+        // table: the part the vertex lacks, and the sender's own buffer when
+        // it holds none.
         for (beta, shared) in [(IntervalUnion::unit(), false), (half(0), true)] {
             state.beta = half(1);
             out.clear();
             let message = echo(beta);
             protocol.on_receive_into(&ctx, &mut state, 0, &message, &mut out);
-            assert_eq!(out.len(), 2);
-            for (j, (port, onward)) in out.iter().enumerate() {
-                assert_eq!(*port, j);
-                assert_eq!(onward, &echo(half(0)));
-                assert_eq!(onward.beta.shares_storage_with(&message.beta), shared);
-            }
+            assert_eq!(out, vec![(OutPort::All, echo(half(0)))]);
+            assert_eq!(out[0].1.beta.shares_storage_with(&message.beta), shared);
             assert!(state.beta.is_unit());
         }
     }
@@ -1528,10 +1541,9 @@ mod tests {
         let flooded = protocol.resolve_records(out[0].1.records.items());
         assert_eq!(flooded, vec![edge.clone()]);
         assert_eq!(state.known.len(), known_before + 1);
-        assert_eq!(out.len(), 2);
-        assert!(out
-            .iter()
-            .all(|(_, m)| m.alpha.is_empty() && m.beta.is_empty()));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, OutPort::All);
+        assert!(out[0].1.alpha.is_empty() && out[0].1.beta.is_empty());
 
         // A record learned from upstream is absorbed and flooded on; one the
         // vertex already knows is not flooded again.
@@ -1552,15 +1564,11 @@ mod tests {
         out.clear();
         protocol.on_receive_into(&ctx, &mut state, 0, &carried, &mut out);
         assert!(state.known.contains(id));
-        assert_eq!(out.len(), 2);
         let onward = MappingMessage {
             records: carried.records.clone(),
             ..echo(IntervalUnion::empty())
         };
-        for (j, (port, message)) in out.iter().enumerate() {
-            assert_eq!(*port, j);
-            assert_eq!(message, &onward);
-        }
+        assert_eq!(out, vec![(OutPort::All, onward)]);
         out.clear();
         let before = snapshot(&state);
         protocol.on_receive_into(&ctx, &mut state, 0, &carried, &mut out);

@@ -1,5 +1,7 @@
 //! The broadcast payload `m`.
 
+use std::sync::Arc;
+
 use anet_num::bits;
 use anet_sim::Wire;
 
@@ -8,31 +10,31 @@ use anet_sim::Wire;
 /// Only its size matters for the complexity accounting (`|m|` in every bound), but
 /// carrying real bytes keeps the examples honest: the report can verify that every
 /// vertex ended up holding the same payload the root injected.
+///
+/// The bytes are shared: cloning a payload into a message or a trace event
+/// bumps a reference count instead of copying them. Equality and hashing go
+/// by the bytes, never by the shared buffer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Payload {
-    data: Vec<u8>,
+    data: Arc<[u8]>,
 }
 
 impl Payload {
     /// An empty payload (`|m| = 0`), used when only termination detection matters.
     pub fn empty() -> Self {
-        Payload { data: Vec::new() }
+        Payload::default()
     }
 
     /// Builds a payload from bytes.
     pub fn from_bytes(bytes: &[u8]) -> Self {
-        Payload {
-            data: bytes.to_vec(),
-        }
+        Payload { data: bytes.into() }
     }
 
     /// Builds a synthetic payload of exactly `bits` bits (rounded up to whole
     /// bytes), used by the benchmark sweeps over `|m|`.
     pub fn synthetic(bits: u64) -> Self {
         let bytes = usize::try_from(bits.div_ceil(8)).expect("payload size fits in memory");
-        Payload {
-            data: vec![0xA5; bytes],
-        }
+        Payload::from(vec![0xA5; bytes])
     }
 
     /// The payload bytes.
@@ -65,7 +67,7 @@ impl From<&[u8]> for Payload {
 
 impl From<Vec<u8>> for Payload {
     fn from(data: Vec<u8>) -> Self {
-        Payload { data }
+        Payload { data: data.into() }
     }
 }
 
@@ -97,6 +99,20 @@ mod tests {
         assert!(p.wire_bits() > 64);
         assert!(p.wire_bits() < 64 + 32);
         assert!(Payload::empty().wire_bits() >= 1);
+    }
+
+    #[test]
+    fn clones_share_storage_and_compare_by_value() {
+        use std::hash::{BuildHasher, RandomState};
+        let p = Payload::from_bytes(b"shared");
+        let q = p.clone();
+        assert!(Arc::ptr_eq(&p.data, &q.data), "a clone copied the bytes");
+        let fresh = Payload::from_bytes(b"shared");
+        assert!(!Arc::ptr_eq(&p.data, &fresh.data));
+        assert_eq!(q, fresh);
+        let state = RandomState::new();
+        assert_eq!(state.hash_one(&q), state.hash_one(&fresh));
+        assert_ne!(p, Payload::from_bytes(b"other"));
     }
 
     #[test]

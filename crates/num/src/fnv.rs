@@ -72,17 +72,30 @@ impl Default for Fnv1a {
 ///
 /// SipHash (the standard-library default) is keyed per process to resist
 /// collision flooding — pointless for the workspace's interners, whose keys
-/// are protocol-generated records, and measurably slower on the short keys
-/// they hash. FNV-1a is unkeyed, so it is also deterministic across runs;
-/// note that interner *ids* never depended on hasher state in the first
-/// place (they are assigned in insertion order), so this swap is purely a
-/// speed change.
+/// are protocol-generated records. FNV-1a is unkeyed, so it is also
+/// deterministic across runs. Interner *ids* never depended on hasher state
+/// (they are assigned in insertion order), so the choice of hasher moves no
+/// output, only speed.
+///
+/// Integer writes (`write_u64`, `write_usize`: derived `Hash` length
+/// prefixes, discriminants, degrees, ports and mantissa words) go through
+/// [`Fnv1a::write_u64`], which folds a value's zero high bytes into one
+/// multiply; the hash equals [`Fnv1a::write`] over the value's eight
+/// little-endian bytes.
 #[derive(Debug, Clone, Default)]
 pub struct FnvHasher(Fnv1a);
 
 impl std::hash::Hasher for FnvHasher {
     fn write(&mut self, bytes: &[u8]) {
         self.0.write(bytes);
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0.write_u64(value);
+    }
+
+    fn write_usize(&mut self, value: usize) {
+        self.0.write_u64(value as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -132,6 +145,58 @@ mod tests {
         let mut again = FnvBuildHasher.build_hasher();
         again.write(b"foobar");
         assert_eq!(adapted.finish(), again.finish());
+    }
+
+    /// Integer writes through the `Hasher` adapter hash exactly as the byte
+    /// loop over their little-endian bytes: at every byte boundary, and for
+    /// the writes a derived `Hash` makes.
+    #[test]
+    fn hasher_integer_writes_match_the_byte_loop() {
+        use std::hash::{BuildHasher, Hasher};
+        let mut values = vec![0, u64::MAX];
+        for k in 1..8 {
+            values.extend([(1u64 << (8 * k)) - 1, 1 << (8 * k)]);
+        }
+        for value in values {
+            let mut bytes = Fnv1a::new();
+            bytes.write(&value.to_le_bytes());
+            let mut adapted = FnvBuildHasher.build_hasher();
+            adapted.write_u64(value);
+            assert_eq!(adapted.finish(), bytes.finish(), "u64 {value:#x}");
+            let mut adapted = FnvBuildHasher.build_hasher();
+            adapted.write_usize(value as usize);
+            assert_eq!(adapted.finish(), bytes.finish(), "usize {value:#x}");
+        }
+
+        #[derive(Hash)]
+        enum Kind {
+            _Vertex,
+            Edge { port: usize },
+        }
+        #[derive(Hash)]
+        struct Key {
+            kind: Kind,
+            word: u64,
+            tag: u8,
+            parts: Vec<u32>,
+        }
+        let key = Key {
+            kind: Kind::Edge { port: 0x1_0000 },
+            word: u64::MAX - 1,
+            tag: 7,
+            parts: vec![1, 0x0102_0304],
+        };
+        // The discriminant (written as a `usize`), each field's little-endian
+        // bytes, and the vector's length prefix before its elements.
+        let mut bytes = Fnv1a::new();
+        bytes.write(&1usize.to_le_bytes());
+        bytes.write(&0x1_0000usize.to_le_bytes());
+        bytes.write(&(u64::MAX - 1).to_le_bytes());
+        bytes.write(&[7]);
+        bytes.write(&2usize.to_le_bytes());
+        bytes.write(&1u32.to_le_bytes());
+        bytes.write(&0x0102_0304u32.to_le_bytes());
+        assert_eq!(FnvBuildHasher.hash_one(&key), bytes.finish());
     }
 
     #[test]

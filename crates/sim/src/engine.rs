@@ -6,22 +6,32 @@
 //! * **Incremental scheduling.** Earlier versions rebuilt the full list of
 //!   pending edges on every delivery — an O(E) scan in the innermost loop,
 //!   making a run cost O(E · deliveries). The loop below never scans: it
-//!   tracks the number of in-flight messages, notifies the [`Scheduler`]
-//!   whenever an edge's head message changes ([`Scheduler::on_head`]) or an
-//!   edge drains ([`Scheduler::on_idle`]), and asks the scheduler for the next
-//!   edge directly ([`Scheduler::next_edge`]). Every scheduler in
-//!   [`crate::scheduler`] answers in O(1) or O(log E), so a delivery costs
-//!   O(log E) regardless of graph size.
+//!   tracks the number of in-flight messages, tells the [`Scheduler`] about
+//!   every queued message ([`Scheduler::on_send`]), every change of an edge's
+//!   head message ([`Scheduler::on_head`]) and every edge that drains
+//!   ([`Scheduler::on_idle`]), and asks the scheduler for the next edge
+//!   directly ([`Scheduler::next_edge`]). Every scheduler in
+//!   [`crate::scheduler`] answers in O(1) amortized or O(log E), so a
+//!   delivery costs O(log E) regardless of graph size.
 //! * **Flat memory layout.** All hot per-run state lives in contiguous
 //!   arrays indexed by dense node/edge ids: adjacency is an
 //!   [`anet_graph::Csr`] built once per run (no pointer-chasing through
-//!   `DiGraph`'s per-node `Vec`s), queued messages live in one pooled
-//!   [`crate::arena::MessageArena`] slab instead of a `VecDeque` per edge,
+//!   `DiGraph`'s per-node `Vec`s), queued messages live in the pooled
+//!   [`crate::arena::MessageArena`] slabs instead of a `VecDeque` per edge,
 //!   protocol emissions go through the reusable
 //!   [`AnonymousProtocol::on_receive_into`] scratch buffer instead of a fresh
 //!   `Vec` per delivery, and the per-vertex states and contexts are sized
 //!   once from the graph. See the [`crate::arena`] docs for the full
 //!   **memory layout contract**.
+//! * **Flood once.** A message a protocol emits to [`OutPort::All`] is
+//!   stored once, as one arena body, its `wire_bits()` computed once, and
+//!   queued on each out-port in port order as a small entry. Per port it
+//!   still takes its own sequence number, observer event, metrics entry and
+//!   wire-bit charge, exactly as the same message emitted once per port
+//!   would; only the clones, drops and per-port storage go. A delivery lends
+//!   the body's message to the protocol by reference, and the body is
+//!   dropped with its last entry: delivered, dropped or lost to a crash. An
+//!   adversary duplicate is one more entry on the same body.
 //!
 //! Instrumentation is one [`Observer`] that sees every send and every step;
 //! [`run_observed`] is the loop's full entry point, and the other entry points
@@ -39,7 +49,7 @@ use anet_graph::{Csr, EdgeId, Network, NodeId};
 use crate::arena::MessageArena;
 use crate::metrics::RunMetrics;
 use crate::observer::Observer;
-use crate::protocol::RefloodProtocol;
+use crate::protocol::{OutPort, RefloodProtocol};
 use crate::scheduler::{Scheduler, SchedulerAction};
 use crate::trace::{SendEvent, Trace};
 use crate::{AnonymousProtocol, NodeContext, Wire};
@@ -383,34 +393,54 @@ where
     Sch: Scheduler + ?Sized,
     O: Observer<M> + ?Sized,
 {
-    /// Charges `message` to `from`'s out-port `port` and queues it there.
-    fn send(&mut self, from: u32, port: usize, message: M) {
+    /// Charges `message` to `from`'s out-port `port` (or to each of its
+    /// out-ports, in port order) and queues it there, stored once.
+    fn send(&mut self, from: u32, port: OutPort, message: M) {
         let out_edges = self.csr.out_edges(from);
-        assert!(
-            port < out_edges.len(),
-            "protocol {} emitted on out-port {port} of a vertex with out-degree {}",
-            self.protocol_name,
-            out_edges.len()
-        );
-        let edge = out_edges[port];
-        let dst = self.csr.edge_dst(edge);
+        let edges = match port {
+            OutPort::Port(port) => {
+                assert!(
+                    port < out_edges.len(),
+                    "protocol {} emitted on out-port {port} of a vertex with out-degree {}",
+                    self.protocol_name,
+                    out_edges.len()
+                );
+                &out_edges[port..=port]
+            }
+            OutPort::All if out_edges.is_empty() => return,
+            OutPort::All => out_edges,
+        };
         let bits = message.wire_bits();
-        self.metrics.record_send(edge as usize, bits);
-        self.observer.on_send(&SendEvent {
-            seq: self.next_seq,
-            edge: EdgeId(edge as usize),
-            src: NodeId(from as usize),
-            dst: NodeId(dst as usize),
-            bits,
-            message: &message,
-        });
-        if self.arena.push_back(edge as usize, self.next_seq, message) {
-            // The edge turns active and this message becomes its head.
-            self.scheduler
-                .on_head(EdgeId(edge as usize), self.next_seq, dst == self.terminal);
+        let body = self.arena.add_body(message);
+        for &edge in edges {
+            let dst = self.csr.edge_dst(edge);
+            let seq = self.next_seq;
+            self.metrics.record_send(edge as usize, bits);
+            self.observer.on_send(&SendEvent {
+                seq,
+                edge: EdgeId(edge as usize),
+                src: NodeId(from as usize),
+                dst: NodeId(dst as usize),
+                bits,
+                message: self.arena.message(body),
+            });
+            if self.enqueue(edge, dst, body) {
+                // The edge turns active and this message becomes its head.
+                self.scheduler
+                    .on_head(EdgeId(edge as usize), seq, dst == self.terminal);
+            }
         }
+    }
+
+    /// Queues one more entry for `body` on `edge` under the next sequence
+    /// number. Returns whether the edge was idle before.
+    fn enqueue(&mut self, edge: u32, dst: u32, body: u32) -> bool {
+        self.scheduler
+            .on_send(EdgeId(edge as usize), self.next_seq, dst == self.terminal);
+        let was_idle = self.arena.push_back(edge as usize, self.next_seq, body);
         self.in_flight += 1;
         self.next_seq += 1;
+        was_idle
     }
 }
 
@@ -454,16 +484,17 @@ where
 
     scheduler.begin_run(edge_count);
     // The pooled message slab replaces the per-edge queue forest (see
-    // [`crate::arena`] for the memory layout contract). Messages are moved,
-    // never cloned, on the delivery path: observers see each send by
+    // [`crate::arena`] for the memory layout contract). Each emission is
+    // stored once, as one body however many ports it floods, and never
+    // cloned on the delivery path: the protocol and observers see it by
     // reference, so the only `Message::clone` is the one a [`Trace`] keeps,
     // and cheaply clonable payloads ([`crate::SharedSlice`], the copy-on-write
-    // `IntervalUnion` handles of the interval protocols) keep per-delivery
-    // and per-trace-event cost independent of payload size — a payload
-    // flooded across the whole run can remain one shared buffer (pinned by
+    // `IntervalUnion` handles of the interval protocols) keep per-trace-event
+    // cost independent of payload size — a payload flooded across the whole
+    // run can remain one shared buffer (pinned by
     // `trace_clones_share_arc_payloads_end_to_end`). Wire-bit accounting is
-    // taken from `wire_bits()` at send time, so sharing never changes what an
-    // edge is charged.
+    // taken from `wire_bits()` at send time and charged to every edge the
+    // message is queued on, so sharing never changes what an edge is charged.
     let mut channels = Channels {
         csr: &csr,
         terminal,
@@ -478,7 +509,7 @@ where
 
     // σ₀: the root transmits its initial messages.
     for (port, message) in protocol.root_messages(csr.out_degree(root)) {
-        channels.send(root, port, message);
+        channels.send(root, OutPort::Port(port), message);
     }
 
     let mut outcome = Outcome::Quiescent;
@@ -495,7 +526,7 @@ where
     // One reusable emission buffer for the whole run: `on_receive_into`
     // appends into it and the drain below forwards to `send`, so a delivery
     // allocates nothing once the buffer has grown to the widest emission.
-    let mut emit_buf: Vec<(usize, P::Message)> = Vec::new();
+    let mut emit_buf: Vec<(OutPort, P::Message)> = Vec::new();
 
     while !outcome.terminated() {
         if channels.in_flight == 0 {
@@ -511,7 +542,7 @@ where
             let bits_before = channels.metrics.total_bits;
             // The root re-transmits σ₀ …
             for (port, message) in protocol.root_messages(csr.out_degree(root)) {
-                channels.send(root, port, message);
+                channels.send(root, OutPort::Port(port), message);
             }
             // … then every vertex re-sends its frontier, in node-id order
             // (deterministic on the canonical topology). The root is included:
@@ -519,7 +550,7 @@ where
             // and its frontier is separate from σ₀.
             for node in 0..node_count {
                 for (port, message) in reflood(&contexts[node], &states[node]) {
-                    channels.send(node as u32, port, message);
+                    channels.send(node as u32, OutPort::Port(port), message);
                 }
             }
             reflood_sends += channels.metrics.messages_sent - sends_before;
@@ -546,7 +577,7 @@ where
         let action = channels
             .scheduler
             .deliver_action(edge, NodeId(dst as usize), queue_len);
-        let (seq, message) = match action {
+        let (seq, body) = match action {
             // Deliver a mid-queue message instead of the head (clamped).
             SchedulerAction::Reorder(i) => channels
                 .arena
@@ -560,14 +591,11 @@ where
         channels.observer.on_step(edge, action, seq);
         channels.in_flight -= 1;
         if action == SchedulerAction::Duplicate {
-            // The copy is an adversary artifact, not a protocol send: it gets
-            // a fresh sequence number (head heaps rely on uniqueness) but no
-            // send event and no wire bits.
-            channels
-                .arena
-                .push_back(e, channels.next_seq, message.clone());
-            channels.next_seq += 1;
-            channels.in_flight += 1;
+            // The copy is an adversary artifact, not a protocol send: one more
+            // entry on the same body, with a fresh sequence number (the
+            // schedulers rely on uniqueness) but no send event and no wire
+            // bits. The head report below covers an edge it re-activates.
+            channels.enqueue(e as u32, dst, body);
             channels.metrics.record_duplicate();
         }
         // Report the edge's new state before the protocol reacts, so a
@@ -580,10 +608,12 @@ where
         match action {
             SchedulerAction::Drop => {
                 channels.metrics.record_drop();
+                channels.arena.release(body);
                 continue;
             }
             SchedulerAction::NodeDown => {
                 channels.metrics.record_crashed_delivery();
+                channels.arena.release(body);
                 continue;
             }
             SchedulerAction::Deliver | SchedulerAction::Duplicate | SchedulerAction::Reorder(_) => {
@@ -596,9 +626,10 @@ where
             &contexts[dst as usize],
             &mut states[dst as usize],
             csr.in_port(e as u32),
-            &message,
+            channels.arena.message(body),
             &mut emit_buf,
         );
+        channels.arena.release(body);
         for (port, out_message) in emit_buf.drain(..) {
             channels.send(dst, port, out_message);
         }
@@ -935,6 +966,9 @@ pub(crate) mod tests {
         }
         fn begin_run(&mut self, edge_count: usize) {
             self.inner.begin_run(edge_count);
+        }
+        fn on_send(&mut self, edge: EdgeId, seq: u64, into_terminal: bool) {
+            self.inner.on_send(edge, seq, into_terminal);
         }
         fn on_head(&mut self, edge: EdgeId, head_seq: u64, into_terminal: bool) {
             self.inner.on_head(edge, head_seq, into_terminal);

@@ -9,8 +9,9 @@
 //! engine's [`Scheduler::deliver_action`] hook with drops, duplicates,
 //! bounded within-edge reorders and per-node crash windows
 //! ([`SchedulerAction`]). The inner scheduler still chooses which edge acts
-//! next and observes the exact same `begin_run`/`on_head`/`on_idle` stream it
-//! would under reliable delivery — faults are invisible to it.
+//! next and observes the `begin_run`/`on_send`/`on_head`/`on_idle` stream of
+//! the queues the faults leave behind, through the same hooks as under
+//! reliable delivery, so it needs no fault handling of its own.
 //!
 //! Two invariants keep the paper's cost currency honest:
 //!
@@ -155,7 +156,7 @@ impl FaultPlan {
 /// A fault-injecting adapter around any inner [`Scheduler`].
 ///
 /// Delegates every scheduling decision (`next_edge`, `pick_full_scan`) and
-/// every notification (`begin_run`, `on_head`, `on_idle`) to the inner
+/// every notification (`begin_run`, `on_send`, `on_head`, `on_idle`) to the inner
 /// scheduler unchanged, and implements only the [`Scheduler::deliver_action`]
 /// fault hook from its [`FaultPlan`]. See the [module docs](self) for the
 /// determinism and accounting invariants.
@@ -211,6 +212,10 @@ impl<S: Scheduler> Scheduler for FaultyScheduler<S> {
         self.rng = StdRng::seed_from_u64(self.plan.seed);
         self.step = 0;
         self.drops_left = self.plan.drop_budget.unwrap_or(u64::MAX);
+    }
+
+    fn on_send(&mut self, edge: EdgeId, seq: u64, into_terminal: bool) {
+        self.inner.on_send(edge, seq, into_terminal);
     }
 
     fn on_head(&mut self, edge: EdgeId, head_seq: u64, into_terminal: bool) {

@@ -10,7 +10,8 @@
 //!
 //! * [`AnonymousProtocol`] — the `(Π, Σ, π₀, σ₀, f, g, S)` tuple as a trait. The
 //!   per-vertex information available to the protocol is **only** the vertex's
-//!   in/out degree and the port a message arrived on, enforcing anonymity.
+//!   in/out degree and the port a message arrived on, enforcing anonymity. A
+//!   message for every out-port is emitted once, to [`OutPort::All`].
 //! * [`engine::run`] — the asynchronous executor, built around an incrementally
 //!   maintained **active-edge set** (see below).
 //! * [`scheduler`] — pluggable delivery orders (FIFO, LIFO, seeded-random, and
@@ -33,9 +34,10 @@
 //!   [`reference::run_queue_forest`] — the pre-flat incremental engine
 //!   (per-edge `VecDeque`s), kept so the flat memory layout is likewise
 //!   pinned bit-identical and its speedup measurable.
-//! * [`arena::MessageArena`] — the pooled message slab behind the flat
-//!   engine's queues; its module docs state the **memory layout contract**
-//!   (slab invariants, slot recycling, aliasing rules).
+//! * [`arena::MessageArena`] — the pooled message slabs behind the flat
+//!   engine's queues: small per-port entries pointing into reference-counted
+//!   message bodies, one body per emission. Its module docs state the
+//!   **memory layout contract** (slab invariants, recycling, aliasing rules).
 //! * [`metrics::RunMetrics`] — communication-complexity accounting: total bits,
 //!   per-edge bits (bandwidth), message counts and maximum message size, measured
 //!   through the [`Wire`] size of every transmitted message.
@@ -50,6 +52,7 @@
 //! all E edges on every delivery (which makes a run O(E · deliveries)), the
 //! engine maintains it incrementally and streams the changes to the scheduler:
 //!
+//! * every queued message is announced by [`scheduler::Scheduler::on_send`];
 //! * a send onto an empty queue activates the edge —
 //!   [`scheduler::Scheduler::on_head`] announces its head message;
 //! * a delivery that leaves the queue non-empty advances the head — `on_head`
@@ -58,12 +61,13 @@
 //!   [`scheduler::Scheduler::on_idle`].
 //!
 //! The scheduler answers [`scheduler::Scheduler::next_edge`] from its own
-//! incrementally maintained structures: an ordered heap of active-edge heads for
-//! the deterministic policies (FIFO/LIFO are a single seq-ordered heap,
-//! terminal-first/last are two-class heaps), and a Fenwick-indexed active set
-//! with order-statistics sampling for the random policy. Every operation is O(1)
-//! or O(log E) per delivery, so the per-delivery cost no longer grows with the
-//! size of the graph.
+//! incrementally maintained structures: the send order itself for FIFO and
+//! terminal-first/last (one queue, or one per class, read from the oldest
+//! message still in flight), a seq-ordered heap of active-edge heads for
+//! LIFO, and a Fenwick-indexed active set with order-statistics sampling for
+//! the random policy. Every operation is O(1) amortized or O(log E) per
+//! delivery, so the per-delivery cost no longer grows with the size of the
+//! graph.
 //!
 //! Each scheduler also carries its naive full-scan specification
 //! ([`scheduler::Scheduler::pick_full_scan`]); [`reference::run_full_scan`]
@@ -97,7 +101,7 @@ pub use engine::{
 };
 pub use faults::{CrashWindow, FaultPlan, FaultyScheduler};
 pub use observer::{Observer, StepLog, TraceDigest};
-pub use protocol::{AnonymousProtocol, NodeContext, RefloodProtocol};
+pub use protocol::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol};
 pub use reference::{run_full_scan, run_queue_forest};
 pub use synchronous::{run_synchronous, SynchronousRun};
 pub use wire::{SharedSlice, Wire};

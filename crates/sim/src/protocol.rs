@@ -26,6 +26,42 @@ impl NodeContext {
     }
 }
 
+/// Where an emitted message goes: one out-port, or every out-port of the
+/// emitting vertex.
+///
+/// A protocol that sends the same message on all its out-ports (the interval
+/// protocols' β floods) emits it once as [`OutPort::All`]. The engine stores
+/// that message once and queues it on each out-port in port order, with one
+/// sequence number, observer event, metrics entry and wire-bit charge per
+/// port, exactly as if it had been emitted once per port. See
+/// [`AnonymousProtocol::on_receive_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OutPort {
+    /// The out-port with this index.
+    Port(usize),
+    /// Every out-port, `0..out_degree`, in port order.
+    All,
+}
+
+/// Expands every [`OutPort::All`] emission of a vertex with `out_degree`
+/// out-ports into one `(port, message)` pair per port, in port order, by
+/// cloning; single-port emissions pass through.
+fn expand_floods<M: Clone>(out_degree: usize, emitted: Vec<(OutPort, M)>) -> Vec<(usize, M)> {
+    let mut ports = Vec::with_capacity(emitted.len());
+    for (port, message) in emitted {
+        match port {
+            OutPort::Port(port) => ports.push((port, message)),
+            OutPort::All => {
+                if let Some(last) = out_degree.checked_sub(1) {
+                    ports.extend((0..last).map(|port| (port, message.clone())));
+                    ports.push((last, message));
+                }
+            }
+        }
+    }
+    ports
+}
+
 /// An anonymous protocol in the sense of Section 2 of the paper.
 ///
 /// * `State` is the state space `Π` and [`initial_state`](Self::initial_state) is `π₀`
@@ -35,6 +71,8 @@ impl NodeContext {
 /// * [`on_receive`](Self::on_receive) combines the state function `f` and the message
 ///   function `g`: it updates the local state and returns, per out-port, the message to
 ///   transmit (absent ports transmit nothing, the paper's `φ`).
+///   [`on_receive_into`](Self::on_receive_into) is the same step in the engine's
+///   calling convention, where one message can name every out-port at once.
 /// * [`should_terminate`](Self::should_terminate) is the stopping predicate `S`,
 ///   evaluated on the terminal's state after each delivery to the terminal.
 ///
@@ -68,7 +106,10 @@ pub trait AnonymousProtocol {
     /// least one** (each has a default written in terms of the other, so
     /// implementing neither recurses forever). Protocols that implement only
     /// this one keep working unchanged; hot protocols implement
-    /// `on_receive_into` to skip the per-delivery `Vec` allocation.
+    /// `on_receive_into` to skip the per-delivery `Vec` allocation and to
+    /// flood one message on every out-port. Called on such a protocol, this
+    /// default expands each flood into one clone per out-port, in port order,
+    /// so both forms name the same sends.
     fn on_receive(
         &self,
         ctx: &NodeContext,
@@ -78,29 +119,39 @@ pub trait AnonymousProtocol {
     ) -> Vec<(usize, Self::Message)> {
         let mut out = Vec::new();
         self.on_receive_into(ctx, state, in_port, message, &mut out);
-        out
+        expand_floods(ctx.out_degree, out)
     }
 
-    /// The allocation-free form of [`on_receive`](Self::on_receive): emitted
+    /// The engine's form of [`on_receive`](Self::on_receive): emitted
     /// `(out_port, message)` pairs are **appended** to `out` instead of
-    /// returned.
+    /// returned, and a message meant for every out-port is emitted once, as
+    /// `(OutPort::All, message)`.
     ///
     /// The engine clears and reuses one scratch buffer across all deliveries
     /// of a run, so an implementation of this method makes the per-delivery
-    /// emit cost allocation-free. `out` may already be non-empty only in
+    /// emit cost allocation-free. A flood is stored once and queued on each
+    /// out-port in port order; it is observationally the same as emitting
+    /// the message on `OutPort::Port(0)`, `OutPort::Port(1)`, … in turn (the
+    /// same sequence numbers, observer events, metrics and wire bits), minus
+    /// the per-port clones. `out` may already be non-empty only in
     /// third-party callers; implementations must append, never truncate.
     ///
     /// See [`on_receive`](Self::on_receive) for the mutual-default contract:
-    /// implement at least one of the two.
+    /// implement at least one of the two. This default emits each of
+    /// `on_receive`'s pairs on its single port.
     fn on_receive_into(
         &self,
         ctx: &NodeContext,
         state: &mut Self::State,
         in_port: usize,
         message: &Self::Message,
-        out: &mut Vec<(usize, Self::Message)>,
+        out: &mut Vec<(OutPort, Self::Message)>,
     ) {
-        out.extend(self.on_receive(ctx, state, in_port, message));
+        out.extend(
+            self.on_receive(ctx, state, in_port, message)
+                .into_iter()
+                .map(|(port, message)| (OutPort::Port(port), message)),
+        );
     }
 
     /// `S`: whether the terminal, in `terminal_state`, declares termination.
@@ -175,8 +226,9 @@ mod tests {
         }
     }
 
-    /// Implements only the emit-into form; the collecting default must route
-    /// through it.
+    /// Implements only the emit-into form, with one single-port message and
+    /// one flood; the collecting default must route through it and expand
+    /// the flood.
     #[derive(Debug)]
     struct Emitting;
 
@@ -199,10 +251,11 @@ mod tests {
             state: &mut u32,
             _in_port: usize,
             message: &u64,
-            out: &mut Vec<(usize, u64)>,
+            out: &mut Vec<(OutPort, u64)>,
         ) {
             *state += *message as u32;
-            out.push((0, message + 1));
+            out.push((OutPort::Port(0), message + 1));
+            out.push((OutPort::All, message + 2));
         }
         fn should_terminate(&self, terminal_state: &u32) -> bool {
             *terminal_state > 0
@@ -211,18 +264,25 @@ mod tests {
 
     #[test]
     fn on_receive_defaults_are_mutual() {
-        let ctx = NodeContext::new(1, 1);
+        let ctx = NodeContext::new(1, 3);
         // Collecting impl, called through the emit-into default: appends.
         let mut state = 0;
-        let mut out = vec![(9, 9)];
+        let mut out = vec![(OutPort::Port(9), 9)];
         Collecting.on_receive_into(&ctx, &mut state, 0, &5, &mut out);
         assert_eq!(state, 5);
-        assert_eq!(out, vec![(9, 9), (0, 6)]);
-        // Emit-into impl, called through the collecting default.
+        assert_eq!(out, vec![(OutPort::Port(9), 9), (OutPort::Port(0), 6)]);
+        // Emit-into impl, called through the collecting default: the flood
+        // becomes one message per out-port, in port order.
         let mut state = 0;
         let collected = Emitting.on_receive(&ctx, &mut state, 0, &5);
         assert_eq!(state, 5);
-        assert_eq!(collected, vec![(0, 6)]);
+        assert_eq!(collected, vec![(0, 6), (0, 7), (1, 7), (2, 7)]);
+        // A sink has no port to flood.
+        let sink = NodeContext::new(1, 0);
+        assert_eq!(
+            expand_floods(sink.out_degree, vec![(OutPort::All, 1u64)]),
+            vec![]
+        );
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!    costs O(E · deliveries).
 //! 2. **[`run_queue_forest`] — the memory-layout specification.** The
 //!    incremental engine exactly as it stood before the flat rewrite: one
-//!    heap-allocated `VecDeque` per edge, per-delivery `Vec` returns from
-//!    [`AnonymousProtocol::on_receive`], `DiGraph` pointer-chasing adjacency.
+//!    heap-allocated `VecDeque` per edge holding its own copy of every
+//!    message, per-delivery `Vec` returns from
+//!    [`AnonymousProtocol::on_receive`] (so a flood arrives expanded into one
+//!    clone per out-port), `DiGraph` pointer-chasing adjacency.
 //!    Scheduling is already incremental here; only the data layout is old.
 //!    The engine differential suite pins the flat core
 //!    ([`crate::engine::run_observed`]) bit-identical to this engine —
@@ -316,10 +318,11 @@ where
             bits,
             message: &message,
         });
+        let into_terminal = graph.edge_dst(edge) == self.network.terminal();
+        self.scheduler.on_send(edge, self.next_seq, into_terminal);
         let queue = &mut self.queues[edge.index()];
         if queue.is_empty() {
             // The edge turns active and this message becomes its head.
-            let into_terminal = graph.edge_dst(edge) == self.network.terminal();
             self.scheduler.on_head(edge, self.next_seq, into_terminal);
         }
         queue.push_back((self.next_seq, message));
@@ -449,8 +452,11 @@ where
         forest.in_flight -= 1;
         if action == SchedulerAction::Duplicate {
             // The copy is an adversary artifact, not a protocol send: it gets
-            // a fresh sequence number (head heaps rely on uniqueness) but no
+            // a fresh sequence number (the schedulers rely on uniqueness) but no
             // send event and no wire bits.
+            forest
+                .scheduler
+                .on_send(edge, forest.next_seq, dst == terminal);
             queue.push_back((forest.next_seq, message.clone()));
             forest.next_seq += 1;
             forest.in_flight += 1;

@@ -15,20 +15,34 @@
 //! non-empty — from a stream of engine notifications:
 //!
 //! 1. [`Scheduler::begin_run`] is called once per run with the edge count.
-//! 2. [`Scheduler::on_head`] is called whenever an edge's *head* message changes:
+//! 2. [`Scheduler::on_send`] is called for every message the engine queues —
+//!    protocol sends, re-floods and adversary duplicates alike — with its
+//!    edge and sequence number, in sequence order.
+//! 3. [`Scheduler::on_head`] is called whenever an edge's *head* message changes:
 //!    when a send makes an idle edge active, and after a delivery that leaves the
 //!    edge's queue non-empty (the next queued message becomes the head).
-//! 3. [`Scheduler::on_idle`] is called when a delivery empties an edge's queue.
-//! 4. [`Scheduler::next_edge`] is called only while at least one edge is active,
+//! 4. [`Scheduler::on_idle`] is called when a delivery empties an edge's queue.
+//! 5. [`Scheduler::next_edge`] is called only while at least one edge is active,
 //!    and must return an active edge; the engine then delivers that edge's head
 //!    and reports the edge's new state via exactly one `on_head` / `on_idle`
 //!    before the next `next_edge` call.
 //!
-//! Under this contract every scheduler here runs in O(1) or O(log E) per
-//! delivery: FIFO/LIFO and the two terminal adversaries keep binary heaps ordered
-//! by head sequence number (one entry per *active edge*, never per message), and
-//! the random scheduler keeps a Fenwick-indexed active set supporting uniform
-//! order-statistics sampling.
+//! Under this contract every scheduler here runs in O(1) amortized or
+//! O(log E) per delivery, and each uses the hooks it needs:
+//!
+//! * FIFO and the two terminal adversaries read the **send order**. Per-edge
+//!   queues hold their messages in sequence order, so the oldest message in
+//!   flight is always its edge's head, and the oldest head is exactly the
+//!   oldest message in flight. These schedulers keep every `on_send` as
+//!   `(seq, edge)` in a queue (one per class for the terminal adversaries)
+//!   and each edge's current head from `on_head`/`on_idle`; `next_edge`
+//!   returns the front entry that is still its edge's head, discarding the
+//!   entries in front of it, which were delivered, dropped or reordered away.
+//!   Each send is queued and discarded once, so a pick is O(1) amortized.
+//! * LIFO and depth-first keep binary heaps of active-edge heads, fed by
+//!   `on_head` (one entry per *active edge*, never per message).
+//! * The random scheduler keeps a Fenwick-indexed active set, fed by
+//!   `on_head`/`on_idle`, supporting uniform order-statistics sampling.
 //!
 //! # The full-scan reference semantics
 //!
@@ -121,6 +135,13 @@ pub trait Scheduler {
     /// behaviour of reusing one scheduler for several runs.
     fn begin_run(&mut self, edge_count: usize);
 
+    /// Notifies that the engine queued a message with sequence number `seq`
+    /// on `edge`: a protocol send, a re-flood or an adversary duplicate.
+    /// Called in sequence order, before any [`Scheduler::on_head`] the same
+    /// message causes. The default ignores it; the schedulers that pick from
+    /// the send order keep it.
+    fn on_send(&mut self, _edge: EdgeId, _seq: u64, _into_terminal: bool) {}
+
     /// Notifies that `edge`'s head message is now the send with `head_seq`.
     fn on_head(&mut self, edge: EdgeId, head_seq: u64, into_terminal: bool);
 
@@ -165,6 +186,10 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
         (**self).begin_run(edge_count);
     }
 
+    fn on_send(&mut self, edge: EdgeId, seq: u64, into_terminal: bool) {
+        (**self).on_send(edge, seq, into_terminal);
+    }
+
     fn on_head(&mut self, edge: EdgeId, head_seq: u64, into_terminal: bool) {
         (**self).on_head(edge, head_seq, into_terminal);
     }
@@ -186,38 +211,75 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
 }
 
-/// A binary heap over the heads of active edges, keyed by head sequence number.
+/// The messages in flight in send order, split into classes, beside each
+/// edge's current head: the pick structure of FIFO and the terminal
+/// adversaries (see the [module docs](self)).
 ///
-/// The engine's notification contract guarantees one live entry per active edge:
-/// an edge's head only changes when its own head is delivered, and the delivered
-/// entry is exactly the one `pop` removed. No lazy invalidation is needed.
+/// A class's oldest message in flight is the first entry of its queue that
+/// is still its edge's head. Entries in front of it belong to messages that
+/// left their queues (delivered, dropped, lost to a crash, or taken from
+/// mid-queue by a reorder) and are discarded as the front passes them.
 #[derive(Debug, Clone, Default)]
-struct MinHeadHeap {
-    heap: BinaryHeap<Reverse<(u64, EdgeId)>>,
+struct SendOrder {
+    /// Each edge's head sequence number, or [`NO_HEAD`] while it is idle.
+    heads: Vec<u64>,
+    /// Per class, `(seq, edge)` of every queued message in send order. FIFO
+    /// uses class 0 alone; the terminal adversaries put messages into the
+    /// terminal in class 1.
+    classes: [VecDeque<(u64, EdgeId)>; 2],
 }
 
-impl MinHeadHeap {
-    fn clear(&mut self) {
-        self.heap.clear();
+/// Marks an idle edge in [`SendOrder::heads`]: sequence numbers never reach it.
+const NO_HEAD: u64 = u64::MAX;
+
+impl SendOrder {
+    fn reset(&mut self, edge_count: usize) {
+        self.heads.clear();
+        self.heads.resize(edge_count, NO_HEAD);
+        for class in &mut self.classes {
+            class.clear();
+        }
     }
 
-    fn push(&mut self, seq: u64, edge: EdgeId) {
-        self.heap.push(Reverse((seq, edge)));
+    fn push(&mut self, class: usize, seq: u64, edge: EdgeId) {
+        self.classes[class].push_back((seq, edge));
     }
 
-    fn pop(&mut self) -> Option<EdgeId> {
-        self.heap.pop().map(|Reverse((_, edge))| edge)
+    fn set_head(&mut self, edge: EdgeId, head_seq: u64) {
+        self.heads[edge.index()] = head_seq;
     }
 
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    fn set_idle(&mut self, edge: EdgeId) {
+        self.heads[edge.index()] = NO_HEAD;
+    }
+
+    /// The edge of `class`'s oldest message in flight, if it has one.
+    fn oldest(&mut self, class: usize) -> Option<EdgeId> {
+        let queue = &mut self.classes[class];
+        while let Some(&(seq, edge)) = queue.front() {
+            if self.heads[edge.index()] == seq {
+                return Some(edge);
+            }
+            queue.pop_front();
+        }
+        None
+    }
+
+    /// The terminal adversaries' pick: the oldest message's edge in the
+    /// preferred class (1, into the terminal, or 0, everything else),
+    /// falling back to the other.
+    fn oldest_preferring(&mut self, terminal_first: bool) -> EdgeId {
+        let first = usize::from(terminal_first);
+        self.oldest(first)
+            .or_else(|| self.oldest(1 - first))
+            .expect("next_edge called with no active edge")
     }
 }
 
 /// Delivers the globally oldest in-flight message first (classic FIFO network).
 #[derive(Debug, Clone, Default)]
 pub struct FifoScheduler {
-    heads: MinHeadHeap,
+    order: SendOrder,
 }
 
 impl FifoScheduler {
@@ -232,19 +294,25 @@ impl Scheduler for FifoScheduler {
         "fifo"
     }
 
-    fn begin_run(&mut self, _edge_count: usize) {
-        self.heads.clear();
+    fn begin_run(&mut self, edge_count: usize) {
+        self.order.reset(edge_count);
+    }
+
+    fn on_send(&mut self, edge: EdgeId, seq: u64, _into_terminal: bool) {
+        self.order.push(0, seq, edge);
     }
 
     fn on_head(&mut self, edge: EdgeId, head_seq: u64, _into_terminal: bool) {
-        self.heads.push(head_seq, edge);
+        self.order.set_head(edge, head_seq);
     }
 
-    fn on_idle(&mut self, _edge: EdgeId) {}
+    fn on_idle(&mut self, edge: EdgeId) {
+        self.order.set_idle(edge);
+    }
 
     fn next_edge(&mut self) -> EdgeId {
-        self.heads
-            .pop()
+        self.order
+            .oldest(0)
             .expect("next_edge called with no active edge")
     }
 
@@ -306,48 +374,13 @@ impl Scheduler for LifoScheduler {
     }
 }
 
-/// Shared core of the two terminal adversaries: active edges are kept in two
-/// oldest-first classes, edges into the terminal and everything else, and
-/// `next_edge` drains one class before touching the other.
-#[derive(Debug, Clone, Default)]
-struct TwoClassHeads {
-    terminal: MinHeadHeap,
-    other: MinHeadHeap,
-}
-
-impl TwoClassHeads {
-    fn clear(&mut self) {
-        self.terminal.clear();
-        self.other.clear();
-    }
-
-    fn push(&mut self, edge: EdgeId, head_seq: u64, into_terminal: bool) {
-        if into_terminal {
-            self.terminal.push(head_seq, edge);
-        } else {
-            self.other.push(head_seq, edge);
-        }
-    }
-
-    /// Pops the oldest head from the preferred class, falling back to the other.
-    fn pop_preferring(&mut self, terminal_first: bool) -> EdgeId {
-        let (first, second) = if terminal_first {
-            (&mut self.terminal, &mut self.other)
-        } else {
-            (&mut self.other, &mut self.terminal)
-        };
-        let heap = if first.is_empty() { second } else { first };
-        heap.pop().expect("next_edge called with no active edge")
-    }
-}
-
 /// Starves the terminal: edges *not* pointing at the terminal are drained first
 /// (oldest first), and messages into the terminal are delivered only when nothing
 /// else is pending. This is the adversary that maximises how much of the graph has
 /// acted before the terminal sees anything.
 #[derive(Debug, Clone, Default)]
 pub struct TerminalLastScheduler {
-    heads: TwoClassHeads,
+    order: SendOrder,
 }
 
 impl TerminalLastScheduler {
@@ -362,18 +395,24 @@ impl Scheduler for TerminalLastScheduler {
         "terminal-last"
     }
 
-    fn begin_run(&mut self, _edge_count: usize) {
-        self.heads.clear();
+    fn begin_run(&mut self, edge_count: usize) {
+        self.order.reset(edge_count);
     }
 
-    fn on_head(&mut self, edge: EdgeId, head_seq: u64, into_terminal: bool) {
-        self.heads.push(edge, head_seq, into_terminal);
+    fn on_send(&mut self, edge: EdgeId, seq: u64, into_terminal: bool) {
+        self.order.push(usize::from(into_terminal), seq, edge);
     }
 
-    fn on_idle(&mut self, _edge: EdgeId) {}
+    fn on_head(&mut self, edge: EdgeId, head_seq: u64, _into_terminal: bool) {
+        self.order.set_head(edge, head_seq);
+    }
+
+    fn on_idle(&mut self, edge: EdgeId) {
+        self.order.set_idle(edge);
+    }
 
     fn next_edge(&mut self) -> EdgeId {
-        self.heads.pop_preferring(false)
+        self.order.oldest_preferring(false)
     }
 
     fn pick_full_scan(&mut self, candidates: &[PendingEdge]) -> usize {
@@ -391,7 +430,7 @@ impl Scheduler for TerminalLastScheduler {
 /// that catches premature-termination bugs.
 #[derive(Debug, Clone, Default)]
 pub struct TerminalFirstScheduler {
-    heads: TwoClassHeads,
+    order: SendOrder,
 }
 
 impl TerminalFirstScheduler {
@@ -406,18 +445,24 @@ impl Scheduler for TerminalFirstScheduler {
         "terminal-first"
     }
 
-    fn begin_run(&mut self, _edge_count: usize) {
-        self.heads.clear();
+    fn begin_run(&mut self, edge_count: usize) {
+        self.order.reset(edge_count);
     }
 
-    fn on_head(&mut self, edge: EdgeId, head_seq: u64, into_terminal: bool) {
-        self.heads.push(edge, head_seq, into_terminal);
+    fn on_send(&mut self, edge: EdgeId, seq: u64, into_terminal: bool) {
+        self.order.push(usize::from(into_terminal), seq, edge);
     }
 
-    fn on_idle(&mut self, _edge: EdgeId) {}
+    fn on_head(&mut self, edge: EdgeId, head_seq: u64, _into_terminal: bool) {
+        self.order.set_head(edge, head_seq);
+    }
+
+    fn on_idle(&mut self, edge: EdgeId) {
+        self.order.set_idle(edge);
+    }
 
     fn next_edge(&mut self) -> EdgeId {
-        self.heads.pop_preferring(true)
+        self.order.oldest_preferring(true)
     }
 
     fn pick_full_scan(&mut self, candidates: &[PendingEdge]) -> usize {
@@ -818,10 +863,14 @@ mod tests {
         ]
     }
 
-    /// Feeds the candidate set into the incremental API and returns the pick.
+    /// Feeds the candidate set into the incremental API (each head sent in
+    /// sequence order, then announced) and returns the pick.
     fn incremental_pick<S: Scheduler>(sched: &mut S) -> EdgeId {
         sched.begin_run(4);
-        for c in candidates() {
+        let mut sends = candidates();
+        sends.sort_by_key(|c| c.head_seq);
+        for c in sends {
+            sched.on_send(c.edge, c.head_seq, c.into_terminal);
             sched.on_head(c.edge, c.head_seq, c.into_terminal);
         }
         sched.next_edge()
@@ -862,6 +911,7 @@ mod tests {
         );
         let mut sched = TerminalLastScheduler::new();
         sched.begin_run(4);
+        sched.on_send(EdgeId(3), 1, true);
         sched.on_head(EdgeId(3), 1, true);
         assert_eq!(sched.next_edge(), EdgeId(3));
     }
@@ -879,12 +929,15 @@ mod tests {
     }
 
     #[test]
-    fn head_heaps_follow_head_changes() {
+    fn send_order_follows_head_changes() {
         // Edge 0 holds seqs [1, 4], edge 1 holds [3]. FIFO must deliver 1, 3, 4:
         // after edge 0's head advances past seq 1, seq 3 on edge 1 is older than
         // edge 0's new head.
         let mut sched = FifoScheduler::new();
         sched.begin_run(2);
+        for (edge, seq) in [(0, 1), (1, 3), (0, 4)] {
+            sched.on_send(EdgeId(edge), seq, false);
+        }
         sched.on_head(EdgeId(0), 1, false);
         sched.on_head(EdgeId(1), 3, false);
         assert_eq!(sched.next_edge(), EdgeId(0));
@@ -892,6 +945,50 @@ mod tests {
         assert_eq!(sched.next_edge(), EdgeId(1));
         sched.on_idle(EdgeId(1));
         assert_eq!(sched.next_edge(), EdgeId(0));
+    }
+
+    #[test]
+    fn send_order_skips_reordered_and_duplicated_messages() {
+        // Edge 0 holds seqs [1, 3, 4], edge 1 holds [2]; every step is checked
+        // against the full-scan rule on the same queues.
+        let pending = |heads: &[(usize, u64)]| -> Vec<PendingEdge> {
+            heads
+                .iter()
+                .map(|&(edge, head_seq)| PendingEdge {
+                    edge: EdgeId(edge),
+                    head_seq,
+                    queue_len: 1,
+                    into_terminal: false,
+                })
+                .collect()
+        };
+        let mut sched = FifoScheduler::new();
+        sched.begin_run(2);
+        for (edge, seq) in [(0, 1), (1, 2), (0, 3), (0, 4)] {
+            sched.on_send(EdgeId(edge), seq, false);
+        }
+        sched.on_head(EdgeId(0), 1, false);
+        sched.on_head(EdgeId(1), 2, false);
+        let mut full = FifoScheduler::new();
+        let mut step = |sched: &mut FifoScheduler, heads: &[(usize, u64)]| {
+            let edge = sched.next_edge();
+            let cands = pending(heads);
+            assert_eq!(edge, cands[full.pick_full_scan(&cands)].edge);
+            edge
+        };
+        // A reorder takes seq 3 from mid-queue: edge 0's head stays seq 1.
+        assert_eq!(step(&mut sched, &[(0, 1), (1, 2)]), EdgeId(0));
+        sched.on_head(EdgeId(0), 1, false);
+        assert_eq!(step(&mut sched, &[(0, 1), (1, 2)]), EdgeId(0));
+        sched.on_head(EdgeId(0), 4, false);
+        // A duplicate delivers seq 2 and re-queues it as seq 5.
+        assert_eq!(step(&mut sched, &[(0, 4), (1, 2)]), EdgeId(1));
+        sched.on_send(EdgeId(1), 5, false);
+        sched.on_head(EdgeId(1), 5, false);
+        // Seq 3 left edge 0 by the reorder, so seq 4 is next.
+        assert_eq!(step(&mut sched, &[(0, 4), (1, 5)]), EdgeId(0));
+        sched.on_idle(EdgeId(0));
+        assert_eq!(step(&mut sched, &[(1, 5)]), EdgeId(1));
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! identically constructed schedulers, and asserts bit-identical results:
 //! outcome, full metrics, termination delivery count, per-vertex final states
 //! and the complete send trace. The grid covers the whole standard scheduler
-//! battery × random seeds × every generator family the paper uses.
+//! battery × random seeds × every generator family the paper uses, with and
+//! without random fault plans.
 
 use anet_graph::generators::{
     chain_gn, layered_dag, path_network, random_cyclic, random_dag, random_grounded_tree,
 };
-use anet_graph::Network;
+use anet_graph::{Network, NodeId};
 use anet_sim::engine::run;
 use anet_sim::reference::run_full_scan;
 use anet_sim::scheduler::{standard_battery, DepthFirstScheduler, Scheduler};
-use anet_sim::{AnonymousProtocol, ExecutionConfig, NodeContext};
+use anet_sim::{AnonymousProtocol, ExecutionConfig, FaultPlan, FaultyScheduler, NodeContext};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,14 +97,16 @@ fn topology(kind: usize, n: usize, seed: u64) -> Network {
     }
 }
 
-/// Runs both engines under identically constructed schedulers and asserts
-/// observational equality, returning an error message on the first divergence.
+/// Runs both engines under identically constructed schedulers, each wrapped
+/// in a [`FaultyScheduler`] when a `plan` is given, and asserts observational
+/// equality, returning an error message on the first divergence.
 fn assert_engines_agree<P>(
     network: &Network,
     protocol: &P,
     battery_seed: u64,
     random_count: usize,
     config: ExecutionConfig,
+    plan: Option<&FaultPlan>,
 ) -> Result<(), String>
 where
     P: AnonymousProtocol,
@@ -117,8 +120,15 @@ where
     let mut reference = standard_battery(battery_seed, random_count);
     incremental.push(Box::new(DepthFirstScheduler::new()));
     reference.push(Box::new(DepthFirstScheduler::new()));
-    for (mut inc, mut full) in incremental.into_iter().zip(reference) {
+    for (inc, full) in incremental.into_iter().zip(reference) {
         let name = inc.name();
+        let (mut inc, mut full): (Box<dyn Scheduler>, Box<dyn Scheduler>) = match plan {
+            None => (inc, full),
+            Some(plan) => (
+                Box::new(FaultyScheduler::new(inc, plan.clone())),
+                Box::new(FaultyScheduler::new(full, plan.clone())),
+            ),
+        };
         let a = run(network, protocol, inc.as_mut(), config);
         let b = run_full_scan(network, protocol, full.as_mut(), config);
         if a.outcome != b.outcome {
@@ -180,6 +190,7 @@ proptest! {
             battery_seed,
             3,
             ExecutionConfig::with_trace(),
+            None,
         );
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
@@ -196,7 +207,7 @@ proptest! {
         let network = topology(kind, n, topo_seed);
         let protocol = Chatter { fanout_rounds: 3, needed: u64::MAX };
         let config = ExecutionConfig { max_deliveries, record_trace: true };
-        let verdict = assert_engines_agree(&network, &protocol, battery_seed, 2, config);
+        let verdict = assert_engines_agree(&network, &protocol, battery_seed, 2, config, None);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
@@ -217,6 +228,49 @@ proptest! {
             battery_seed,
             2,
             ExecutionConfig::with_trace(),
+            None,
+        );
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+
+    /// Under a random fault plan — drops, duplicates, a reorder window of up
+    /// to 4 and one crash window — both engines still agree. Reorders and
+    /// duplicates take messages off an edge out of send order, exactly what
+    /// the send-order picks of FIFO and the terminal adversaries must skip.
+    #[test]
+    fn engines_agree_under_random_fault_plans(
+        kind in 0usize..6,
+        n in 2usize..20,
+        topo_seed in 0u64..1_000,
+        battery_seed in 0u64..1_000,
+        fanout_rounds in 1u64..4,
+        needed in 1u64..8,
+        drop_pct in 0u8..40,
+        dup_pct in 0u8..40,
+        reorder in 0usize..5,
+        crash in (0usize..64, 0u64..60, 0u64..30),
+        fault_seed in any::<u64>(),
+    ) {
+        let network = topology(kind, n, topo_seed);
+        let (crash_node, crash_from, crash_len) = crash;
+        let plan = FaultPlan::reliable()
+            .with_drops(drop_pct)
+            .with_duplicates(dup_pct)
+            .with_reorder(reorder)
+            .with_seed(fault_seed)
+            .with_crash(
+                NodeId(crash_node % network.node_count()),
+                crash_from,
+                crash_from + crash_len,
+            );
+        let protocol = Chatter { fanout_rounds, needed };
+        let verdict = assert_engines_agree(
+            &network,
+            &protocol,
+            battery_seed,
+            3,
+            ExecutionConfig::with_trace(),
+            Some(&plan),
         );
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }

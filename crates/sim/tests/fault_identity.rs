@@ -16,8 +16,9 @@
 //!
 //! Property 2 is also the `on_idle` coverage demanded by the scheduler
 //! contract: with a high drop rate, edges routinely empty via a *drop* rather
-//! than a delivery, and every battery scheduler (seq heaps, two-class heaps,
-//! Fenwick-indexed random) must retire the edge identically on both paths.
+//! than a delivery, and every battery scheduler (send-order picks, the LIFO
+//! heap, Fenwick-indexed random) must retire the edge identically on both
+//! paths.
 
 use anet_graph::generators::{chain_gn, layered_dag, random_cyclic};
 use anet_graph::{Network, NodeId};
