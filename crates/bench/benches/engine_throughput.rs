@@ -14,7 +14,7 @@ use anet_graph::generators::{chain_gn, layered_dag};
 use anet_sim::engine::run;
 use anet_sim::reference::run_full_scan;
 use anet_sim::scheduler::{FifoScheduler, RandomScheduler};
-use anet_sim::{AnonymousProtocol, ExecutionConfig, NodeContext, Outcome};
+use anet_sim::{AnonymousProtocol, ExecutionConfig, NodeContext, Outcome, RefloodProtocol};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,6 +66,13 @@ impl AnonymousProtocol for Flood {
     }
     fn should_terminate(&self, terminal_state: &FloodState) -> bool {
         terminal_state.received >= self.needed
+    }
+}
+
+/// Never asked for: the bench runs with no retry budget.
+impl RefloodProtocol for Flood {
+    fn reflood(&self, _ctx: &NodeContext, _state: &FloodState) -> Vec<(usize, ())> {
+        Vec::new()
     }
 }
 
@@ -141,7 +148,11 @@ fn bench_engine_throughput(c: &mut Criterion) {
                         &protocol,
                         &mut FifoScheduler::new(),
                         ExecutionConfig::default(),
+                        |_| {},
+                        0,
+                        &mut (),
                     )
+                    .result
                     .metrics
                     .messages_delivered
                 })

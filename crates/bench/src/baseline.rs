@@ -21,9 +21,9 @@ use std::time::Instant;
 
 use anet_core::{general_broadcast, labeling, mapping, Payload};
 use anet_num::{reference as num_reference, IntervalUnion};
-use anet_sim::engine::{run, run_recovering, ExecutionConfig, RunResult};
+use anet_sim::engine::{run, run_observed, run_recovering, ExecutionConfig, RunResult};
 use anet_sim::scheduler::FifoScheduler;
-use anet_sim::{FaultPlan, FaultyScheduler, Outcome, RefloodProtocol};
+use anet_sim::{FaultPlan, FaultyScheduler, Observer, Outcome, RefloodProtocol, TraceDigest};
 
 use crate::{mapping_flood_workloads, recovery_workloads, striped_union, Endpoints, Workload};
 
@@ -1044,11 +1044,6 @@ pub const SCALING_HEIGHTS: &[usize] = &[3, 4, 5, 6];
 /// sizes and in-flight message count) stays logarithmic.
 pub const SCALING_ARITY: usize = 10;
 
-/// Height of the `--verify-large` flat-vs-queue-forest differential
-/// (n ≈ 10⁵): large enough to exercise every large-n fast path, small
-/// enough for CI to afford it on every push.
-pub const SCALING_DIFFERENTIAL_HEIGHT: usize = 5;
-
 /// Tallest tree the O(E · deliveries) full-scan reference engine is run on
 /// (n ≈ 10⁴, the ≥ 5× acceptance cell); above that a single scan pass is
 /// minutes, which is a statement about the old engine, not a measurement.
@@ -1084,11 +1079,14 @@ fn scaling_timed<S, M>(
     (result, times[times.len() / 2])
 }
 
-/// Emits the flat / queue-forest (and, with `include_full_scan`, full-scan)
-/// rows for one protocol × tree cell, cross-checking all engines
-/// bit-identical — outcome, full [`anet_sim::metrics::RunMetrics`] (wire bits
-/// included), termination step and `states_match` (labels / full states) —
-/// before any timing when `cfg.cross_check` is set.
+/// Emits the flat (and, with `include_full_scan`, full-scan) rows for one
+/// protocol × tree cell. Every row carries the cell's `trace_digest`: the
+/// [`TraceDigest`] of one untimed, observed flat run, so the timed runs stay
+/// unobserved and the smoke check pins the send trace at every n. With
+/// `cfg.cross_check` set, the full-scan reference must first reproduce that
+/// run bit-identically — outcome, full [`anet_sim::metrics::RunMetrics`]
+/// (wire bits included), termination step, `states_match` (labels / full
+/// states) and trace digest.
 fn scaling_rows<P: RefloodProtocol>(
     rows: &mut Vec<Row>,
     cfg: &SampleConfig,
@@ -1100,94 +1098,80 @@ fn scaling_rows<P: RefloodProtocol>(
 ) {
     use anet_sim::scheduler::DepthFirstScheduler;
 
-    let flat = |()| {
-        anet_sim::engine::run(
-            network,
-            protocol,
-            &mut DepthFirstScheduler::new(),
-            ExecutionConfig::default(),
-        )
-    };
-    let queue_forest = |()| {
-        anet_sim::run_queue_forest(
-            network,
-            protocol,
-            &mut DepthFirstScheduler::new(),
-            ExecutionConfig::default(),
-            |_| {},
-            0,
-            &mut (),
-        )
-        .result
-    };
-    let full_scan = |()| {
+    let config = ExecutionConfig::default();
+    let n = network.node_count();
+    let full_scan = |observer: &mut dyn Observer<P::Message>| {
+        let mut scheduler = DepthFirstScheduler::new();
         anet_sim::run_full_scan(
             network,
             protocol,
-            &mut DepthFirstScheduler::new(),
-            ExecutionConfig::default(),
+            &mut scheduler,
+            config,
+            |_| {},
+            0,
+            observer,
         )
+        .result
     };
 
-    if cfg.cross_check {
-        let a = flat(());
-        let b = queue_forest(());
+    let mut digest = TraceDigest::new();
+    let observed = run_observed(
+        network,
+        protocol,
+        &mut DepthFirstScheduler::new(),
+        config,
+        |_| {},
+        0,
+        &mut digest,
+    )
+    .result;
+    if cfg.cross_check && include_full_scan {
+        let mut reference_digest = TraceDigest::new();
+        let reference = full_scan(&mut reference_digest);
+        assert_eq!(observed.outcome, reference.outcome);
         assert_eq!(
-            a.outcome,
-            b.outcome,
-            "{protocol_name}: flat vs queue-forest outcome diverged at n = {}",
-            network.node_count()
+            observed.metrics, reference.metrics,
+            "{protocol_name}: flat vs full-scan metrics diverged at n = {n}"
         );
         assert_eq!(
-            a.metrics,
-            b.metrics,
-            "{protocol_name}: flat vs queue-forest metrics diverged at n = {}",
-            network.node_count()
+            observed.deliveries_at_termination,
+            reference.deliveries_at_termination
         );
-        assert_eq!(a.deliveries_at_termination, b.deliveries_at_termination);
-        assert!(
-            states_match(&a.states, &b.states),
-            "{protocol_name}: flat vs queue-forest states diverged at n = {}",
-            network.node_count()
+        assert!(states_match(&observed.states, &reference.states));
+        assert_eq!(
+            digest.finish(),
+            reference_digest.finish(),
+            "{protocol_name}: flat vs full-scan trace digests diverged at n = {n}"
         );
-        if include_full_scan {
-            let c = full_scan(());
-            assert_eq!(a.outcome, c.outcome);
-            assert_eq!(
-                a.metrics,
-                c.metrics,
-                "{protocol_name}: flat vs full-scan metrics diverged at n = {}",
-                network.node_count()
-            );
-            assert!(states_match(&a.states, &c.states));
-        }
     }
+    let trace_digest = format!("{:016x}", digest.finish());
 
     let mut push = |engine: &'static str, run: &mut dyn FnMut() -> _| {
         let (result, median_ns) = scaling_timed(cfg, run);
         eprintln!(
-            "cell {protocol_name} n={} engine={engine}: {:.3} s median",
-            network.node_count(),
+            "cell {protocol_name} n={n} engine={engine}: {:.3} s median",
             median_ns as f64 / 1e9
         );
         rows.push(Row {
             key: vec![
                 ("protocol", protocol_name.into()),
-                ("nodes", network.node_count().into()),
+                ("nodes", n.into()),
                 ("edges", network.edge_count().into()),
                 ("engine", engine.into()),
                 ("outcome", outcome_name(result.outcome).into()),
                 ("sent", result.metrics.messages_sent.into()),
                 ("delivered", result.metrics.messages_delivered.into()),
                 ("total_bits", result.metrics.total_bits.into()),
+                ("trace_digest", trace_digest.as_str().into()),
             ],
             median_ns,
         });
     };
-    push("flat", &mut || flat(()));
-    push("queue_forest", &mut || queue_forest(()));
+    push("flat", &mut || {
+        run(network, protocol, &mut DepthFirstScheduler::new(), config)
+    });
     if include_full_scan {
-        push("full_scan", &mut || full_scan(()));
+        push("full_scan", &mut || full_scan(&mut ()));
     }
 }
 
@@ -1255,11 +1239,15 @@ fn hasher_ns<H: std::hash::BuildHasher + Default>(
 /// broadcast, topology mapping) on full grounded trees of n ∈ {10³, 10⁴,
 /// 10⁵, 10⁶} nodes under a depth-first schedule (the cache-dense delivery
 /// order — see [`anet_sim::scheduler::DepthFirstScheduler`]), measured on the
-/// flat engine, the retained queue-forest engine, and (on the ≤ 10⁴ cells)
-/// the O(E · deliveries) full-scan reference. Every row carries the
-/// deterministic outcome and wire columns (`outcome`, `sent`, `delivered`,
-/// `total_bits`), so the key-drift smoke check also pins run determinism.
-/// The trailers hold the flat engine's speedups and the interner-hasher
+/// flat engine and (on the ≤ 10⁴ cells) the O(E · deliveries) full-scan
+/// reference. Every row carries the deterministic outcome and wire columns
+/// (`outcome`, `sent`, `delivered`, `total_bits`) and the flat engine's
+/// `trace_digest`, so the key-drift smoke check also pins run determinism
+/// and the send trace. On a full grounded tree every vertex but the terminal
+/// has in-degree 1 and forwards on every out-port, so an engine fault that
+/// changes any delivery to another vertex changes the digest, while
+/// `outcome` and `delivered` pin the terminal's run. The trailers hold the
+/// flat engine's speedups over the full scan and the interner-hasher
 /// microbenchmark (FNV-1a, the in-repo default, versus std's SipHash).
 pub fn scaling_baseline(cfg: &SampleConfig) -> Baseline {
     use anet_graph::generators::full_grounded_tree;
@@ -1286,7 +1274,7 @@ pub fn scaling_baseline(cfg: &SampleConfig) -> Baseline {
     let siphash_ns = hasher_ns::<std::collections::hash_map::RandomState>(cfg, &keys);
 
     let on = ["protocol", "nodes"];
-    let speedups = pairs(&rows, "engine", "flat", &["queue_forest", "full_scan"], &on)
+    let speedups = pairs(&rows, "engine", "flat", &["full_scan"], &on)
         .into_iter()
         .map(|(flat, slow)| {
             let key = format!(
@@ -1312,27 +1300,6 @@ pub fn scaling_baseline(cfg: &SampleConfig) -> Baseline {
             ("interner_hasher_insert_lookup_ns", Trailer::Map(hashers)),
         ],
         rows,
-    }
-}
-
-/// The `--verify-large` differential sample: every protocol at n ≈ 10⁵
-/// (height [`SCALING_DIFFERENTIAL_HEIGHT`]), flat engine versus the
-/// retained queue forest, pinned bit-identical the same way
-/// [`scaling_baseline`]'s cross-check does it — without any timing, so CI
-/// can afford it on every push.
-pub fn verify_scaling_large() {
-    let network =
-        anet_graph::generators::full_grounded_tree(SCALING_DIFFERENTIAL_HEIGHT, SCALING_ARITY)
-            .expect("arity >= 2");
-    let cfg = SampleConfig {
-        cross_check: true,
-        ..SampleConfig::smoke()
-    };
-    let mut rows = Vec::new();
-    scaling_battery(&mut rows, &cfg, &network, false);
-    for row in &rows {
-        let columns: Vec<String> = row.key.iter().map(|(c, v)| format!("{c}={v}")).collect();
-        println!("ok   {}", columns.join(" "));
     }
 }
 

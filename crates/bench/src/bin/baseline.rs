@@ -6,21 +6,20 @@
 //!   (every cross-check runs before any timing), write it and echo it;
 //! * `baseline --smoke [NAME…]` — regenerate at smoke effort (one run per
 //!   row) and key-diff against the committed files, all of them when no
-//!   name is given; exits 1 on drift;
-//! * `baseline --verify-large` — no timing: pins flat vs queue-forest
-//!   bit-identity (outcome, metrics, states) for every protocol at
-//!   n ≈ 10⁵.
+//!   name is given; exits 1 on drift. The drift covers every row's
+//!   deterministic columns, so it also pins the scaling rows' trace digests
+//!   at n = 10³..10⁶.
 //!
 //! The names are those of [`anet_bench::baseline::BASELINES`].
 
 use std::process::ExitCode;
 
-use anet_bench::baseline::{keys_match, verify_scaling_large, Entry, SampleConfig, BASELINES};
+use anet_bench::baseline::{keys_match, Entry, SampleConfig, BASELINES};
 
 fn usage() -> ExitCode {
     let names: Vec<&str> = BASELINES.iter().map(|entry| entry.name).collect();
     eprintln!(
-        "usage: baseline NAME...\n       baseline --smoke [NAME...]\n       baseline --verify-large\nnames: {}",
+        "usage: baseline NAME...\n       baseline --smoke [NAME...]\nnames: {}",
         names.join(" ")
     );
     ExitCode::from(2)
@@ -30,10 +29,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (smoke, names) = match args.first().map(String::as_str) {
         None => return usage(),
-        Some("--verify-large") if args.len() == 1 => {
-            verify_scaling_large();
-            return ExitCode::SUCCESS;
-        }
         Some("--smoke") => (true, &args[1..]),
         Some(_) => (false, &args[..]),
     };

@@ -1,13 +1,13 @@
 //! The pooled message arena: every in-flight message of a run in one slab.
 //!
-//! The engine's first queue representation was a *queue forest* — one
-//! `VecDeque<(u64, M)>` per edge (retained verbatim as
-//! [`crate::reference::run_queue_forest`]). That layout allocates per edge,
-//! scatters queue storage across the heap, and leaves most of it cold: in the
-//! paper's protocols the vast majority of edges hold zero or one message at any
+//! The model gives every edge a FIFO queue. One `VecDeque<(u64, M)>` per
+//! edge, the layout the full-scan reference
+//! ([`crate::reference::run_full_scan`]) keeps, allocates per edge, scatters
+//! queue storage across the heap, and leaves most of it cold: in the paper's
+//! protocols the vast majority of edges hold zero or one message at any
 //! instant, while the engine touches a different edge on every delivery.
-//! [`MessageArena`] replaces the forest with one slab of small queue entries
-//! plus intrusive per-edge FIFO links, and one slab of message *bodies* the
+//! [`MessageArena`] instead keeps one slab of small queue entries plus
+//! intrusive per-edge FIFO links, and one slab of message *bodies* the
 //! entries point into, so all queue bookkeeping lives in a few contiguous
 //! arrays.
 //!
@@ -49,11 +49,12 @@
 //!   body free list with no message. The crate is `#![forbid(unsafe_code)]`,
 //!   so this is a logical invariant for readers, not a soundness
 //!   requirement.
-//! * **FIFO semantics are bit-for-bit the `VecDeque` forest's.** `push_back`,
+//! * **FIFO semantics are bit-for-bit a `VecDeque`'s.** `push_back`,
 //!   `pop_front`, `head_seq` and positional `remove_at` (the fault adversary's
 //!   reorder path) observe and mutate the logical queue exactly as the
-//!   `VecDeque` code did — the engine differential suite pins the two engines
-//!   to identical traces, metrics, delivery orders and step logs. `remove_at`
+//!   reference's per-edge `VecDeque`s do — the engine differential suite pins
+//!   the engine to the reference's traces, metrics, step logs and states,
+//!   under faults and re-flood rounds too. `remove_at`
 //!   walks the chain and is O(position); it only runs on the adversarial
 //!   reorder path, never on the reliable hot path.
 
@@ -80,7 +81,7 @@ struct Body<M> {
     message: Option<M>,
 }
 
-/// A slab-backed forest of per-edge FIFO queues over shared message bodies.
+/// Slab-backed per-edge FIFO queues over shared message bodies.
 /// See the [module docs](self) for the memory layout contract.
 #[derive(Debug, Clone)]
 pub struct MessageArena<M> {

@@ -37,12 +37,12 @@
 //! [`run_observed`] is the loop's full entry point, and the other entry points
 //! (and [`crate::synchronous`]) are this loop with fixed arguments.
 //!
-//! Both predecessors are retained as executable specifications in
-//! [`crate::reference`]: [`crate::reference::run_full_scan`] pins the
-//! scheduling semantics (via [`Scheduler::pick_full_scan`]) and
-//! [`crate::reference::run_queue_forest`] pins the memory-layout rewrite —
-//! the differential suites assert both produce bit-identical traces, metrics,
-//! outcomes and step logs for every scheduler in the standard battery.
+//! [`crate::reference::run_full_scan`] is the executable specification this
+//! loop is checked against: it takes [`run_observed`]'s arguments, scans
+//! every edge for candidates ([`Scheduler::pick_full_scan`]) and keeps one
+//! `VecDeque` per edge. The `engine_equivalence` suite asserts both produce
+//! bit-identical traces, metrics, outcomes, states, step logs and re-flood
+//! accounting for every scheduler in the standard battery.
 
 use anet_graph::{Csr, EdgeId, Network, NodeId};
 
@@ -483,7 +483,7 @@ where
     corrupt(&mut states);
 
     scheduler.begin_run(edge_count);
-    // The pooled message slab replaces the per-edge queue forest (see
+    // One pooled message slab holds every edge's queue (see
     // [`crate::arena`] for the memory layout contract). Each emission is
     // stored once, as one body however many ports it floods, and never
     // cloned on the delivery path: the protocol and observers see it by

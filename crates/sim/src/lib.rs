@@ -29,11 +29,11 @@
 //!   alone ([`TraceDigest`]) or the replayable step log ([`StepLog`]).
 //! * [`synchronous`] — the paper's synchronous extension: the engine under
 //!   FIFO, with its rounds counted.
-//! * [`reference::run_full_scan`] — the naive specification engine, kept so the
-//!   incremental core is cross-checkable and benchmarkable against it; and
-//!   [`reference::run_queue_forest`] — the pre-flat incremental engine
-//!   (per-edge `VecDeque`s), kept so the flat memory layout is likewise
-//!   pinned bit-identical and its speedup measurable.
+//! * [`reference::run_full_scan`] — the naive specification engine, with
+//!   [`run_observed`]'s arguments and result: a full candidate scan per step,
+//!   one `VecDeque` per edge, corrupted starts, re-flood rounds and observer
+//!   events, kept so the engine is cross-checkable and benchmarkable against
+//!   it.
 //! * [`arena::MessageArena`] — the pooled message slabs behind the flat
 //!   engine's queues: small per-port entries pointing into reference-counted
 //!   message bodies, one body per emission. Its module docs state the
@@ -72,8 +72,10 @@
 //! Each scheduler also carries its naive full-scan specification
 //! ([`scheduler::Scheduler::pick_full_scan`]); [`reference::run_full_scan`]
 //! executes runs entirely through it, and the `engine_equivalence` property
-//! tests assert the two engines produce bit-identical traces, metrics and
-//! outcomes across the whole battery × topology × seed grid.
+//! tests assert the two engines produce bit-identical traces, metrics,
+//! outcomes, step logs and re-flood accounting across the whole battery ×
+//! topology × seed grid, from pristine and corrupted starts, with and
+//! without faults.
 //!
 //! The simulator is deterministic given a scheduler, which is what makes the
 //! adversarial-schedule regression tests reproducible.
@@ -102,6 +104,6 @@ pub use engine::{
 pub use faults::{CrashWindow, FaultPlan, FaultyScheduler};
 pub use observer::{Observer, StepLog, TraceDigest};
 pub use protocol::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol};
-pub use reference::{run_full_scan, run_queue_forest};
+pub use reference::run_full_scan;
 pub use synchronous::{run_synchronous, SynchronousRun};
 pub use wire::{SharedSlice, Wire};

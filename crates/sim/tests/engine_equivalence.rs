@@ -1,87 +1,33 @@
-//! The refactor-safety net: the incremental active-edge-set engine must be
-//! observationally identical to the naive full-scan reference engine.
+//! The engine differential: the engine must be observationally identical to
+//! the naive full-scan reference engine.
 //!
-//! Every property here runs the same protocol on the same network twice — once
-//! through [`anet_sim::engine::run`] (incremental scheduler notifications, no
-//! per-delivery scan) and once through [`anet_sim::reference::run_full_scan`]
-//! (candidate list rebuilt on every delivery, the original semantics) — with
-//! identically constructed schedulers, and asserts bit-identical results:
-//! outcome, full metrics, termination delivery count, per-vertex final states
-//! and the complete send trace. The grid covers the whole standard scheduler
-//! battery × random seeds × every generator family the paper uses, with and
-//! without random fault plans.
+//! Every property here runs the same protocol on the same network twice —
+//! once through [`anet_sim::engine::run_observed`] (incremental scheduler
+//! notifications, pooled message arena, floods stored once) and once through
+//! [`anet_sim::reference::run_full_scan`] (candidate list rebuilt on every
+//! step, one `VecDeque` per edge) — with identically constructed schedulers
+//! and a [`StepLog`] observing each, and asserts bit-identical results:
+//! outcome, full metrics (wire bits, per-edge counts), termination delivery
+//! count, per-vertex final states, the complete send trace, the step log and
+//! the re-flood accounting. The grid covers the whole standard scheduler
+//! battery plus depth-first × random seeds × every generator family the
+//! paper uses, from pristine and corrupted starts, with and without random
+//! fault plans and re-flood recovery, on fresh and on reused schedulers.
+
+mod common;
 
 use anet_graph::generators::{
     chain_gn, layered_dag, path_network, random_cyclic, random_dag, random_grounded_tree,
 };
 use anet_graph::{Network, NodeId};
-use anet_sim::engine::run;
+use anet_sim::engine::run_observed;
 use anet_sim::reference::run_full_scan;
 use anet_sim::scheduler::{standard_battery, DepthFirstScheduler, Scheduler};
-use anet_sim::{AnonymousProtocol, ExecutionConfig, FaultPlan, FaultyScheduler, NodeContext};
+use anet_sim::{ExecutionConfig, FaultPlan, FaultyScheduler, RecoveredRun, StepLog};
+use common::{Chatter, ChatterState};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Flood with a twist: vertices forward on every out-port for their first
-/// `fanout_rounds` receipts (not just the first), and messages carry a counter,
-/// so queues grow beyond one message per edge and head sequences keep changing —
-/// exactly the traffic shape that stresses the incremental bookkeeping.
-#[derive(Debug, Clone)]
-struct Chatter {
-    fanout_rounds: u64,
-    needed: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChatterState {
-    received: u64,
-    sum: u64,
-}
-
-impl AnonymousProtocol for Chatter {
-    type State = ChatterState;
-    type Message = u64;
-
-    fn name(&self) -> &'static str {
-        "chatter"
-    }
-
-    fn initial_state(&self, _ctx: &NodeContext) -> ChatterState {
-        ChatterState {
-            received: 0,
-            sum: 0,
-        }
-    }
-
-    fn root_messages(&self, root_out_degree: usize) -> Vec<(usize, u64)> {
-        (0..root_out_degree).map(|p| (p, 1)).collect()
-    }
-
-    fn on_receive(
-        &self,
-        ctx: &NodeContext,
-        state: &mut ChatterState,
-        in_port: usize,
-        message: &u64,
-    ) -> Vec<(usize, u64)> {
-        state.received += 1;
-        state.sum = state
-            .sum
-            .wrapping_add(*message)
-            .wrapping_add(in_port as u64);
-        if state.received > self.fanout_rounds {
-            return Vec::new();
-        }
-        (0..ctx.out_degree)
-            .map(|p| (p, message.wrapping_add(p as u64 + 1)))
-            .collect()
-    }
-
-    fn should_terminate(&self, terminal_state: &ChatterState) -> bool {
-        terminal_state.received >= self.needed
-    }
-}
 
 /// Builds the `case`-th topology from the family grid.
 fn topology(kind: usize, n: usize, seed: u64) -> Network {
@@ -97,71 +43,153 @@ fn topology(kind: usize, n: usize, seed: u64) -> Network {
     }
 }
 
-/// Runs both engines under identically constructed schedulers, each wrapped
-/// in a [`FaultyScheduler`] when a `plan` is given, and asserts observational
-/// equality, returning an error message on the first divergence.
-fn assert_engines_agree<P>(
+/// A fault plan with drops, duplicates, a reorder window and one crash
+/// window on a vertex of `network`.
+fn fault_plan(
     network: &Network,
-    protocol: &P,
+    (drop_pct, dup_pct, reorder): (u8, u8, usize),
+    (crash_node, crash_from, crash_len): (usize, u64, u64),
+    seed: u64,
+) -> FaultPlan {
+    FaultPlan::reliable()
+        .with_drops(drop_pct)
+        .with_duplicates(dup_pct)
+        .with_reorder(reorder)
+        .with_seed(seed)
+        .with_crash(
+            NodeId(crash_node % network.node_count()),
+            crash_from,
+            crash_from + crash_len,
+        )
+}
+
+/// Everything both engines are given besides the network and the protocol.
+#[derive(Clone, Copy)]
+struct Setup<'a> {
+    /// Seed of the scheduler battery.
     battery_seed: u64,
+    /// Number of random schedulers in the battery.
     random_count: usize,
     config: ExecutionConfig,
-    plan: Option<&FaultPlan>,
-) -> Result<(), String>
-where
-    P: AnonymousProtocol,
-    P::State: PartialEq + std::fmt::Debug,
-    P::Message: PartialEq + std::fmt::Debug,
-{
-    // The battery plus the out-of-battery depth-first scheduler (kept outside
-    // `standard_battery` so the pinned sweep fingerprints stay stable, but its
-    // stamp bookkeeping is the trickiest incremental/full-scan pairing here).
-    let mut incremental = standard_battery(battery_seed, random_count);
-    let mut reference = standard_battery(battery_seed, random_count);
-    incremental.push(Box::new(DepthFirstScheduler::new()));
-    reference.push(Box::new(DepthFirstScheduler::new()));
-    for (inc, full) in incremental.into_iter().zip(reference) {
-        let name = inc.name();
-        let (mut inc, mut full): (Box<dyn Scheduler>, Box<dyn Scheduler>) = match plan {
-            None => (inc, full),
-            Some(plan) => (
-                Box::new(FaultyScheduler::new(inc, plan.clone())),
-                Box::new(FaultyScheduler::new(full, plan.clone())),
-            ),
-        };
-        let a = run(network, protocol, inc.as_mut(), config);
-        let b = run_full_scan(network, protocol, full.as_mut(), config);
-        if a.outcome != b.outcome {
-            return Err(format!(
-                "[{name}] outcome {:?} != {:?}",
-                a.outcome, b.outcome
-            ));
+    /// Wraps every scheduler in a [`FaultyScheduler`] with this plan.
+    plan: Option<&'a FaultPlan>,
+    /// The corruption hook, applied to both engines' initial states.
+    corrupt: &'a dyn Fn(&mut [ChatterState]),
+    retry_budget: u32,
+    /// Consecutive runs on each scheduler instance.
+    runs: usize,
+}
+
+impl Setup<'_> {
+    /// One traced run per fresh scheduler, reliable, from a pristine start
+    /// and with no re-flood budget.
+    fn pristine(battery_seed: u64, random_count: usize) -> Self {
+        Setup {
+            battery_seed,
+            random_count,
+            config: ExecutionConfig::with_trace(),
+            plan: None,
+            corrupt: &|_| {},
+            retry_budget: 0,
+            runs: 1,
         }
-        if a.metrics != b.metrics {
-            return Err(format!(
-                "[{name}] metrics {:?} != {:?}",
-                a.metrics, b.metrics
-            ));
-        }
-        if a.deliveries_at_termination != b.deliveries_at_termination {
-            return Err(format!(
-                "[{name}] deliveries_at_termination {:?} != {:?}",
-                a.deliveries_at_termination, b.deliveries_at_termination
-            ));
-        }
-        if a.states != b.states {
-            return Err(format!("[{name}] final vertex states diverge"));
-        }
-        if a.trace != b.trace {
-            let (ta, tb) = (a.trace.as_ref().unwrap(), b.trace.as_ref().unwrap());
-            let first = ta
-                .events()
-                .iter()
-                .zip(tb.events())
-                .position(|(x, y)| x != y)
-                .map(|i| format!("first divergence at send #{i}"))
-                .unwrap_or_else(|| format!("trace lengths differ: {} vs {}", ta.len(), tb.len()));
-            return Err(format!("[{name}] traces diverge: {first}"));
+    }
+}
+
+/// Asserts every observable field of two runs, and their step logs, is
+/// identical.
+fn assert_results_identical(
+    name: &str,
+    (a, log_a): (&RecoveredRun<ChatterState, u64>, &StepLog),
+    (b, log_b): (&RecoveredRun<ChatterState, u64>, &StepLog),
+) -> Result<(), String> {
+    let reflood = |r: &RecoveredRun<_, _>| (r.reflood_rounds, r.reflood_sends, r.reflood_bits);
+    if reflood(a) != reflood(b) {
+        return Err(format!(
+            "[{name}] re-flood rounds, sends and bits {:?} != {:?}",
+            reflood(a),
+            reflood(b)
+        ));
+    }
+    let (a, b) = (&a.result, &b.result);
+    if a.outcome != b.outcome {
+        return Err(format!(
+            "[{name}] outcome {:?} != {:?}",
+            a.outcome, b.outcome
+        ));
+    }
+    if a.metrics != b.metrics {
+        return Err(format!(
+            "[{name}] metrics {:?} != {:?}",
+            a.metrics, b.metrics
+        ));
+    }
+    if a.deliveries_at_termination != b.deliveries_at_termination {
+        return Err(format!(
+            "[{name}] deliveries_at_termination {:?} != {:?}",
+            a.deliveries_at_termination, b.deliveries_at_termination
+        ));
+    }
+    if a.states != b.states {
+        return Err(format!("[{name}] final vertex states diverge"));
+    }
+    if log_a != log_b {
+        return Err(format!("[{name}] step logs diverge"));
+    }
+    if a.trace != b.trace {
+        let (ta, tb) = (a.trace.as_ref().unwrap(), b.trace.as_ref().unwrap());
+        let first = ta
+            .events()
+            .iter()
+            .zip(tb.events())
+            .position(|(x, y)| x != y)
+            .map(|i| format!("first divergence at send #{i}"))
+            .unwrap_or_else(|| format!("trace lengths differ: {} vs {}", ta.len(), tb.len()));
+        return Err(format!("[{name}] traces diverge: {first}"));
+    }
+    Ok(())
+}
+
+/// Runs both engines under identically constructed schedulers — the battery
+/// plus the out-of-battery depth-first scheduler (kept outside
+/// `standard_battery` so the pinned sweep fingerprints stay stable, but its
+/// stamp bookkeeping is the trickiest incremental/full-scan pairing here) —
+/// as `setup` says, and returns an error message on the first divergence.
+fn assert_engines_agree(network: &Network, protocol: &Chatter, setup: Setup) -> Result<(), String> {
+    let schedulers = || {
+        let mut battery = standard_battery(setup.battery_seed, setup.random_count);
+        battery.push(Box::new(DepthFirstScheduler::new()));
+        battery.into_iter().map(move |inner| {
+            let name = inner.name();
+            let scheduler: Box<dyn Scheduler> = match setup.plan {
+                None => inner,
+                Some(plan) => Box::new(FaultyScheduler::new(inner, plan.clone())),
+            };
+            (name, scheduler)
+        })
+    };
+    for ((name, mut engine), (_, mut full)) in schedulers().zip(schedulers()) {
+        for run in 0..setup.runs {
+            let (mut log_a, mut log_b) = (StepLog::new(), StepLog::new());
+            let a = run_observed(
+                network,
+                protocol,
+                engine.as_mut(),
+                setup.config,
+                setup.corrupt,
+                setup.retry_budget,
+                &mut log_a,
+            );
+            let b = run_full_scan(
+                network,
+                protocol,
+                full.as_mut(),
+                setup.config,
+                setup.corrupt,
+                setup.retry_budget,
+                &mut log_b,
+            );
+            assert_results_identical(&format!("{name}, run {run}"), (&a, &log_a), (&b, &log_b))?;
         }
     }
     Ok(())
@@ -172,7 +200,7 @@ proptest! {
 
     /// The flagship property: across every topology family, scheduler in the
     /// battery and seed, both engines produce identical traces, metrics,
-    /// states and outcomes.
+    /// states, outcomes and step logs.
     #[test]
     fn engines_agree_across_battery_topologies_and_seeds(
         kind in 0usize..6,
@@ -184,14 +212,7 @@ proptest! {
     ) {
         let network = topology(kind, n, topo_seed);
         let protocol = Chatter { fanout_rounds, needed };
-        let verdict = assert_engines_agree(
-            &network,
-            &protocol,
-            battery_seed,
-            3,
-            ExecutionConfig::with_trace(),
-            None,
-        );
+        let verdict = assert_engines_agree(&network, &protocol, Setup::pristine(battery_seed, 3));
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
@@ -206,8 +227,11 @@ proptest! {
     ) {
         let network = topology(kind, n, topo_seed);
         let protocol = Chatter { fanout_rounds: 3, needed: u64::MAX };
-        let config = ExecutionConfig { max_deliveries, record_trace: true };
-        let verdict = assert_engines_agree(&network, &protocol, battery_seed, 2, config, None);
+        let setup = Setup {
+            config: ExecutionConfig { max_deliveries, record_trace: true },
+            ..Setup::pristine(battery_seed, 2)
+        };
+        let verdict = assert_engines_agree(&network, &protocol, setup);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
@@ -222,14 +246,7 @@ proptest! {
     ) {
         let network = topology(kind, n, topo_seed);
         let protocol = Chatter { fanout_rounds: 2, needed: u64::MAX };
-        let verdict = assert_engines_agree(
-            &network,
-            &protocol,
-            battery_seed,
-            2,
-            ExecutionConfig::with_trace(),
-            None,
-        );
+        let verdict = assert_engines_agree(&network, &protocol, Setup::pristine(battery_seed, 2));
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
@@ -245,33 +262,92 @@ proptest! {
         battery_seed in 0u64..1_000,
         fanout_rounds in 1u64..4,
         needed in 1u64..8,
-        drop_pct in 0u8..40,
-        dup_pct in 0u8..40,
-        reorder in 0usize..5,
+        faults in (0u8..40, 0u8..40, 0usize..5),
         crash in (0usize..64, 0u64..60, 0u64..30),
         fault_seed in any::<u64>(),
     ) {
         let network = topology(kind, n, topo_seed);
-        let (crash_node, crash_from, crash_len) = crash;
-        let plan = FaultPlan::reliable()
-            .with_drops(drop_pct)
-            .with_duplicates(dup_pct)
-            .with_reorder(reorder)
-            .with_seed(fault_seed)
-            .with_crash(
-                NodeId(crash_node % network.node_count()),
-                crash_from,
-                crash_from + crash_len,
-            );
+        let plan = fault_plan(&network, faults, crash, fault_seed);
         let protocol = Chatter { fanout_rounds, needed };
-        let verdict = assert_engines_agree(
-            &network,
-            &protocol,
-            battery_seed,
-            3,
-            ExecutionConfig::with_trace(),
-            Some(&plan),
-        );
+        let setup = Setup { plan: Some(&plan), ..Setup::pristine(battery_seed, 3) };
+        let verdict = assert_engines_agree(&network, &protocol, setup);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+
+    /// The corrupted-start entry point perturbs states identically before
+    /// either engine delivers anything.
+    #[test]
+    fn engines_agree_from_corrupted_starts(
+        kind in 0usize..6,
+        n in 2usize..20,
+        topo_seed in 0u64..1_000,
+        battery_seed in 0u64..1_000,
+        poison in 1u64..1_000,
+    ) {
+        let network = topology(kind, n, topo_seed);
+        let protocol = Chatter { fanout_rounds: 2, needed: 3 };
+        let corrupt = |states: &mut [ChatterState]| {
+            for (i, s) in states.iter_mut().enumerate() {
+                if i % 2 == 0 {
+                    s.sum = s.sum.wrapping_add(poison);
+                }
+            }
+        };
+        let setup = Setup { corrupt: &corrupt, ..Setup::pristine(battery_seed, 2) };
+        let verdict = assert_engines_agree(&network, &protocol, setup);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+
+    /// The re-flood recovery path: both engines fire the same rounds and
+    /// charge the same retry traffic under the same lossy adversary.
+    #[test]
+    fn engines_agree_under_reflood_recovery(
+        kind in 0usize..6,
+        n in 2usize..20,
+        topo_seed in 0u64..1_000,
+        battery_seed in 0u64..1_000,
+        fault_seed in 0u64..1_000,
+        drops in 1u8..40,
+        retry_budget in 0u32..4,
+    ) {
+        let network = topology(kind, n, topo_seed);
+        let protocol = Chatter { fanout_rounds: 2, needed: 3 };
+        let plan = FaultPlan::reliable().with_drops(drops).with_seed(fault_seed);
+        let setup = Setup {
+            plan: Some(&plan),
+            retry_budget,
+            ..Setup::pristine(battery_seed, 2)
+        };
+        let verdict = assert_engines_agree(&network, &protocol, setup);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+
+    /// A scheduler reused for a second run starts it afresh on both engines:
+    /// `begin_run` resets the depth-first stamps and restarts a fault plan's
+    /// RNG, step counter and crash window, while the random schedulers'
+    /// persistent RNG carries over identically.
+    #[test]
+    fn engines_agree_when_a_scheduler_is_reused(
+        kind in 0usize..6,
+        n in 2usize..20,
+        topo_seed in 0u64..1_000,
+        battery_seed in 0u64..1_000,
+        faulty in any::<bool>(),
+        faults in (0u8..40, 0u8..40, 0usize..5),
+        crash in (0usize..64, 0u64..30, 1u64..30),
+        fault_seed in any::<u64>(),
+        retry_budget in 0u32..3,
+    ) {
+        let network = topology(kind, n, topo_seed);
+        let protocol = Chatter { fanout_rounds: 3, needed: 4 };
+        let plan = fault_plan(&network, faults, crash, fault_seed);
+        let setup = Setup {
+            plan: faulty.then_some(&plan),
+            retry_budget,
+            runs: 2,
+            ..Setup::pristine(battery_seed, 2)
+        };
+        let verdict = assert_engines_agree(&network, &protocol, setup);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 }

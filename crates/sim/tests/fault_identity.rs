@@ -20,80 +20,17 @@
 //! heap, Fenwick-indexed random) must retire the edge identically on both
 //! paths.
 
+mod common;
+
 use anet_graph::generators::{chain_gn, layered_dag, random_cyclic};
 use anet_graph::{Network, NodeId};
 use anet_sim::engine::{run, run_observed, ExecutionConfig, RunResult};
 use anet_sim::reference::run_full_scan;
 use anet_sim::scheduler::{standard_battery, Scheduler};
-use anet_sim::{
-    AnonymousProtocol, FaultPlan, FaultyScheduler, NodeContext, Outcome, RefloodProtocol, StepLog,
-};
+use anet_sim::{FaultPlan, FaultyScheduler, Outcome, StepLog};
+use common::{Chatter, ChatterState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The chattering flood used by the engine-equivalence suite: queues grow
-/// beyond one message per edge, so drops, duplicates and reorders all bite.
-#[derive(Debug, Clone)]
-struct Chatter {
-    fanout_rounds: u64,
-    needed: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChatterState {
-    received: u64,
-    sum: u64,
-}
-
-impl AnonymousProtocol for Chatter {
-    type State = ChatterState;
-    type Message = u64;
-
-    fn name(&self) -> &'static str {
-        "chatter"
-    }
-
-    fn initial_state(&self, _ctx: &NodeContext) -> ChatterState {
-        ChatterState {
-            received: 0,
-            sum: 0,
-        }
-    }
-
-    fn root_messages(&self, root_out_degree: usize) -> Vec<(usize, u64)> {
-        (0..root_out_degree).map(|p| (p, 1)).collect()
-    }
-
-    fn on_receive(
-        &self,
-        ctx: &NodeContext,
-        state: &mut ChatterState,
-        in_port: usize,
-        message: &u64,
-    ) -> Vec<(usize, u64)> {
-        state.received += 1;
-        state.sum = state
-            .sum
-            .wrapping_add(*message)
-            .wrapping_add(in_port as u64);
-        if state.received > self.fanout_rounds {
-            return Vec::new();
-        }
-        (0..ctx.out_degree)
-            .map(|p| (p, message.wrapping_add(p as u64 + 1)))
-            .collect()
-    }
-
-    fn should_terminate(&self, terminal_state: &ChatterState) -> bool {
-        terminal_state.received >= self.needed
-    }
-}
-
-impl RefloodProtocol for Chatter {
-    fn reflood(&self, _ctx: &NodeContext, _state: &ChatterState) -> Vec<(usize, u64)> {
-        Vec::new()
-    }
-}
 
 /// A traced run of `protocol` under `scheduler`, with its step log.
 fn logged_run(
@@ -163,7 +100,8 @@ fn both_engines_agree_under_a_lossy_plan_across_the_battery() {
             let mut a = FaultyScheduler::new(inc, plan.clone());
             let mut b = FaultyScheduler::new(full, plan.clone());
             let x = run(&net, &protocol, &mut a, ExecutionConfig::with_trace());
-            let y = run_full_scan(&net, &protocol, &mut b, ExecutionConfig::with_trace());
+            let config = ExecutionConfig::with_trace();
+            let y = run_full_scan(&net, &protocol, &mut b, config, |_| {}, 0, &mut ()).result;
             let name = a.inner().name();
             assert_eq!(x.outcome, y.outcome, "scheduler {name}");
             assert_eq!(x.metrics, y.metrics, "scheduler {name}");

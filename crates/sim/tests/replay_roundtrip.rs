@@ -8,78 +8,17 @@
 //! log itself. The grid covers deterministic and random schedulers over
 //! acyclic and cyclic topologies, through both engines.
 
+mod common;
+
 use anet_graph::generators::{chain_gn, layered_dag, random_cyclic};
 use anet_graph::Network;
 use anet_sim::engine::{run_observed, ExecutionConfig, RunResult};
 use anet_sim::reference::run_full_scan;
 use anet_sim::scheduler::{ReplayScheduler, Scheduler};
-use anet_sim::{AnonymousProtocol, NodeContext, RefloodProtocol, StepLog};
+use anet_sim::StepLog;
+use common::{Chatter, ChatterState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The chattering flood also used by the engine-equivalence suite: queues grow
-/// beyond one message per edge, so delivery order genuinely matters.
-#[derive(Debug, Clone)]
-struct Chatter {
-    fanout_rounds: u64,
-    needed: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChatterState {
-    received: u64,
-    sum: u64,
-}
-
-impl AnonymousProtocol for Chatter {
-    type State = ChatterState;
-    type Message = u64;
-
-    fn name(&self) -> &'static str {
-        "chatter"
-    }
-
-    fn initial_state(&self, _ctx: &NodeContext) -> ChatterState {
-        ChatterState {
-            received: 0,
-            sum: 0,
-        }
-    }
-
-    fn root_messages(&self, root_out_degree: usize) -> Vec<(usize, u64)> {
-        (0..root_out_degree).map(|p| (p, 1)).collect()
-    }
-
-    fn on_receive(
-        &self,
-        ctx: &NodeContext,
-        state: &mut ChatterState,
-        in_port: usize,
-        message: &u64,
-    ) -> Vec<(usize, u64)> {
-        state.received += 1;
-        state.sum = state
-            .sum
-            .wrapping_add(*message)
-            .wrapping_add(in_port as u64);
-        if state.received > self.fanout_rounds {
-            return Vec::new();
-        }
-        (0..ctx.out_degree)
-            .map(|p| (p, message.wrapping_add(p as u64 + 1)))
-            .collect()
-    }
-
-    fn should_terminate(&self, terminal_state: &ChatterState) -> bool {
-        terminal_state.received >= self.needed
-    }
-}
-
-impl RefloodProtocol for Chatter {
-    fn reflood(&self, _ctx: &NodeContext, _state: &ChatterState) -> Vec<(usize, u64)> {
-        Vec::new()
-    }
-}
 
 /// A traced run of `protocol` under `scheduler`, with its step log.
 fn logged_run(
@@ -139,7 +78,11 @@ fn captured_delivery_order_replays_bit_identically() {
                 &protocol,
                 &mut replay_full,
                 ExecutionConfig::with_trace(),
-            );
+                |_| {},
+                0,
+                &mut (),
+            )
+            .result;
             assert_eq!(full.outcome, original.outcome);
             assert_eq!(full.metrics, original.metrics);
             assert_eq!(full.trace, original.trace);
@@ -199,7 +142,11 @@ fn faulty_run_replays_bit_identically_from_its_step_log() {
                 &protocol,
                 &mut replay_full,
                 ExecutionConfig::with_trace(),
-            );
+                |_| {},
+                0,
+                &mut (),
+            )
+            .result;
             assert_eq!(full.outcome, original.outcome, "scheduler {name}");
             assert_eq!(full.metrics, original.metrics, "scheduler {name}");
             assert_eq!(full.trace, original.trace, "scheduler {name}");
