@@ -546,8 +546,9 @@ where
             }
             // … then every vertex re-sends its frontier, in node-id order
             // (deterministic on the canonical topology). The root is included:
-            // in a cyclic network it receives messages like any other vertex,
-            // and its frontier is separate from σ₀.
+            // it receives nothing (`Network::new` rejects in-edges at the
+            // root), but a protocol may still give it a frontier, separate
+            // from σ₀.
             for node in 0..node_count {
                 for (port, message) in reflood(&contexts[node], &states[node]) {
                     channels.send(node as u32, OutPort::Port(port), message);

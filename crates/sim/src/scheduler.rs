@@ -41,7 +41,7 @@
 //!   Each send is queued and discarded once, so a pick is O(1) amortized.
 //! * LIFO and depth-first keep binary heaps of active-edge heads, fed by
 //!   `on_head` (one entry per *active edge*, never per message).
-//! * The random scheduler keeps a Fenwick-indexed active set, fed by
+//! * The random scheduler keeps a bitset of active edges, fed by
 //!   `on_head`/`on_idle`, supporting uniform order-statistics sampling.
 //!
 //! # The full-scan reference semantics
@@ -577,28 +577,33 @@ impl Scheduler for DepthFirstScheduler {
     }
 }
 
-/// A Fenwick-indexed set of active edges supporting O(log E) insert, remove and
+/// The set of active edges as a bitset supporting insert, remove and
 /// *select-by-rank* (the k-th smallest active edge id).
 ///
 /// Rank selection is what lets the incremental random scheduler agree exactly
 /// with the full-scan reference: the reference samples an index into the
 /// candidate list, which holds active edges in increasing edge-id order, so the
 /// sampled index *is* a rank in this set.
+///
+/// A Fenwick tree over the words' popcounts finds the word holding the rank
+/// in O(log E/64) steps, then [`select_in_word`] finds the bit; insert and
+/// remove keep the tree current.
 #[derive(Debug, Clone, Default)]
 struct ActiveEdgeSet {
-    /// Fenwick (binary indexed) tree over edge ids; `tree[i]` covers a dyadic
-    /// block of ids, 1-based.
+    /// Bit `e % 64` of word `e / 64` is set exactly when edge `e` is active.
+    words: Vec<u64>,
+    /// Fenwick (binary indexed) tree over the words' popcounts, 1-based.
     tree: Vec<u32>,
-    active: Vec<bool>,
     len: usize,
 }
 
 impl ActiveEdgeSet {
     fn reset(&mut self, edge_count: usize) {
+        let words = edge_count.div_ceil(64);
+        self.words.clear();
+        self.words.resize(words, 0);
         self.tree.clear();
-        self.tree.resize(edge_count + 1, 0);
-        self.active.clear();
-        self.active.resize(edge_count, false);
+        self.tree.resize(words + 1, 0);
         self.len = 0;
     }
 
@@ -608,30 +613,32 @@ impl ActiveEdgeSet {
 
     #[cfg(test)]
     fn contains(&self, edge: EdgeId) -> bool {
-        self.active[edge.index()]
+        (self.words[edge.index() / 64] >> (edge.index() % 64)) & 1 == 1
     }
 
-    fn add(&mut self, delta: i32, index: usize) {
-        let mut i = index + 1;
+    fn add(&mut self, delta: i32, word: usize) {
+        let mut i = word + 1;
         while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i32 + delta) as u32;
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
             i += i & i.wrapping_neg();
         }
     }
 
     fn insert(&mut self, edge: EdgeId) {
-        if !self.active[edge.index()] {
-            self.active[edge.index()] = true;
+        let (word, bit) = (edge.index() / 64, 1u64 << (edge.index() % 64));
+        if self.words[word] & bit == 0 {
+            self.words[word] |= bit;
             self.len += 1;
-            self.add(1, edge.index());
+            self.add(1, word);
         }
     }
 
     fn remove(&mut self, edge: EdgeId) {
-        if self.active[edge.index()] {
-            self.active[edge.index()] = false;
+        let (word, bit) = (edge.index() / 64, 1u64 << (edge.index() % 64));
+        if self.words[word] & bit != 0 {
+            self.words[word] &= !bit;
             self.len -= 1;
-            self.add(-1, edge.index());
+            self.add(-1, word);
         }
     }
 
@@ -639,19 +646,60 @@ impl ActiveEdgeSet {
     /// (`rank` is 0-based and must be `< len`).
     fn select(&self, rank: usize) -> EdgeId {
         debug_assert!(rank < self.len);
-        let mut remaining = rank as u32 + 1;
-        let mut pos = 0usize;
+        let mut remaining = rank as u32;
+        let mut word = 0usize;
         let mut step = (self.tree.len() - 1).next_power_of_two();
         while step > 0 {
-            let next = pos + step;
-            if next < self.tree.len() && self.tree[next] < remaining {
+            let next = word + step;
+            if next < self.tree.len() && self.tree[next] <= remaining {
                 remaining -= self.tree[next];
-                pos = next;
+                word = next;
             }
             step >>= 1;
         }
-        EdgeId(pos)
+        EdgeId(word * 64 + select_in_word(self.words[word], remaining))
     }
+}
+
+/// Bytes whose every lane is 1, the SWAR broadcast constant.
+const LANES: u64 = 0x0101_0101_0101_0101;
+
+/// `SELECT_IN_BYTE[b][r]` is the position of the `r`-th set bit of byte `b`.
+static SELECT_IN_BYTE: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut bit, mut rank) = (0, 0);
+        while bit < 8 {
+            if (byte >> bit) & 1 == 1 {
+                table[byte][rank] = bit as u8;
+                rank += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// The position of the `rank`-th set bit of `word` (0-based; `rank` must be
+/// below `word.count_ones()`), without a branch: per-byte popcounts (SWAR),
+/// their inclusive prefix sums by one multiply, the count of bytes whose
+/// prefix is at most `rank` (the byte holding the bit), then a table lookup
+/// inside that byte.
+fn select_in_word(word: u64, rank: u32) -> usize {
+    debug_assert!(rank < word.count_ones());
+    let pairs = word - ((word >> 1) & 0x5555_5555_5555_5555);
+    let nibbles = (pairs & 0x3333_3333_3333_3333) + ((pairs >> 2) & 0x3333_3333_3333_3333);
+    let bytes = (nibbles + (nibbles >> 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+    // Byte k holds the popcount of bytes 0..=k (at most 64, so no carries).
+    let prefix = bytes.wrapping_mul(LANES);
+    // High bit of byte k set exactly when prefix_k <= rank.
+    let at_most = (((u64::from(rank) * LANES) | (LANES << 7)) - prefix) & (LANES << 7);
+    let byte = ((at_most >> 7).wrapping_mul(LANES) >> 56) as usize;
+    let below = ((prefix << 8) >> (8 * byte)) as u8;
+    let lane = (word >> (8 * byte)) as u8;
+    8 * byte + SELECT_IN_BYTE[lane as usize][(rank - u32::from(below)) as usize] as usize
 }
 
 /// Delivers a uniformly random pending message (seeded, hence reproducible).
@@ -1148,6 +1196,62 @@ mod tests {
         set.insert(EdgeId(7));
         set.remove(EdgeId(3));
         assert_eq!(set.len(), 4);
+    }
+
+    #[test]
+    fn active_edge_set_select_matches_a_sorted_list() {
+        // Both sides of the word boundaries at 64 and 512 edges, up to a
+        // set of about 70,000 edges.
+        let mut rng = StdRng::seed_from_u64(7);
+        for edge_count in [1usize, 63, 64, 65, 511, 512, 513, 70_001] {
+            let mut set = ActiveEdgeSet::default();
+            set.reset(edge_count);
+            let mut sorted = std::collections::BTreeSet::new();
+            // Insert-heavy rounds fill the set, remove-heavy rounds thin it.
+            for insert_pct in [0.9, 0.3, 0.8, 0.1] {
+                for _ in 0..edge_count.max(8) {
+                    let edge = rng.gen_range(0..edge_count);
+                    if rng.gen_bool(insert_pct) {
+                        set.insert(EdgeId(edge));
+                        sorted.insert(edge);
+                    } else {
+                        set.remove(EdgeId(edge));
+                        sorted.remove(&edge);
+                    }
+                }
+                assert_eq!(set.len(), sorted.len(), "E = {edge_count}");
+                let selected: Vec<usize> = (0..set.len()).map(|k| set.select(k).index()).collect();
+                assert!(
+                    selected.iter().eq(sorted.iter()),
+                    "E = {edge_count}, {} active",
+                    set.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn select_in_word_finds_every_set_bit() {
+        let words = [
+            1,
+            u64::MAX,
+            1 << 63,
+            (1 << 63) | 1,
+            0xff00_0000_0000_0000,
+            0x0000_0000_0000_00ff,
+            0x8000_0001_0000_0080,
+            0x0123_4567_89ab_cdef,
+        ];
+        for word in words {
+            let bits: Vec<usize> = (0..64).filter(|&b| (word >> b) & 1 == 1).collect();
+            for (rank, &bit) in bits.iter().enumerate() {
+                assert_eq!(
+                    select_in_word(word, rank as u32),
+                    bit,
+                    "{word:#x} rank {rank}"
+                );
+            }
+        }
     }
 
     #[test]

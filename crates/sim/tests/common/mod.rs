@@ -65,10 +65,12 @@ impl AnonymousProtocol for Chatter {
 }
 
 /// The frontier: a vertex that has heard anything re-sends its running sum
-/// on every out-port.
+/// on every out-port, and so does the root (the one vertex without in-edges,
+/// which never hears anything), so a re-flood round sends the root's
+/// frontier besides σ₀.
 impl RefloodProtocol for Chatter {
     fn reflood(&self, ctx: &NodeContext, state: &ChatterState) -> Vec<(usize, u64)> {
-        if state.received == 0 {
+        if state.received == 0 && ctx.in_degree > 0 {
             return Vec::new();
         }
         (0..ctx.out_degree).map(|p| (p, state.sum)).collect()

@@ -2,15 +2,18 @@
 //! equivalence class.
 //!
 //! A sweep unit's record is a pure function of **(protocol, canonical
-//! topology form, seed, battery position, delivery budget, scenario)** —
-//! every unit runs on the network rebuilt from its topology's canonical form
-//! (see [`crate::exec`]), so even two *differently labeled* isomorphic
-//! topologies drive bit-for-bit the same simulation. Clustering groups the
-//! units of a manifest (or of one shard's pending set) by that tuple; only
-//! the cluster's manifest-first unit — the **representative** — is executed,
-//! and every other member's record is emitted by rewriting the
-//! representative's record with the member's own key fields
-//! ([`RunRecord::rebind`]).
+//! topology form, battery position, delivery budget, scenario)**, plus the
+//! battery seed where the cell reads it ([`SweepUnit::reads_seed`]: a seeded
+//! random position or a fault scenario). Every unit runs on the network
+//! rebuilt from its topology's canonical form (see [`crate::exec`]), so even
+//! two *differently labeled* isomorphic topologies drive bit-for-bit the same
+//! simulation, and a deterministic delivery order from a pristine or
+//! corrupted start draws no random bits, so its cell is the same experiment
+//! under every battery seed. Clustering groups the units of a manifest (or
+//! of one shard's pending set) by that tuple; only the cluster's
+//! manifest-first unit — the **representative** — is executed, and every
+//! other member's record is emitted by rewriting the representative's record
+//! with the member's own key fields ([`RunRecord::rebind`]).
 //!
 //! Clustering reads the canonical forms from the batch's topology table,
 //! which builds and canonicalizes each distinct topology once and interns
@@ -57,12 +60,14 @@ pub struct UnitCluster {
 }
 
 /// The 128-bit unit fingerprint: everything the record bytes depend on,
-/// except the unit's own name fields (manifest index and topology name).
+/// except the unit's own name fields (manifest index and topology name, and
+/// the battery seed of a unit that does not read it).
 ///
 /// Two FNV-1a passes over the same canonical string with distinct prefixes;
 /// the string is versioned (`unit-v2`, since the scenario dimension joined
 /// the execution contract) so a change to the contract invalidates cache
-/// entries instead of aliasing them.
+/// entries instead of aliasing them. A seed-free unit renders `seed=-`, so
+/// its seed twins share one entry, and a seeded unit's string is unchanged.
 pub fn unit_fingerprint(spec: &SweepSpec, unit: &SweepUnit, form: &CanonicalForm) -> String {
     fingerprint_encoded(spec, unit, &form.encode())
 }
@@ -72,10 +77,15 @@ pub fn unit_fingerprint(spec: &SweepSpec, unit: &SweepUnit, form: &CanonicalForm
 /// absorb prefix, unit fields and encoding in turn, which is the same byte
 /// stream as hashing their concatenation.
 fn fingerprint_encoded(spec: &SweepSpec, unit: &SweepUnit, encoding: &str) -> String {
+    let seed = if unit.reads_seed() {
+        unit.seed.to_string()
+    } else {
+        "-".to_owned()
+    };
     let fields = format!(
         "unit-v2 protocol={} seed={} k={} sched={} random={} budget={} scenario={} ",
         unit.protocol.name(),
-        unit.seed,
+        seed,
         unit.battery_index,
         unit.scheduler,
         spec.random_schedulers,
@@ -93,11 +103,14 @@ fn fingerprint_encoded(spec: &SweepSpec, unit: &SweepUnit, encoding: &str) -> St
 }
 
 /// Groups `units` into equivalence classes by **(protocol, canonical
-/// topology form, seed, battery position, scenario)** — the full set of
-/// inputs the executor's record depends on (scheduler identity is a function
-/// of the battery position, the per-unit fault plan is a pure function of
-/// scenario + seed + battery position, and the spec-level battery shape and
-/// delivery budget are shared by every unit).
+/// topology form, battery position, scenario)**, plus the battery seed of a
+/// unit that reads it ([`SweepUnit::reads_seed`]) — the full set of inputs
+/// the executor's record depends on (scheduler identity is a function of the
+/// battery position, a random scheduler is seeded from the battery seed, the
+/// per-unit fault plan is a pure function of scenario + seed + battery
+/// position, and the spec-level battery shape and delivery budget are shared
+/// by every unit). Seed twins of a deterministic pristine or corrupted-start
+/// cell therefore share a class.
 ///
 /// Canonical forms are computed once per distinct topology name and compared
 /// exactly. Clusters come back ordered by representative position.
@@ -120,13 +133,13 @@ pub(crate) fn cluster_on(
     units: &[&SweepUnit],
     table: &TopologyTable,
 ) -> Vec<UnitCluster> {
-    type ClusterKey = (String, u64, usize, String, usize);
+    type ClusterKey = (String, Option<u64>, usize, String, usize);
     let mut classes: HashMap<ClusterKey, Vec<usize>> = HashMap::new();
     for (position, unit) in units.iter().enumerate() {
         classes
             .entry((
                 unit.protocol.name(),
-                unit.seed,
+                unit.reads_seed().then_some(unit.seed),
                 unit.battery_index,
                 unit.scenario.name(),
                 table.form_id(position),
@@ -163,20 +176,23 @@ impl Manifest {
 impl RunRecord {
     /// Rewrites this record as the record of `unit`, a member of the same
     /// equivalence class as the unit that produced it: only the manifest
-    /// index and the topology name change.
+    /// index and the topology name change, and the battery seed where the
+    /// unit does not read it ([`SweepUnit::reads_seed`]).
     ///
     /// # Panics
     ///
-    /// Panics if `unit` disagrees on a cluster-key field (protocol, seed,
-    /// battery position, scheduler or scenario) — rebinding across classes
-    /// would fabricate results.
+    /// Panics if `unit` disagrees on a cluster-key field (protocol, battery
+    /// position, scheduler, scenario, and the seed of a unit that reads it)
+    /// — rebinding across classes would fabricate results.
     pub fn rebind(&self, unit: &SweepUnit) -> RunRecord {
         assert_eq!(
             self.protocol,
             unit.protocol.name(),
             "rebind across protocols"
         );
-        assert_eq!(self.seed, unit.seed, "rebind across seeds");
+        if unit.reads_seed() {
+            assert_eq!(self.seed, unit.seed, "rebind across seeds");
+        }
         assert_eq!(
             self.battery_index, unit.battery_index,
             "rebind across battery positions"
@@ -190,6 +206,7 @@ impl RunRecord {
         RunRecord {
             index: unit.index,
             topology: unit.topology.name(),
+            seed: unit.seed,
             ..self.clone()
         }
     }
@@ -305,13 +322,14 @@ mod tests {
         let manifest = Manifest::from_spec(&spec);
         let clusters = manifest.cluster_units(&spec).unwrap();
         // path(2) and complete_dag(2) merge; path(3) and chain-gn/3 stay
-        // separate: 3 distinct forms x 2 protocols x 2 seeds x 5 battery.
-        let battery = anet_sim::runner::battery_size(spec.random_schedulers);
-        assert_eq!(clusters.len(), 3 * 2 * 2 * battery);
+        // separate: 3 distinct forms x 2 protocols, each over the 4
+        // seed-free deterministic positions and 2 seeds x 1 random position.
+        let deterministic = anet_sim::scheduler::DETERMINISTIC_BATTERY_NAMES.len();
+        assert_eq!(clusters.len(), 3 * 2 * (deterministic + 2));
         let covered: usize = clusters.iter().map(|c| c.members.len()).sum();
         assert_eq!(covered, manifest.len());
         // Every cluster: ascending members, representative first, one class
-        // never mixes protocols/seeds/batteries.
+        // never mixes protocols/batteries, nor seeds where the cell reads one.
         for cluster in &clusters {
             assert_eq!(cluster.members[0], cluster.representative);
             assert!(cluster.members.windows(2).all(|w| w[0] < w[1]));
@@ -319,18 +337,28 @@ mod tests {
             for &m in &cluster.members {
                 let u = &manifest.units[m];
                 assert_eq!(u.protocol, rep.protocol);
-                assert_eq!(u.seed, rep.seed);
                 assert_eq!(u.battery_index, rep.battery_index);
+                if u.reads_seed() {
+                    assert_eq!(u.seed, rep.seed);
+                }
             }
         }
-        // The merged pair really is the isomorphic one.
-        let merged = clusters.iter().find(|c| c.members.len() == 2).unwrap();
+        // The class of the first path(2) unit holds complete_dag(2) units too.
+        let path2 = TopologySpec::Path { n: 2 }.name();
+        let first = manifest
+            .units
+            .iter()
+            .position(|u| u.topology.name() == path2)
+            .unwrap();
+        let merged = clusters
+            .iter()
+            .find(|c| c.members.contains(&first))
+            .unwrap();
         let names: Vec<String> = merged
             .members
             .iter()
             .map(|&m| manifest.units[m].topology.name())
             .collect();
-        assert!(names.contains(&TopologySpec::Path { n: 2 }.name()));
         assert!(names.contains(&TopologySpec::CompleteDag { internal: 2 }.name()));
     }
 
@@ -418,9 +446,23 @@ mod tests {
         let spec = spec();
         let manifest = Manifest::from_spec(&spec);
         let clusters = manifest.cluster_units(&spec).unwrap();
-        let merged = clusters.iter().find(|c| c.members.len() == 2).unwrap();
-        let rep_unit = &manifest.units[merged.representative];
-        let member_unit = &manifest.units[merged.members[1]];
+        let unit_of = |topology: TopologySpec, seed: u64| {
+            manifest
+                .units
+                .iter()
+                .find(|u| u.topology == topology && u.seed == seed)
+                .unwrap()
+        };
+        // The isomorphic pair: the first path(2) unit and its complete_dag(2)
+        // counterpart, same seed and battery position.
+        let rep_unit = unit_of(TopologySpec::Path { n: 2 }, 0);
+        let member_unit = unit_of(TopologySpec::CompleteDag { internal: 2 }, 0);
+        let class = clusters
+            .iter()
+            .find(|c| c.members.contains(&rep_unit.index))
+            .unwrap();
+        assert_eq!(class.representative, rep_unit.index);
+        assert!(class.members.contains(&member_unit.index));
         let record = crate::execute_unit(&spec, rep_unit).unwrap();
         let rebound = record.rebind(member_unit);
         assert_eq!(rebound.index, member_unit.index);
@@ -435,6 +477,25 @@ mod tests {
         );
         // And the rebound record IS the member's honest record.
         assert_eq!(rebound, crate::execute_unit(&spec, member_unit).unwrap());
+
+        // A seed-free twin (fifo, pristine) also takes the member's seed.
+        let twin = unit_of(TopologySpec::Path { n: 2 }, 1);
+        assert!(!twin.reads_seed() && class.members.contains(&twin.index));
+        let rebound = record.rebind(twin);
+        assert_eq!(
+            (rebound.index, rebound.seed),
+            (twin.index, twin.seed),
+            "a seed-free twin rewrites its seed"
+        );
+        assert_eq!(
+            RunRecord {
+                index: record.index,
+                seed: record.seed,
+                ..rebound.clone()
+            },
+            record
+        );
+        assert_eq!(rebound, crate::execute_unit(&spec, twin).unwrap());
     }
 
     #[test]
@@ -442,12 +503,16 @@ mod tests {
     fn rebind_across_classes_panics() {
         let spec = spec();
         let manifest = Manifest::from_spec(&spec);
-        let record = crate::execute_unit(&spec, &manifest.units[0]).unwrap();
         let battery = anet_sim::runner::battery_size(spec.random_schedulers);
-        // Same protocol/topology/battery position, different seed.
-        let other = &manifest.units[battery * spec.seeds.len() - battery];
-        assert_eq!(other.battery_index, manifest.units[0].battery_index);
-        assert_ne!(other.seed, manifest.units[0].seed);
+        // Same protocol/topology and random battery position, different seed.
+        let (unit, other) = (
+            &manifest.units[battery - 1],
+            &manifest.units[2 * battery - 1],
+        );
+        assert!(unit.reads_seed());
+        assert_eq!(other.battery_index, unit.battery_index);
+        assert_ne!(other.seed, unit.seed);
+        let record = crate::execute_unit(&spec, unit).unwrap();
         let _ = record.rebind(other);
     }
 
@@ -475,21 +540,37 @@ mod tests {
 
     #[test]
     fn golden_fingerprints_keep_naming_existing_cache_entries() {
-        // These strings name `--cache-dir` entries already on disk: however
-        // the `unit-v2` text is assembled, its bytes may not change.
+        // The seeded strings name `--cache-dir` entries already on disk:
+        // however the `unit-v2` text is assembled, their bytes may not
+        // change. The seed-free pristine terminal-last cell has its own
+        // `seed=-` name, shared by its twins under every battery seed.
         let spec = golden_spec();
         let manifest = Manifest::from_spec(&spec);
         let (pristine, faulty) = (&manifest.units[4], &manifest.units[5]);
+        let random = &manifest.units[8];
         assert_eq!(pristine.battery_index, 2);
         assert!(pristine.scenario.is_pristine() && !faulty.scenario.is_pristine());
+        assert!(random.scenario.is_pristine() && random.scheduler == "random#0");
         let form = canonical_form(&pristine.topology.build().unwrap()).form;
         assert_eq!(
             unit_fingerprint(&spec, pristine, &form),
-            "36c142985c3bf5873ec2e135d6f3b3e9"
+            "3c49ae9ee8ea13f591a9ef3d2ac4fe53"
         );
         assert_eq!(
             unit_fingerprint(&spec, faulty, &form),
             "881a9b9bba0d53d38a985f76615f7109"
+        );
+        assert_eq!(
+            unit_fingerprint(&spec, random, &form),
+            "b7895449e349b13c9d63d0273b5beb9a"
+        );
+        let twin = SweepUnit {
+            seed: 4,
+            ..pristine.clone()
+        };
+        assert_eq!(
+            unit_fingerprint(&spec, &twin, &form),
+            unit_fingerprint(&spec, pristine, &form)
         );
     }
 

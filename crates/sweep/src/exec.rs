@@ -19,9 +19,12 @@
 //! Running on the canonical relabeling (rather than the generator's raw
 //! labeling) is deliberate and unconditional — the honest `--no-dedup` path
 //! uses it too. It makes every record a pure function of the unit's
-//! *equivalence class* (protocol, canonical topology form, seed, battery
-//! position, budget): isomorphic topologies drive bit-for-bit identical
-//! simulations, so the dedup layer's rewritten member records equal honest
+//! *equivalence class* (protocol, canonical topology form, battery position,
+//! budget, scenario, and the battery seed only where the cell reads it: a
+//! seeded random position or a fault plan, [`SweepUnit::reads_seed`]):
+//! isomorphic topologies drive bit-for-bit identical simulations, and so do
+//! the seed twins of a deterministic order from a pristine or corrupted
+//! start, so the dedup layer's rewritten member records equal honest
 //! execution by construction, and `dedup` vs `--no-dedup` byte-identity is a
 //! theorem the differential tests merely re-check. The protocols themselves
 //! are anonymous — they observe degrees and port indices, never vertex ids —

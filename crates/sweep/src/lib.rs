@@ -59,11 +59,12 @@
 //! # Deduplication: fingerprint → cluster → cache
 //!
 //! Most units of a large sweep are redundant: a record is a pure function of
-//! **(protocol, canonical topology form, seed, battery position, budget,
-//! scenario)**,
-//! and generated topologies are frequently isomorphic across families, sizes
-//! and generator seeds. The dedup layer (on by default in the CLI) exploits
-//! this in three steps:
+//! **(protocol, canonical topology form, battery position, budget,
+//! scenario)**, plus the battery seed where the cell reads it (a seeded
+//! random position or a fault plan, [`SweepUnit::reads_seed`]), generated
+//! topologies are frequently isomorphic across families, sizes and generator
+//! seeds, and a deterministic order's cell repeats under every battery seed.
+//! The dedup layer (on by default in the CLI) exploits this in three steps:
 //!
 //! * **Fingerprint** — every unit runs on the *canonically relabeled*
 //!   network ([`anet_graph::canon`]) of its shard's topology table (or, in

@@ -13,7 +13,7 @@
 //! round-robin; both are deterministic functions of the spec and shard count.
 
 use anet_sim::runner::battery_size;
-use anet_sim::scheduler::battery_scheduler_name;
+use anet_sim::scheduler::{battery_scheduler_name, DETERMINISTIC_BATTERY_NAMES};
 use anet_sim::trace::Fnv1a;
 
 use crate::spec::{ProtocolSpec, ScenarioSpec, SweepSpec, TopologySpec};
@@ -57,6 +57,18 @@ impl SweepUnit {
             key.push_str(&self.scenario.name());
         }
         key
+    }
+
+    /// Whether the unit's record depends on its battery seed: true exactly
+    /// when its battery position is a seeded random scheduler (seeded
+    /// `seed + i`, [`anet_sim::scheduler::standard_battery`]) or its scenario
+    /// reads the seed ([`ScenarioSpec::reads_battery_seed`]). The
+    /// deterministic orders draw no random bits, so a unit at a
+    /// deterministic position whose scenario reads no seed is the same
+    /// experiment under every battery seed.
+    pub fn reads_seed(&self) -> bool {
+        self.battery_index >= DETERMINISTIC_BATTERY_NAMES.len()
+            || self.scenario.reads_battery_seed()
     }
 }
 

@@ -416,6 +416,18 @@ impl ScenarioSpec {
         matches!(self, ScenarioSpec::Pristine)
     }
 
+    /// Whether a unit's run reads its battery seed through this scenario:
+    /// true for [`ScenarioSpec::Faulty`], whose [`ScenarioSpec::fault_plan`]
+    /// mixes it in. A corruption takes its seed from the scenario, and a
+    /// pristine run has none, so their runs read the battery seed only
+    /// through a seeded scheduler ([`crate::SweepUnit::reads_seed`]).
+    pub fn reads_battery_seed(&self) -> bool {
+        match self {
+            ScenarioSpec::Faulty { .. } => true,
+            ScenarioSpec::Pristine | ScenarioSpec::Corrupt(_) => false,
+        }
+    }
+
     /// The fault plan for one unit of a [`ScenarioSpec::Faulty`] sweep, `None`
     /// otherwise. The plan seed mixes the scenario's fault seed with the
     /// unit's battery seed and battery index — all fields of the dedup
@@ -1156,6 +1168,14 @@ mod tests {
         assert!(ScenarioSpec::Corrupt(StateCorruption::LostPartition)
             .fault_plan(0, 0)
             .is_none());
+    }
+
+    #[test]
+    fn reads_battery_seed_exactly_where_the_fault_plan_mixes_it() {
+        for scenario in sample_spec().scenarios {
+            let moves = scenario.fault_plan(4, 1) != scenario.fault_plan(5, 1);
+            assert_eq!(scenario.reads_battery_seed(), moves, "{}", scenario.name());
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use anet_graph::canon::canonical_form;
 use anet_graph::NodeId;
 use anet_sweep::{
     dedup_shard_lines, execute_unit, merge_lines, run_shard_to_file_with_opts, Manifest, Partition,
-    ProtocolSpec, ScenarioSpec, SweepOptions, SweepSpec, TopologySpec,
+    ProtocolSpec, RunRecord, ScenarioSpec, SweepOptions, SweepSpec, TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -380,6 +380,61 @@ fn topology(choice: u32, size: usize, pct: u8, seed: u64) -> TopologySpec {
     }
 }
 
+/// Every scenario kind: pristine, each corruption, and one fault plan.
+fn scenario_battery(fault_seed: u64) -> Vec<ScenarioSpec> {
+    vec![
+        ScenarioSpec::Pristine,
+        ScenarioSpec::Corrupt(StateCorruption::ScrambledLabels { seed: fault_seed }),
+        ScenarioSpec::Corrupt(StateCorruption::LostPartition),
+        ScenarioSpec::Corrupt(StateCorruption::StaleTerminal),
+        ScenarioSpec::Faulty {
+            drop_pct: 20,
+            dup_pct: 10,
+            reorder: 2,
+            seed: fault_seed,
+            retry: 2,
+            crashes: vec![],
+        },
+    ]
+}
+
+#[test]
+fn seeded_cells_never_share_a_class_across_seeds() {
+    // Three battery seeds, two random positions and every scenario kind: a
+    // cell that reads the seed (random position or fault plan) keeps one
+    // class per seed, and every other cell is one class across all seeds.
+    let spec = SweepSpec {
+        seeds: vec![3, 4, 5],
+        random_schedulers: 2,
+        scenarios: scenario_battery(9),
+        ..every_scenario_spec()
+    };
+    let manifest = Manifest::from_spec(&spec);
+    let clusters = manifest.cluster_units(&spec).expect("clustering runs");
+    let mut seed_free = 0;
+    for cluster in &clusters {
+        let rep = &manifest.units[cluster.representative];
+        let seeds: Vec<u64> = cluster
+            .members
+            .iter()
+            .map(|&m| manifest.units[m].seed)
+            .collect();
+        if rep.reads_seed() {
+            assert!(
+                seeds.iter().all(|&seed| seed == rep.seed),
+                "seeded class of {} spans seeds {seeds:?}",
+                rep.key()
+            );
+        } else {
+            seed_free += 1;
+            for seed in &spec.seeds {
+                assert!(seeds.contains(seed), "{} misses seed {seed}", rep.key());
+            }
+        }
+    }
+    assert!(seed_free > 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
@@ -387,7 +442,9 @@ proptest! {
         protocol_picks in prop::collection::vec((0u32..3, 0u64..48), 1..3),
         topology_picks in prop::collection::vec((0u32..8, 1usize..6, 0u32..60, 0u64..1000), 1..4),
         seed_base in 0u64..1000,
+        seed_count in 2u64..4,
         random_schedulers in 0usize..3,
+        fault_seed in 0u64..1000,
         case in 0u64..u64::MAX,
     ) {
         let mut protocols: Vec<ProtocolSpec> = protocol_picks
@@ -403,17 +460,31 @@ proptest! {
         let spec = SweepSpec {
             protocols,
             topologies,
-            seeds: vec![seed_base, seed_base + 1],
+            seeds: (seed_base..seed_base + seed_count).collect(),
             random_schedulers,
             max_deliveries: 1_000_000,
-            scenarios: vec![anet_sweep::ScenarioSpec::Pristine],
+            scenarios: scenario_battery(fault_seed),
         };
         let manifest = Manifest::from_spec(&spec);
-        let baseline = oracle_merged(&spec, &manifest);
-        let cache = temp_dir(&format!("prop-{case:016x}"));
+        let honest: Vec<RunRecord> = manifest
+            .units
+            .iter()
+            .map(|unit| execute_unit(&spec, unit).expect("unit runs"))
+            .collect();
+        let baseline: String = honest.iter().map(|r| r.to_jsonl_line() + "\n").collect();
 
+        // Every member's honest record, seed-free twins under another seed
+        // included, is its representative's record rebound.
+        for cluster in manifest.cluster_units(&spec).expect("clustering runs") {
+            let rep = &honest[cluster.representative];
+            for &member in &cluster.members {
+                prop_assert_eq!(&rep.rebind(&manifest.units[member]), &honest[member]);
+            }
+        }
+
+        let cache = temp_dir(&format!("prop-{case:016x}"));
         for partition in [Partition::Hash, Partition::RoundRobin] {
-            for shards in [1usize, 3] {
+            for shards in [1usize, 2, 3] {
                 // Twice per configuration: the first pass may mix cold and
                 // warm clusters (shared cache dir), the second is fully warm.
                 for _pass in 0..2 {
