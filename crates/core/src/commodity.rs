@@ -265,6 +265,39 @@ mod tests {
         assert!(v.wire_bits() > 64, "got {}", v.wire_bits());
     }
 
+    // Hand-derived sizes: gamma(n) codes n + 1 in 2⌊log₂(n + 1)⌋ + 1 bits,
+    // so gamma(0) = 1, gamma(1) = gamma(2) = 3, gamma(3..=6) = 5 and
+    // gamma(7) = 7; a length-prefixed b-bit string costs gamma(b) + b.
+
+    #[test]
+    fn pow2_wire_bits_are_a_prefixed_mantissa_and_a_gamma_coded_exponent() {
+        // 2^-k has the 1-bit mantissa `1` (3 + 1 = 4 bits) and exponent k.
+        let pow2 = |k: u32| Pow2Commodity::from_dyadic(Dyadic::from_u64_parts(1, k));
+        assert_eq!(Pow2Commodity::unit().wire_bits(), 4 + 1);
+        assert_eq!(pow2(1).wire_bits(), 4 + 3);
+        assert_eq!(pow2(3).wire_bits(), 4 + 5);
+        assert_eq!(pow2(7).wire_bits(), 4 + 7);
+        // gamma(256) codes 257 = 2^8 + 1: 2·8 + 1 = 17 bits.
+        assert_eq!(pow2(256).wire_bits(), 4 + 17);
+        // A DAG sum 3/8 = 0.011: mantissa `11` (3 + 2) and exponent 3 (5).
+        let sum = Pow2Commodity::from_dyadic(Dyadic::from_u64_parts(3, 3));
+        assert_eq!(sum.wire_bits(), 5 + 5);
+    }
+
+    #[test]
+    fn exact_wire_bits_length_prefix_numerator_and_denominator() {
+        // 1/1: `1` over `1`, 4 bits each.
+        assert_eq!(ExactCommodity::unit().wire_bits(), 4 + 4);
+        // 1/3: `1` (3 + 1) over `11` (3 + 2).
+        let third = ExactCommodity::unit().split(3).remove(0);
+        assert_eq!(third.wire_bits(), 4 + 5);
+        // 2/3: `10` (3 + 2) over `11` (3 + 2).
+        assert_eq!(third.add(&third).wire_bits(), 5 + 5);
+        // 1/9: `1` (3 + 1) over `1001` (gamma(4) = 5, plus 4).
+        let ninth = third.split(3).remove(0);
+        assert_eq!(ninth.wire_bits(), 4 + 9);
+    }
+
     #[test]
     fn canonical_keys_distinguish_values() {
         let a = Pow2Commodity::unit().split(2).remove(0);

@@ -302,8 +302,18 @@ pub struct LabelingReport {
     /// pairwise-disjoint labels.
     pub labels_unique: bool,
     /// The largest label size in bits (positional encoding of both endpoints of
-    /// each interval).
+    /// each interval) over every vertex but the root, sinks included.
     pub max_label_bits: u64,
+    /// The largest label size in bits over the routing vertices (not the
+    /// root, out-degree > 0): the single-interval labels whose length
+    /// Theorem 5.1 bounds by `O(|V| log d_out)`.
+    pub max_routing_label_bits: u64,
+    /// The largest label size in bits over the sinks (out-degree 0). A sink
+    /// keeps every leaf mass it absorbed, so its label is a union that
+    /// Theorem 5.1 does not bound. When every vertex reaches the terminal (in
+    /// particular whenever the run terminated), the terminal is the only
+    /// sink and this is its label's size.
+    pub max_sink_label_bits: u64,
     /// Communication metrics of the run.
     pub metrics: RunMetrics,
 }
@@ -391,19 +401,23 @@ fn report_from_run<M>(
     let metrics = result.metrics;
     let labels: Vec<IntervalUnion> = result.states.into_iter().map(|st| st.label).collect();
     let unique = labels_unique(network, &labels);
-    let max_label_bits = network
-        .graph()
-        .nodes()
-        .filter(|&n| n != network.root())
-        .map(|n| label_bits(&labels[n.index()]))
-        .max()
-        .unwrap_or(0);
+    let (mut max_routing_label_bits, mut max_sink_label_bits) = (0, 0);
+    for node in network.graph().nodes().filter(|&n| n != network.root()) {
+        let bits = label_bits(&labels[node.index()]);
+        if network.graph().out_degree(node) > 0 {
+            max_routing_label_bits = max_routing_label_bits.max(bits);
+        } else {
+            max_sink_label_bits = max_sink_label_bits.max(bits);
+        }
+    }
     Ok(LabelingReport {
         terminated: outcome == anet_sim::Outcome::Terminated,
         quiescent: outcome == anet_sim::Outcome::Quiescent,
         labels,
         labels_unique: unique,
-        max_label_bits,
+        max_label_bits: max_routing_label_bits.max(max_sink_label_bits),
+        max_routing_label_bits,
+        max_sink_label_bits,
         metrics,
     })
 }
@@ -516,6 +530,7 @@ mod tests {
         chain_gn, complete_dag, cycle_with_tail, diamond_stack, full_grounded_tree, nested_cycles,
         pruned_tree, random_cyclic, random_dag, star_network, with_stranded_vertex,
     };
+    use anet_num::Interval;
     use anet_sim::runner::run_under_battery;
     use anet_sim::scheduler::FifoScheduler;
     use rand::rngs::StdRng;
@@ -716,6 +731,47 @@ mod tests {
         assert!(!news.is_empty());
         assert_eq!(out, vec![(OutPort::All, LabelMessage::echo(news))]);
         assert!(state.beta.is_unit());
+    }
+
+    #[test]
+    fn report_splits_routing_labels_from_sink_labels() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let net = random_cyclic(&mut rng, 20, 0.15, 0.2).unwrap();
+        let report = run_labeling(&net, &mut fifo()).unwrap();
+        assert!(report.terminated && report.labels_unique);
+        let terminal = label_bits(report.label_of(net.terminal()));
+        let mut routing = 0;
+        for node in net.graph().nodes().filter(|&n| n != net.root()) {
+            if net.graph().out_degree(node) > 0 {
+                assert_eq!(report.label_of(node).interval_count(), 1);
+                routing = routing.max(label_bits(report.label_of(node)));
+            } else {
+                assert_eq!(node, net.terminal());
+            }
+        }
+        assert_eq!(report.max_routing_label_bits, routing);
+        assert_eq!(report.max_sink_label_bits, terminal);
+        assert_eq!(report.max_label_bits, routing.max(terminal));
+        // The terminal's label is the union of every absorbed leaf mass.
+        assert!(report.label_of(net.terminal()).interval_count() > 1);
+        assert!(terminal > routing);
+    }
+
+    #[test]
+    fn label_bits_charge_both_endpoints_of_every_interval() {
+        // Each endpoint is its positional expansion, length-prefixed: e bits
+        // cost gamma(e) + e, where gamma(0) = 1, gamma(1) = gamma(2) = 3 and
+        // gamma(3) = 5. The endpoints 0, 1, 1/2, 1/4 and 7/8 expand to 0, 1,
+        // 1, 2 and 3 bits.
+        let interval = |lo, hi, exp| Interval::from_dyadic_parts(lo, hi, exp).unwrap();
+        // [0, 1): 1 + (3 + 1).
+        assert_eq!(label_bits(&IntervalUnion::unit()), 5);
+        // [1/4, 7/8): (3 + 2) + (5 + 3).
+        assert_eq!(label_bits(&IntervalUnion::from(interval(2, 7, 3))), 13);
+        // [0, 1/4) ∪ [1/2, 1): 1 + (3 + 2), then (3 + 1) + (3 + 1).
+        let two = IntervalUnion::from_intervals([interval(0, 1, 2), interval(1, 2, 1)]);
+        assert_eq!(two.interval_count(), 2);
+        assert_eq!(label_bits(&two), 6 + 8);
     }
 
     #[test]

@@ -159,6 +159,8 @@ fn cow_labeling_reports_match_reference_across_seeds() {
         assert_eq!(a.labels, b.labels, "seed {seed}");
         assert_eq!(a.labels_unique, b.labels_unique);
         assert_eq!(a.max_label_bits, b.max_label_bits);
+        assert_eq!(a.max_routing_label_bits, b.max_routing_label_bits);
+        assert_eq!(a.max_sink_label_bits, b.max_sink_label_bits);
     }
 }
 

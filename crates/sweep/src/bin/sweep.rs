@@ -27,6 +27,16 @@
 //! `stats.json` and prints the run summary. `--check` reports any
 //! `stats.json` found next to the files it compares.
 //!
+//! `--partition` chooses how units are dealt to shards (`hash`, the default,
+//! or `round-robin`). Either way the shards receive whole classes: units that
+//! differ only in a battery seed they do not read (a deterministic order's
+//! pristine or corrupted-start cell) share a shard, so dedup runs each such
+//! cell once across all shards. `round-robin` numbers the classes in
+//! manifest order and deals class `i` to shard `i % N`; `hash` sends a class
+//! to the mixed FNV-1a hash of its key mod `N`, which does not depend on
+//! manifest positions. The partition only decides which shard file holds a
+//! line, never its bytes.
+//!
 //! `--resume` makes each shard reuse the complete records of an existing
 //! shard file (a killed shard's torn tail is discarded), re-running only the
 //! missing units.

@@ -77,15 +77,10 @@ pub fn unit_fingerprint(spec: &SweepSpec, unit: &SweepUnit, form: &CanonicalForm
 /// absorb prefix, unit fields and encoding in turn, which is the same byte
 /// stream as hashing their concatenation.
 fn fingerprint_encoded(spec: &SweepSpec, unit: &SweepUnit, encoding: &str) -> String {
-    let seed = if unit.reads_seed() {
-        unit.seed.to_string()
-    } else {
-        "-".to_owned()
-    };
     let fields = format!(
         "unit-v2 protocol={} seed={} k={} sched={} random={} budget={} scenario={} ",
         unit.protocol.name(),
-        seed,
+        unit.seed_field(),
         unit.battery_index,
         unit.scheduler,
         spec.random_schedulers,

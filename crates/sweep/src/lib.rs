@@ -24,8 +24,13 @@
 //!    into the flat unit list in the canonical order *protocol → topology →
 //!    seed → battery position → scenario* (for one protocol, one seed and
 //!    pristine-only scenarios: topology by topology, each in the battery order
-//!    of [`anet_sim::runner::run_under_battery`]). [`Partition`] assigns each
-//!    unit to one of `n` shards by stable hash or round-robin.
+//!    of [`anet_sim::runner::run_under_battery`]).
+//!    [`Manifest::shard_assignment`] assigns each unit to one of `n` shards
+//!    in one pass, dealing out classes rather than units: units with the same
+//!    [`SweepUnit::partition_key`] (the unit key with the battery seed
+//!    written `-` where the unit does not read it) share a shard, round-robin
+//!    over the classes in manifest order or by a mixed hash of the class key
+//!    ([`Partition`]).
 //! 3. **Execute** ([`exec`]) — before any `--jobs` fan-out, a shard builds a
 //!    topology table of its pending units: each distinct topology is built
 //!    and canonicalized once ([`anet_graph::canon`]), its form interned to a
@@ -86,6 +91,14 @@
 //!   failure mode (torn, stale, corrupt, mis-filed) degrades to a miss.
 //!   Repeated units never re-run — across shards, across runs, across
 //!   *specs*.
+//!
+//! Clustering runs per shard, so a class split over two shards would run in
+//! each. Both partitions therefore keep every [`SweepUnit::partition_key`]
+//! class in one shard: a seed-free cell runs once across all shards, and
+//! the summed [`DedupStats`] of a sharded sweep equal the one-shard stats
+//! whenever no two topology names are isomorphic. Isomorphic topologies with
+//! different names may still land in different shards; the cache is what
+//! shares their one entry.
 //!
 //! The **`--no-dedup` differential contract**: the honest path (every unit
 //! executed individually) and the dedup path produce byte-identical merged

@@ -641,9 +641,16 @@ impl ScenarioSpec {
     }
 }
 
-/// SplitMix64 finalizer, used to mix fault-stream seeds per unit.
+/// SplitMix64's output for state `seed` (one golden-ratio step, then the
+/// finalizer), used to mix fault-stream seeds per unit.
 fn mix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    splitmix64_finalizer(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
+}
+
+/// SplitMix64's finalizer: a bijection of `u64` under which every input bit
+/// reaches every output bit. It also spreads hash-partition keys over shards
+/// ([`crate::manifest::Partition::Hash`]).
+pub(crate) fn splitmix64_finalizer(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -9,11 +9,12 @@
 //! These tests are the in-process half of the `--no-dedup` differential
 //! contract; `dedup_cli.rs` pins the same equality through real processes.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::PathBuf;
 
 use anet_core::StateCorruption;
-use anet_graph::canon::canonical_form;
+use anet_graph::canon::{canonical_form, CanonicalForm};
 use anet_graph::NodeId;
 use anet_sweep::{
     dedup_shard_lines, execute_unit, merge_lines, run_shard_to_file_with_opts, Manifest, Partition,
@@ -435,6 +436,48 @@ fn seeded_cells_never_share_a_class_across_seeds() {
     assert!(seed_free > 0);
 }
 
+/// A random spec from the strategy space of the properties below: 1–2
+/// protocols, 1–3 topologies, `seed_count` consecutive battery seeds and
+/// every scenario kind.
+fn random_spec(
+    protocol_picks: Vec<(u32, u64)>,
+    topology_picks: Vec<(u32, usize, u32, u64)>,
+    seeds: std::ops::Range<u64>,
+    random_schedulers: usize,
+    fault_seed: u64,
+) -> SweepSpec {
+    let mut protocols: Vec<ProtocolSpec> = protocol_picks
+        .into_iter()
+        .map(|(c, b)| protocol(c, b))
+        .collect();
+    protocols.dedup();
+    let mut topologies: Vec<TopologySpec> = topology_picks
+        .into_iter()
+        .map(|(c, n, p, s)| topology(c, n, p as u8, s))
+        .collect();
+    topologies.dedup();
+    SweepSpec {
+        protocols,
+        topologies,
+        seeds: seeds.collect(),
+        random_schedulers,
+        max_deliveries: 1_000_000,
+        scenarios: scenario_battery(fault_seed),
+    }
+}
+
+/// Whether no two differently named topologies of `spec` are isomorphic, so
+/// that every dedup class names one topology.
+fn names_pairwise_non_isomorphic(spec: &SweepSpec) -> bool {
+    let forms: BTreeMap<String, CanonicalForm> = spec
+        .topologies
+        .iter()
+        .map(|t| (t.name(), canonical_form(&t.build().unwrap()).form))
+        .collect();
+    let distinct: BTreeSet<&CanonicalForm> = forms.values().collect();
+    distinct.len() == forms.len()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
@@ -447,24 +490,13 @@ proptest! {
         fault_seed in 0u64..1000,
         case in 0u64..u64::MAX,
     ) {
-        let mut protocols: Vec<ProtocolSpec> = protocol_picks
-            .into_iter()
-            .map(|(c, b)| protocol(c, b))
-            .collect();
-        protocols.dedup();
-        let mut topologies: Vec<TopologySpec> = topology_picks
-            .into_iter()
-            .map(|(c, n, p, s)| topology(c, n, p as u8, s))
-            .collect();
-        topologies.dedup();
-        let spec = SweepSpec {
-            protocols,
-            topologies,
-            seeds: (seed_base..seed_base + seed_count).collect(),
+        let spec = random_spec(
+            protocol_picks,
+            topology_picks,
+            seed_base..seed_base + seed_count,
             random_schedulers,
-            max_deliveries: 1_000_000,
-            scenarios: scenario_battery(fault_seed),
-        };
+            fault_seed,
+        );
         let manifest = Manifest::from_spec(&spec);
         let honest: Vec<RunRecord> = manifest
             .units
@@ -506,5 +538,73 @@ proptest! {
             }
         }
         let _ = fs::remove_dir_all(&cache);
+    }
+
+    #[test]
+    fn shards_keep_seed_free_classes_whole_on_random_specs(
+        protocol_picks in prop::collection::vec((0u32..3, 0u64..48), 1..3),
+        topology_picks in prop::collection::vec((0u32..8, 1usize..6, 0u32..60, 0u64..1000), 1..4),
+        seed_base in 0u64..1000,
+        seed_count in 2u64..4,
+        random_schedulers in 0usize..3,
+        fault_seed in 0u64..1000,
+    ) {
+        let spec = random_spec(
+            protocol_picks,
+            topology_picks,
+            seed_base..seed_base + seed_count,
+            random_schedulers,
+            fault_seed,
+        );
+        let manifest = Manifest::from_spec(&spec);
+        let baseline = oracle_merged(&spec, &manifest);
+        let clusters = manifest.cluster_units(&spec).expect("clustering runs");
+        let (_, one) = dedup_shard_lines(&spec, &manifest, 1, Partition::Hash, 0, None)
+            .expect("one shard runs");
+        prop_assert_eq!(one.representatives_run, clusters.len());
+        let non_isomorphic = names_pairwise_non_isomorphic(&spec);
+        for partition in [Partition::Hash, Partition::RoundRobin] {
+            for shards in [1usize, 2, 3, 16] {
+                // Every seed-free class lies in one shard: the members that
+                // share a topology name (all of them, when no two names are
+                // isomorphic) share their shard.
+                let assignment = manifest.shard_assignment(shards, partition);
+                for cluster in &clusters {
+                    if manifest.units[cluster.representative].reads_seed() {
+                        continue;
+                    }
+                    let mut owner: BTreeMap<String, usize> = BTreeMap::new();
+                    for &member in &cluster.members {
+                        let name = manifest.units[member].topology.name();
+                        let shard = *owner.entry(name).or_insert(assignment[member]);
+                        prop_assert_eq!(shard, assignment[member], "{:?} x {}", partition, shards);
+                    }
+                    if non_isomorphic {
+                        prop_assert_eq!(owner.len(), 1);
+                    }
+                }
+
+                let mut sets = Vec::with_capacity(shards);
+                let mut representatives = 0;
+                for shard in 0..shards {
+                    let (lines, stats) =
+                        dedup_shard_lines(&spec, &manifest, shards, partition, shard, None)
+                            .expect("dedup shard runs");
+                    representatives += stats.representatives_run;
+                    sets.push(lines);
+                }
+                if non_isomorphic {
+                    prop_assert_eq!(
+                        representatives,
+                        one.representatives_run,
+                        "{:?} x {} shards ran a class twice",
+                        partition,
+                        shards
+                    );
+                }
+                let merged = merge_lines(manifest.len(), sets).expect("covers");
+                prop_assert_eq!(&merged, &baseline, "{:?} x {} shards", partition, shards);
+            }
+        }
     }
 }

@@ -98,11 +98,18 @@ fn e6_e7_label_lengths_follow_v_log_d() {
     assert!(grown_height.pruned_deep_label_bits > small.pruned_deep_label_bits * 2);
     assert!(grown_arity.pruned_deep_label_bits > small.pruned_deep_label_bits);
 
-    // On general networks, the measured max label also scales with |V| log d.
+    // On general networks, the max routing label (the single intervals of
+    // Theorem 5.1, the terminal's absorbed union excluded) also grows with
+    // the network and stays within a constant of |V| log d.
     let mut rng = StdRng::seed_from_u64(77);
     let small_net = generators::random_cyclic(&mut rng, 10, 0.1, 0.1).unwrap();
     let large_net = generators::random_cyclic(&mut rng, 60, 0.1, 0.1).unwrap();
     let small_labels = run_labeling(&small_net, &mut FifoScheduler::new()).unwrap();
     let large_labels = run_labeling(&large_net, &mut FifoScheduler::new()).unwrap();
-    assert!(large_labels.max_label_bits > small_labels.max_label_bits);
+    assert!(large_labels.max_routing_label_bits > small_labels.max_routing_label_bits);
+    for (net, labels) in [(&small_net, &small_labels), (&large_net, &large_labels)] {
+        let v = net.node_count() as f64;
+        let logd = (net.max_out_degree() as f64).max(2.0).log2();
+        assert!((labels.max_routing_label_bits as f64) <= 8.0 * v * logd);
+    }
 }
