@@ -26,6 +26,12 @@
 //!    edge never hears the broadcast — contradicting Theorem 4.2, whose proof
 //!    assumes a value is α-carried on every edge out of a visited vertex.
 //!
+//! The α/β routing rule itself, its echo path and its re-flood frontier
+//! live in [`crate::mass`]; general broadcast claims nothing and sends the
+//! payload with every message. Only vertices of out-degree zero keep the
+//! running coverage [`GeneralState::seen`], so an echo at a routing vertex
+//! touches nothing else.
+//!
 //! Message plumbing rides the copy-on-write [`IntervalUnion`]: the α/β
 //! components cloned into each out-port's message (and into trace events) are
 //! O(1) shared handles of one endpoint buffer, not per-port copies, while
@@ -33,33 +39,15 @@
 //! pre-CoW deep-clone implementation is retained in [`mod@reference`] and pinned
 //! bit-identical by the `general_broadcast_differential` suite.
 //!
-//! ## The echo path
-//!
-//! β floods every piece of cycle evidence to every vertex downstream, so on
-//! cyclic networks most deliveries are *echoes*: an empty α and a β the
-//! receiver mostly or wholly holds already. An empty α routes nothing, so a
-//! vertex with out-edges answers an α-empty message with no overlap or
-//! fresh-mass work: one allocation-free test `β' ⊆ β`, which ends the
-//! delivery with no clone, merge or emission when it holds. Otherwise the
-//! increment `β' \ β` is carved in place from an O(1) clone of `β'` — so a
-//! `β'` the vertex holds none of stays the sender's buffer — and emitted
-//! once, payload included, to [`OutPort::All`]: the engine stores that one
-//! message and queues it on every out-port in port order, the same sends,
-//! sequence numbers and wire bits as the general rule's per-port messages.
-//! The subsequent-mass step floods the same way whenever it routes no fresh
-//! mass. The retained [`mod@reference`] still emits per port, so the
-//! differential suite checks each flood against its per-port form. Only
-//! vertices of out-degree zero keep the running coverage
-//! [`GeneralState::seen`], so an echo at a routing vertex touches nothing
-//! else.
+//! [`canonical_partition_nonempty`]: anet_num::partition::canonical_partition_nonempty
 
 use anet_graph::Network;
-use anet_num::partition::canonical_partition_nonempty;
 use anet_num::IntervalUnion;
 use anet_sim::engine::{run, ExecutionConfig};
 use anet_sim::scheduler::Scheduler;
 use anet_sim::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol, Wire};
 
+use crate::mass::{route, Claim, MassState};
 use crate::outcome::BroadcastReport;
 use crate::{CoreError, Payload};
 
@@ -86,12 +74,8 @@ impl Wire for GeneralMessage {
 /// Per-vertex state of the general-graph protocol: `π = ((α_j)_{j=1..d}, β)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneralState {
-    /// `α_j`: the interval mass already routed to out-port `j`.
-    pub alpha: Vec<IntervalUnion>,
-    /// `β`: cycle evidence known to this vertex.
-    pub beta: IntervalUnion,
-    /// Whether the one-time canonical partition has been performed.
-    pub partitioned: bool,
+    /// The routed α components, β and the partition flag.
+    pub mass: MassState,
     /// Whether the payload has been received.
     pub received: bool,
     /// Everything received so far (α and β alike), kept only at vertices with
@@ -103,15 +87,6 @@ pub struct GeneralState {
 }
 
 impl GeneralState {
-    /// The union of all α components — the interval mass this vertex has routed.
-    pub fn alpha_union(&self) -> IntervalUnion {
-        let mut acc = IntervalUnion::empty();
-        for a in &self.alpha {
-            acc.union_in_place(a);
-        }
-        acc
-    }
-
     /// The terminal's coverage: everything it has received (α and β alike).
     /// Empty at a vertex with out-edges, which keeps no coverage (see
     /// [`GeneralState::seen`]).
@@ -137,10 +112,10 @@ impl GeneralBroadcast {
         &self.payload
     }
 
-    /// A message with no α: the β increment `beta` and the payload.
-    fn echo(&self, beta: IntervalUnion) -> GeneralMessage {
+    /// A message carrying `alpha`, `beta` and the payload.
+    fn message(&self, alpha: IntervalUnion, beta: IntervalUnion) -> GeneralMessage {
         GeneralMessage {
-            alpha: IntervalUnion::empty(),
+            alpha,
             beta,
             payload: self.payload.clone(),
         }
@@ -157,9 +132,7 @@ impl AnonymousProtocol for GeneralBroadcast {
 
     fn initial_state(&self, ctx: &NodeContext) -> GeneralState {
         GeneralState {
-            alpha: vec![IntervalUnion::empty(); ctx.out_degree],
-            beta: IntervalUnion::empty(),
-            partitioned: false,
+            mass: MassState::new(ctx.out_degree),
             received: false,
             seen: IntervalUnion::empty(),
         }
@@ -185,96 +158,21 @@ impl AnonymousProtocol for GeneralBroadcast {
         out: &mut Vec<(OutPort, GeneralMessage)>,
     ) {
         state.received = true;
-        let d = ctx.out_degree;
-        if d == 0 {
+        if ctx.out_degree == 0 {
             // Nowhere to forward; `seen` is the stopping-predicate input when this
             // vertex happens to be the terminal.
             state.seen.union_in_place(&message.alpha);
             state.seen.union_in_place(&message.beta);
-            state.beta.union_in_place(&message.beta);
+            state.mass.beta.union_in_place(&message.beta);
             return;
         }
-
-        // The α/β increments are computed *before* the state is updated, so no
-        // snapshot of the (ever-growing) prior state is ever cloned: incoming
-        // message components are small deltas, the in-place set ops merge
-        // them into the state without intermediate allocations, and the
-        // emitted batch lands in the engine's reused scratch buffer.
-        if message.alpha.is_empty() {
-            // A β echo (see the module docs): held evidence ends it.
-            if message.beta.is_subset_of(&state.beta) {
-                return;
-            }
-            // A β the vertex has none of stays the sender's shared buffer.
-            let mut beta_delta = message.beta.clone();
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-            out.push((OutPort::All, self.echo(beta_delta)));
-        } else if !state.partitioned {
-            // First interval mass: one-time canonical partition among the out-ports.
-            state.partitioned = true;
-            let parts = canonical_partition_nonempty(&message.alpha, d)
-                .expect("out-degree is positive, so the partition is well-defined");
-            let mut beta_delta = message.beta.clone();
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-            for (j, part) in parts.into_iter().enumerate() {
-                // β-only traffic never touches α, so each α_j is still empty
-                // here and the partition piece *is* the port's α increment.
-                debug_assert!(state.alpha[j].is_empty());
-                if !part.is_empty() || !beta_delta.is_empty() {
-                    out.push((
-                        OutPort::Port(j),
-                        GeneralMessage {
-                            alpha: part.clone(),
-                            beta: beta_delta.clone(),
-                            payload: self.payload.clone(),
-                        },
-                    ));
-                }
-                state.alpha[j] = part;
-            }
-        } else {
-            // Subsequent mass: anything already seen on some out-port is cycle
-            // evidence (β); genuinely new mass is routed to the last out-port.
-            let mut overlap = IntervalUnion::empty();
-            for routed in &state.alpha {
-                overlap.union_in_place(&message.alpha.intersection(routed));
-            }
-            let mut fresh = message.alpha.clone();
-            for routed in &state.alpha[..d - 1] {
-                fresh.subtract_assign(routed);
-            }
-            // What the last port has already routed is not an increment either.
-            fresh.subtract_assign(&state.alpha[d - 1]);
-            let mut beta_delta = message.beta.union(&overlap);
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-            state.alpha[d - 1].union_in_place(&fresh);
-            // g: on port j send the α_j increment and the β increment; send
-            // nothing on ports where neither changed. Only the last port can
-            // carry an α increment outside the partition step; without one,
-            // every port carries the same β increment, as one flood.
-            if fresh.is_empty() {
-                if !beta_delta.is_empty() {
-                    out.push((OutPort::All, self.echo(beta_delta)));
-                }
-                return;
-            }
-            if !beta_delta.is_empty() {
-                for j in 0..d - 1 {
-                    out.push((OutPort::Port(j), self.echo(beta_delta.clone())));
-                }
-            }
-            out.push((
-                OutPort::Port(d - 1),
-                GeneralMessage {
-                    alpha: fresh,
-                    beta: beta_delta,
-                    payload: self.payload.clone(),
-                },
-            ));
-        }
+        route(
+            &mut state.mass,
+            Claim::Nothing,
+            &message.alpha,
+            &message.beta,
+        )
+        .emit(false, out, |_, alpha, beta| self.message(alpha, beta));
     }
 
     fn should_terminate(&self, terminal_state: &GeneralState) -> bool {
@@ -283,28 +181,14 @@ impl AnonymousProtocol for GeneralBroadcast {
 }
 
 impl RefloodProtocol for GeneralBroadcast {
-    /// Re-sends the broadcast frontier: on every out-port `j`, the interval set
-    /// already routed there (`alpha[j]`), the node's cycle-echo set (`beta`),
-    /// and a fresh copy of the payload (the protocol value owns it, so a
-    /// neighbour whose only payload-carrying delivery was destroyed still
-    /// receives the data on retry).
-    fn reflood(&self, ctx: &NodeContext, state: &GeneralState) -> Vec<(usize, GeneralMessage)> {
-        let mut out = Vec::new();
-        for j in 0..ctx.out_degree {
-            let alpha = state.alpha[j].clone();
-            let beta = state.beta.clone();
-            if !alpha.is_empty() || !beta.is_empty() {
-                out.push((
-                    j,
-                    GeneralMessage {
-                        alpha,
-                        beta,
-                        payload: self.payload.clone(),
-                    },
-                ));
-            }
-        }
-        out
+    /// Re-sends the broadcast frontier ([`MassState`]'s: `alpha[j]` and `beta`
+    /// on every out-port `j`) with a fresh copy of the payload (the protocol
+    /// value owns it, so a neighbour whose only payload-carrying delivery was
+    /// destroyed still receives the data on retry).
+    fn reflood(&self, _ctx: &NodeContext, state: &GeneralState) -> Vec<(usize, GeneralMessage)> {
+        state
+            .mass
+            .frontier(false, |_, alpha, beta| self.message(alpha, beta))
     }
 }
 
@@ -397,25 +281,20 @@ pub fn corrupt_general_states(
     states: &mut [GeneralState],
 ) {
     use crate::corruption::StateCorruption;
-    let internal: Vec<usize> = network
-        .graph()
-        .nodes()
-        .filter(|&n| n != network.root() && n != network.terminal())
-        .map(|n| n.index())
-        .collect();
     match corruption {
         StateCorruption::ScrambledLabels { seed } => {
-            let garbage = crate::corruption::scrambled_labels(internal.len(), *seed);
-            for (&i, slot) in internal.iter().zip(garbage) {
-                states[i].partitioned = true;
-                if let Some(last) = states[i].alpha.last_mut() {
+            let garbage = crate::corruption::scrambled_labels(network.internal_count(), *seed);
+            for (node, slot) in network.internal_nodes().zip(garbage) {
+                let mass = &mut states[node.index()].mass;
+                mass.partitioned = true;
+                if let Some(last) = mass.alpha.last_mut() {
                     *last = slot;
                 }
             }
         }
         StateCorruption::LostPartition => {
-            for &i in &internal {
-                states[i].partitioned = true;
+            for node in network.internal_nodes() {
+                states[node.index()].mass.partitioned = true;
             }
         }
         StateCorruption::StaleTerminal => {
@@ -559,10 +438,10 @@ mod tests {
         let result = run(&net, &protocol, &mut fifo(), ExecutionConfig::default());
         for node in net.graph().nodes() {
             let st = &result.states[node.index()];
-            for i in 0..st.alpha.len() {
-                for j in i + 1..st.alpha.len() {
+            for i in 0..st.mass.alpha.len() {
+                for j in i + 1..st.mass.alpha.len() {
                     assert!(
-                        !st.alpha[i].intersects(&st.alpha[j]),
+                        !st.mass.alpha[i].intersects(&st.mass.alpha[j]),
                         "alpha components of {node:?} overlap"
                     );
                 }
@@ -616,6 +495,48 @@ mod tests {
         IntervalUnion::from(anet_num::Interval::from_dyadic_parts(k, k + 1, 1).unwrap())
     }
 
+    impl GeneralBroadcast {
+        /// A message with no α: the β increment `beta` and the payload.
+        fn echo(&self, beta: IntervalUnion) -> GeneralMessage {
+            self.message(IntervalUnion::empty(), beta)
+        }
+    }
+
+    /// The re-flood frontier sends nothing on a port whose α and β are both
+    /// empty, and on every other port that port's α, the whole β and the
+    /// payload.
+    #[test]
+    fn reflood_resends_each_ports_alpha_and_the_whole_beta() {
+        let protocol = GeneralBroadcast::new(Payload::from_bytes(b"f"));
+        let message = |alpha, beta| GeneralMessage {
+            alpha,
+            beta,
+            payload: Payload::from_bytes(b"f"),
+        };
+        let ctx = NodeContext::new(1, 3);
+        let mut state = protocol.initial_state(&ctx);
+        assert!(protocol.reflood(&ctx, &state).is_empty());
+        state.mass.alpha[1] = half(0);
+        assert_eq!(
+            protocol.reflood(&ctx, &state),
+            vec![(1, message(half(0), IntervalUnion::empty()))]
+        );
+        state.mass.beta = half(1);
+        assert_eq!(
+            protocol.reflood(&ctx, &state),
+            vec![
+                (0, message(IntervalUnion::empty(), half(1))),
+                (1, message(half(0), half(1))),
+                (2, message(IntervalUnion::empty(), half(1))),
+            ]
+        );
+        let sink = NodeContext::new(2, 0);
+        let mut terminal = protocol.initial_state(&sink);
+        terminal.mass.beta = half(1);
+        terminal.seen = IntervalUnion::unit();
+        assert!(protocol.reflood(&sink, &terminal).is_empty());
+    }
+
     /// An α-empty delivery whose β the vertex already holds emits nothing and
     /// leaves the state as it was; one with new β floods just the new part.
     #[test]
@@ -631,11 +552,11 @@ mod tests {
         };
         protocol.on_receive_into(&ctx, &mut state, 0, &first, &mut out);
         assert_eq!(out.len(), 2);
-        assert_eq!(state.beta, half(1));
+        assert_eq!(state.mass.beta, half(1));
 
         for beta in [
-            state.beta.clone(),
-            state.beta.deep_clone(),
+            state.mass.beta.clone(),
+            state.mass.beta.deep_clone(),
             IntervalUnion::empty(),
         ] {
             let before = state.clone();
@@ -653,7 +574,7 @@ mod tests {
         // New β is flooded, once for every out-port: the part the vertex
         // lacks, and the sender's own buffer when the vertex holds none of it.
         for (beta, shared) in [(IntervalUnion::unit(), false), (half(0), true)] {
-            state.beta = half(1);
+            state.mass.beta = half(1);
             out.clear();
             let echo = GeneralMessage {
                 alpha: IntervalUnion::empty(),
@@ -664,7 +585,7 @@ mod tests {
             assert_eq!(out, vec![(OutPort::All, protocol.echo(half(0)))]);
             assert_eq!(out[0].1.beta.shares_storage_with(&echo.beta), shared);
         }
-        assert!(state.beta.is_unit());
+        assert!(state.mass.beta.is_unit());
         assert!(state.seen.is_empty(), "a routing vertex keeps no coverage");
     }
 

@@ -74,20 +74,20 @@ impl AnonymousProtocol for GeneralBroadcast {
             // Only vertices of out-degree zero keep `seen` (see `GeneralState`).
             state.seen = num_reference::union(&state.seen, &message.alpha);
             state.seen = num_reference::union(&state.seen, &message.beta);
-            state.beta = num_reference::union(&state.beta, &message.beta);
+            state.mass.beta = num_reference::union(&state.mass.beta, &message.beta);
             return Vec::new();
         }
 
         let mut out = Vec::new();
-        if !state.partitioned && !message.alpha.is_empty() {
+        if !state.mass.partitioned && !message.alpha.is_empty() {
             // First interval mass: one-time canonical partition among the out-ports.
-            state.partitioned = true;
+            state.mass.partitioned = true;
             let parts = canonical_partition_nonempty(&message.alpha, d)
                 .expect("out-degree is positive, so the partition is well-defined");
-            let beta_delta = num_reference::difference(&message.beta, &state.beta);
-            state.beta = num_reference::union(&state.beta, &beta_delta);
+            let beta_delta = num_reference::difference(&message.beta, &state.mass.beta);
+            state.mass.beta = num_reference::union(&state.mass.beta, &beta_delta);
             for (j, part) in parts.into_iter().enumerate() {
-                debug_assert!(state.alpha[j].is_empty());
+                debug_assert!(state.mass.alpha[j].is_empty());
                 if !part.is_empty() || !beta_delta.is_empty() {
                     out.push((
                         j,
@@ -98,28 +98,28 @@ impl AnonymousProtocol for GeneralBroadcast {
                         },
                     ));
                 }
-                state.alpha[j] = part;
+                state.mass.alpha[j] = part;
             }
         } else {
             // Subsequent mass: anything already seen on some out-port is cycle
             // evidence (β); genuinely new mass is routed to the last out-port.
             let mut overlap = IntervalUnion::empty();
-            for routed in &state.alpha {
+            for routed in &state.mass.alpha {
                 overlap = num_reference::union(
                     &overlap,
                     &num_reference::intersection(&message.alpha, routed),
                 );
             }
             let mut fresh = message.alpha.deep_clone();
-            for routed in &state.alpha {
+            for routed in &state.mass.alpha {
                 fresh = num_reference::difference(&fresh, routed);
             }
             let beta_delta = num_reference::difference(
                 &num_reference::union(&message.beta, &overlap),
-                &state.beta,
+                &state.mass.beta,
             );
-            state.beta = num_reference::union(&state.beta, &beta_delta);
-            state.alpha[d - 1] = num_reference::union(&state.alpha[d - 1], &fresh);
+            state.mass.beta = num_reference::union(&state.mass.beta, &beta_delta);
+            state.mass.alpha[d - 1] = num_reference::union(&state.mass.alpha[d - 1], &fresh);
             if !beta_delta.is_empty() {
                 for j in 0..d - 1 {
                     out.push((
@@ -161,22 +161,8 @@ pub fn run_general_broadcast(
     payload: Payload,
     scheduler: &mut (impl Scheduler + ?Sized),
 ) -> Result<BroadcastReport, CoreError> {
-    run_general_broadcast_with_config(network, payload, scheduler, ExecutionConfig::default())
-}
-
-/// [`run_general_broadcast`] with an explicit engine configuration.
-///
-/// # Errors
-///
-/// Returns [`CoreError::BudgetExhausted`] if the delivery budget ran out.
-pub fn run_general_broadcast_with_config(
-    network: &Network,
-    payload: Payload,
-    scheduler: &mut (impl Scheduler + ?Sized),
-    config: ExecutionConfig,
-) -> Result<BroadcastReport, CoreError> {
     let protocol = GeneralBroadcast::new(payload);
-    let result = run(network, &protocol, scheduler, config);
+    let result = run(network, &protocol, scheduler, ExecutionConfig::default());
     if result.outcome == anet_sim::Outcome::BudgetExhausted {
         return Err(CoreError::BudgetExhausted);
     }

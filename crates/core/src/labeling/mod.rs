@@ -15,40 +15,26 @@
 //! the mass it received is held by no other vertex and keeping all of it leaves
 //! labels disjoint.
 //!
+//! The α/β routing rule itself, its echo path and its re-flood frontier
+//! live in [`crate::mass`]; labeling's claim is part 0 of the first α,
+//! folded into β.
+//!
 //! Message plumbing rides the copy-on-write [`IntervalUnion`]: the α/β
 //! components cloned into each out-port's message (and into trace events) are
 //! O(1) shared handles of one endpoint buffer, not per-port copies, while
 //! [`Wire::wire_bits`] still charges the encoded intervals on every edge. The
 //! pre-CoW deep-clone implementation is retained in [`mod@reference`] and pinned
 //! bit-identical by the `labeling_differential` suite.
-//!
-//! ## The echo path
-//!
-//! β floods every piece of cycle evidence (and every claimed label) to every
-//! vertex downstream, so on cyclic networks most deliveries are *echoes*: an
-//! empty α and a β the receiver mostly or wholly holds already. An empty α
-//! routes nothing, so a routing vertex answers an α-empty message with no
-//! overlap or fresh-mass work: one allocation-free test `β' ⊆ β`, which ends
-//! the delivery with no clone, merge or emission when it holds. Otherwise
-//! the increment `β' \ β` is carved in place from an O(1) clone of `β'` —
-//! so a `β'` the vertex holds none of stays the sender's buffer — and
-//! emitted once, to [`OutPort::All`]: the engine stores that one message and
-//! queues it on every out-port in port order, the same sends, sequence
-//! numbers and wire bits as the general rule's per-port messages. The
-//! subsequent-mass step floods the same way whenever it routes no fresh
-//! mass, since every port then carries the same β increment. The retained
-//! [`mod@reference`] still emits per port, so the differential suite checks
-//! each flood against its per-port form.
 
 use anet_graph::{Network, NodeId};
 use anet_num::bits;
-use anet_num::partition::canonical_partition_nonempty;
 use anet_num::IntervalUnion;
 use anet_sim::engine::{run, ExecutionConfig, RunResult};
 use anet_sim::metrics::RunMetrics;
 use anet_sim::scheduler::Scheduler;
 use anet_sim::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol, Wire};
 
+use crate::mass::{route, Claim, MassState};
 use crate::CoreError;
 
 pub mod reference;
@@ -63,16 +49,6 @@ pub struct LabelMessage {
     pub beta: IntervalUnion,
 }
 
-impl LabelMessage {
-    /// A message with no α: the β increment `beta` alone.
-    fn echo(beta: IntervalUnion) -> Self {
-        LabelMessage {
-            alpha: IntervalUnion::empty(),
-            beta,
-        }
-    }
-}
-
 impl Wire for LabelMessage {
     fn wire_bits(&self) -> u64 {
         self.alpha.wire_bits() + self.beta.wire_bits()
@@ -80,17 +56,16 @@ impl Wire for LabelMessage {
 }
 
 /// Per-vertex state of the labelling protocol:
-/// `π = ((α_j)_{j=0..d}, β)` with `α_0` the vertex's label.
+/// `π = (α_0, (α_j)_{j=1..d}, β)` with `α_0` the vertex's label.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelingState {
     /// `α_0`: the label this vertex has claimed (empty until the canonical
     /// partition happened; a single interval afterwards for vertices with positive
     /// out-degree).
     pub label: IntervalUnion,
-    /// `α_1 … α_d`: mass routed to each out-port.
-    pub alpha: Vec<IntervalUnion>,
-    /// `β`: cycle evidence plus claimed labels, flooded towards the terminal.
-    pub beta: IntervalUnion,
+    /// `α_1 … α_d`, the mass routed to each out-port, and `β`, cycle evidence
+    /// plus claimed labels, flooded towards the terminal.
+    pub mass: MassState,
     /// Running `label ∪ β` of an *absorbing* (out-degree-zero) vertex — the
     /// terminal's stopping-predicate input, maintained incrementally as each
     /// α/β delta arrives. Routing vertices leave it empty. Keeping it here
@@ -100,22 +75,8 @@ pub struct LabelingState {
     /// terminal delivery would cost O(n) a call — the dominant cost of large
     /// runs before this field existed — while their running union coalesces.
     pub absorbed: IntervalUnion,
-    /// Whether the one-time partition has been performed.
-    pub partitioned: bool,
     /// Whether any message has been received.
     pub received: bool,
-}
-
-impl LabelingState {
-    /// The terminal's coverage `α ∪ β` (label plus β).
-    pub fn coverage(&self) -> IntervalUnion {
-        self.label.union(&self.beta)
-    }
-
-    /// Whether this vertex holds a non-empty label.
-    pub fn is_labeled(&self) -> bool {
-        !self.label.is_empty()
-    }
 }
 
 /// The unique-label-assignment protocol.
@@ -140,10 +101,8 @@ impl AnonymousProtocol for Labeling {
     fn initial_state(&self, ctx: &NodeContext) -> LabelingState {
         LabelingState {
             label: IntervalUnion::empty(),
-            alpha: vec![IntervalUnion::empty(); ctx.out_degree],
-            beta: IntervalUnion::empty(),
+            mass: MassState::new(ctx.out_degree),
             absorbed: IntervalUnion::empty(),
-            partitioned: false,
             received: false,
         }
     }
@@ -167,123 +126,44 @@ impl AnonymousProtocol for Labeling {
         out: &mut Vec<(OutPort, LabelMessage)>,
     ) {
         state.received = true;
-        let d = ctx.out_degree;
-        if d == 0 {
+        if ctx.out_degree == 0 {
             // Absorb everything: α mass becomes (part of) the label, β is recorded,
             // and the running `label ∪ β` accumulator absorbs both deltas.
             state.label.union_in_place(&message.alpha);
-            state.beta.union_in_place(&message.beta);
+            state.mass.beta.union_in_place(&message.beta);
             state.absorbed.union_in_place(&message.alpha);
             state.absorbed.union_in_place(&message.beta);
             return;
         }
-
-        // Increments are computed before the state is updated (see
-        // `general_broadcast`): no `old_alpha`/`old_beta` snapshots are cloned,
-        // and the emitted batch lands in the engine's reused scratch buffer.
-        if message.alpha.is_empty() {
-            // A β echo (see the module docs): held evidence ends it.
-            if message.beta.is_subset_of(&state.beta) {
-                return;
-            }
-            // A β the vertex has none of stays the sender's shared buffer.
-            let mut beta_delta = message.beta.clone();
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-            out.push((OutPort::All, LabelMessage::echo(beta_delta)));
-        } else if !state.partitioned {
-            state.partitioned = true;
-            let parts =
-                canonical_partition_nonempty(&message.alpha, d + 1).expect("d + 1 >= 2 parts");
-            let mut parts = parts.into_iter();
-            let own = parts.next().expect("partition has d + 1 parts");
-            // β'' = β' ∪ α_0: the claimed label must still reach the terminal.
-            let mut beta_delta = message.beta.union(&own);
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-            state.label = own;
-            for (j, part) in parts.enumerate() {
-                debug_assert!(state.alpha[j].is_empty());
-                if !part.is_empty() || !beta_delta.is_empty() {
-                    out.push((
-                        OutPort::Port(j),
-                        LabelMessage {
-                            alpha: part.clone(),
-                            beta: beta_delta.clone(),
-                        },
-                    ));
-                }
-                state.alpha[j] = part;
-            }
-        } else {
-            let mut overlap = message.alpha.intersection(&state.label);
-            for routed in &state.alpha {
-                overlap.union_in_place(&message.alpha.intersection(routed));
-            }
-            let mut fresh = message.alpha.clone();
-            for routed in &state.alpha[..d - 1] {
-                fresh.subtract_assign(routed);
-            }
-            fresh.subtract_assign(&state.alpha[d - 1]);
-            // Mass this vertex claimed as its label is not an increment either.
-            // Pristine traffic never carries it back as α (the partition step
-            // folds the claimed part into β), but a re-flooded frontier
-            // re-delivers the α batch the label was carved from; re-routing the
-            // claimed part would assign the same mass to two labels.
-            fresh.subtract_assign(&state.label);
-            let mut beta_delta = message.beta.union(&overlap);
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-            state.alpha[d - 1].union_in_place(&fresh);
-            if fresh.is_empty() {
-                // Every port carries the same β increment: one flood.
-                if !beta_delta.is_empty() {
-                    out.push((OutPort::All, LabelMessage::echo(beta_delta)));
-                }
-                return;
-            }
-            if !beta_delta.is_empty() {
-                for j in 0..d - 1 {
-                    out.push((OutPort::Port(j), LabelMessage::echo(beta_delta.clone())));
-                }
-            }
-            out.push((
-                OutPort::Port(d - 1),
-                LabelMessage {
-                    alpha: fresh,
-                    beta: beta_delta,
-                },
-            ));
-        }
+        route(
+            &mut state.mass,
+            Claim::IntoBeta(&mut state.label),
+            &message.alpha,
+            &message.beta,
+        )
+        .emit(false, out, |_, alpha, beta| LabelMessage { alpha, beta });
     }
 
     fn should_terminate(&self, terminal_state: &LabelingState) -> bool {
         // `absorbed` is the incrementally maintained `label ∪ β` of the
         // terminal (out-degree zero by `Network` validation), so this is
-        // [`LabelingState::coverage`]`().is_unit()` without the O(n) merge.
+        // `label.union(&beta).is_unit()` without the O(n) merge.
         terminal_state.absorbed.is_unit()
     }
 }
 
 impl RefloodProtocol for Labeling {
-    /// Re-sends the routing frontier: on every out-port `j`, the interval set
-    /// already routed there (`alpha[j]`) together with the node's full
-    /// cycle-echo set (`beta`).
+    /// Re-sends the routing frontier ([`MassState`]'s: `alpha[j]` and `beta`
+    /// on every out-port `j`).
     ///
     /// Re-delivery is idempotent in the sense required by
     /// [`anet_sim::run_recovering`]: a receiver intersects incoming `α` with
     /// what it already holds, so previously seen intervals fold into `β`
     /// (shrinking nothing) and only genuinely fresh intervals are routed on.
-    fn reflood(&self, ctx: &NodeContext, state: &LabelingState) -> Vec<(usize, LabelMessage)> {
-        let mut out = Vec::new();
-        for j in 0..ctx.out_degree {
-            let alpha = state.alpha[j].clone();
-            let beta = state.beta.clone();
-            if !alpha.is_empty() || !beta.is_empty() {
-                out.push((j, LabelMessage { alpha, beta }));
-            }
-        }
-        out
+    fn reflood(&self, _ctx: &NodeContext, state: &LabelingState) -> Vec<(usize, LabelMessage)> {
+        state
+            .mass
+            .frontier(false, |_, alpha, beta| LabelMessage { alpha, beta })
     }
 }
 
@@ -482,30 +362,27 @@ pub fn corrupt_labeling_states(
     states: &mut [LabelingState],
 ) {
     use crate::corruption::StateCorruption;
-    let internal: Vec<usize> = network
-        .graph()
-        .nodes()
-        .filter(|&n| n != network.root() && n != network.terminal())
-        .map(|n| n.index())
-        .collect();
     match corruption {
         StateCorruption::ScrambledLabels { seed } => {
-            let labels = crate::corruption::scrambled_labels(internal.len(), *seed);
-            for (&i, label) in internal.iter().zip(labels) {
-                states[i].label = label;
-                states[i].partitioned = true;
-                states[i].received = true;
+            let labels = crate::corruption::scrambled_labels(network.internal_count(), *seed);
+            for (node, label) in network.internal_nodes().zip(labels) {
+                let state = &mut states[node.index()];
+                state.label = label;
+                state.mass.partitioned = true;
+                state.received = true;
             }
         }
         StateCorruption::LostPartition => {
-            for &i in &internal {
-                states[i].partitioned = true;
-                states[i].received = true;
+            for node in network.internal_nodes() {
+                let state = &mut states[node.index()];
+                state.mass.partitioned = true;
+                state.received = true;
             }
         }
         StateCorruption::StaleTerminal => {
             let terminal = network.terminal().index();
             states[terminal]
+                .mass
                 .beta
                 .union_in_place(&crate::corruption::stale_half());
             states[terminal]
@@ -670,6 +547,42 @@ mod tests {
         IntervalUnion::from(anet_num::Interval::from_dyadic_parts(k, k + 1, 1).unwrap())
     }
 
+    impl LabelMessage {
+        /// A message with no α: the β increment `beta` alone.
+        fn echo(beta: IntervalUnion) -> Self {
+            LabelMessage {
+                alpha: IntervalUnion::empty(),
+                beta,
+            }
+        }
+    }
+
+    /// The re-flood frontier sends nothing on a port whose α and β are both
+    /// empty, and on every other port that port's α and the whole β.
+    #[test]
+    fn reflood_resends_each_ports_alpha_and_the_whole_beta() {
+        let protocol = Labeling::new();
+        let message = |alpha, beta| LabelMessage { alpha, beta };
+        let ctx = NodeContext::new(1, 3);
+        let mut state = protocol.initial_state(&ctx);
+        state.label = half(1);
+        assert!(protocol.reflood(&ctx, &state).is_empty());
+        state.mass.alpha[1] = half(0);
+        assert_eq!(
+            protocol.reflood(&ctx, &state),
+            vec![(1, message(half(0), IntervalUnion::empty()))]
+        );
+        state.mass.beta = half(1);
+        assert_eq!(
+            protocol.reflood(&ctx, &state),
+            vec![
+                (0, message(IntervalUnion::empty(), half(1))),
+                (1, message(half(0), half(1))),
+                (2, message(IntervalUnion::empty(), half(1))),
+            ]
+        );
+    }
+
     /// An α-empty delivery whose β the vertex already holds emits nothing and
     /// leaves the state as it was; one with new β floods just the new part.
     #[test]
@@ -684,11 +597,11 @@ mod tests {
         };
         protocol.on_receive_into(&ctx, &mut state, 0, &first, &mut out);
         assert_eq!(out.len(), 2);
-        assert!(state.label.is_subset_of(&state.beta));
+        assert!(state.label.is_subset_of(&state.mass.beta));
 
         for beta in [
-            state.beta.clone(),
-            state.beta.deep_clone(),
+            state.mass.beta.clone(),
+            state.mass.beta.deep_clone(),
             half(1),
             state.label.clone(),
         ] {
@@ -705,8 +618,8 @@ mod tests {
 
         // A β the vertex holds none of is flooded, once for every out-port,
         // as the sender's buffer.
-        let routed = state.alpha[0].clone();
-        assert!(!routed.intersects(&state.beta));
+        let routed = state.mass.alpha[0].clone();
+        assert!(!routed.intersects(&state.mass.beta));
         out.clear();
         let echo = LabelMessage {
             alpha: IntervalUnion::empty(),
@@ -716,10 +629,10 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, OutPort::All);
         assert!(out[0].1.beta.shares_storage_with(&routed));
-        assert!(routed.is_subset_of(&state.beta));
+        assert!(routed.is_subset_of(&state.mass.beta));
 
         // A β that reaches past what the vertex holds floods the difference.
-        let held = state.beta.clone();
+        let held = state.mass.beta.clone();
         let wider = IntervalUnion::unit();
         out.clear();
         let echo = LabelMessage {
@@ -730,7 +643,7 @@ mod tests {
         let news = wider.difference(&held);
         assert!(!news.is_empty());
         assert_eq!(out, vec![(OutPort::All, LabelMessage::echo(news))]);
-        assert!(state.beta.is_unit());
+        assert!(state.mass.beta.is_unit());
     }
 
     #[test]

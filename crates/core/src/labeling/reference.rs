@@ -65,26 +65,28 @@ impl AnonymousProtocol for Labeling {
             // Absorb everything: α mass becomes (part of) the label, β is recorded,
             // and the running `label ∪ β` accumulator absorbs both deltas.
             state.label = num_reference::union(&state.label, &message.alpha);
-            state.beta = num_reference::union(&state.beta, &message.beta);
+            state.mass.beta = num_reference::union(&state.mass.beta, &message.beta);
             state.absorbed = num_reference::union(&state.absorbed, &message.alpha);
             state.absorbed = num_reference::union(&state.absorbed, &message.beta);
             return Vec::new();
         }
 
         let mut out = Vec::new();
-        if !state.partitioned && !message.alpha.is_empty() {
-            state.partitioned = true;
+        if !state.mass.partitioned && !message.alpha.is_empty() {
+            state.mass.partitioned = true;
             let parts =
                 canonical_partition_nonempty(&message.alpha, d + 1).expect("d + 1 >= 2 parts");
             let mut parts = parts.into_iter();
             let own = parts.next().expect("partition has d + 1 parts");
             // β'' = β' ∪ α_0: the claimed label must still reach the terminal.
-            let beta_delta =
-                num_reference::difference(&num_reference::union(&message.beta, &own), &state.beta);
-            state.beta = num_reference::union(&state.beta, &beta_delta);
+            let beta_delta = num_reference::difference(
+                &num_reference::union(&message.beta, &own),
+                &state.mass.beta,
+            );
+            state.mass.beta = num_reference::union(&state.mass.beta, &beta_delta);
             state.label = own;
             for (j, part) in parts.enumerate() {
-                debug_assert!(state.alpha[j].is_empty());
+                debug_assert!(state.mass.alpha[j].is_empty());
                 if !part.is_empty() || !beta_delta.is_empty() {
                     out.push((
                         j,
@@ -94,26 +96,26 @@ impl AnonymousProtocol for Labeling {
                         },
                     ));
                 }
-                state.alpha[j] = part;
+                state.mass.alpha[j] = part;
             }
         } else {
             let mut overlap = num_reference::intersection(&message.alpha, &state.label);
-            for routed in &state.alpha {
+            for routed in &state.mass.alpha {
                 overlap = num_reference::union(
                     &overlap,
                     &num_reference::intersection(&message.alpha, routed),
                 );
             }
             let mut fresh = message.alpha.deep_clone();
-            for routed in &state.alpha {
+            for routed in &state.mass.alpha {
                 fresh = num_reference::difference(&fresh, routed);
             }
             let beta_delta = num_reference::difference(
                 &num_reference::union(&message.beta, &overlap),
-                &state.beta,
+                &state.mass.beta,
             );
-            state.beta = num_reference::union(&state.beta, &beta_delta);
-            state.alpha[d - 1] = num_reference::union(&state.alpha[d - 1], &fresh);
+            state.mass.beta = num_reference::union(&state.mass.beta, &beta_delta);
+            state.mass.alpha[d - 1] = num_reference::union(&state.mass.alpha[d - 1], &fresh);
             if !beta_delta.is_empty() {
                 for j in 0..d - 1 {
                     out.push((
@@ -154,21 +156,8 @@ pub fn run_labeling(
     network: &Network,
     scheduler: &mut (impl Scheduler + ?Sized),
 ) -> Result<LabelingReport, CoreError> {
-    run_labeling_with_config(network, scheduler, ExecutionConfig::default())
-}
-
-/// [`run_labeling`] with an explicit engine configuration.
-///
-/// # Errors
-///
-/// Returns [`CoreError::BudgetExhausted`] if the delivery budget ran out.
-pub fn run_labeling_with_config(
-    network: &Network,
-    scheduler: &mut (impl Scheduler + ?Sized),
-    config: ExecutionConfig,
-) -> Result<LabelingReport, CoreError> {
     let protocol = Labeling::new();
-    let result = run(network, &protocol, scheduler, config);
+    let result = run(network, &protocol, scheduler, ExecutionConfig::default());
     labeling::report_from_run(network, result)
 }
 
@@ -211,7 +200,10 @@ mod tests {
         for event in trace.events() {
             for st in &result.states {
                 assert!(st.label.is_empty() || !event.message.alpha.shares_storage_with(&st.label));
-                assert!(st.beta.is_empty() || !event.message.beta.shares_storage_with(&st.beta));
+                assert!(
+                    st.mass.beta.is_empty()
+                        || !event.message.beta.shares_storage_with(&st.mass.beta)
+                );
             }
         }
     }

@@ -18,6 +18,11 @@
 //! * [`mapping`] — full topology extraction by flooding labelled local
 //!   neighbourhood information (the application sketched in Section 6).
 //!
+//! The last three share one interval-mass rule ([`mass`]): the one-time
+//! canonical partition, overlap into β, fresh mass down the last out-port and
+//! the β flood. They differ only in what a vertex claims for itself and what
+//! rides along with the mass.
+//!
 //! All protocols are *anonymous* ([`anet_sim::AnonymousProtocol`]): a vertex sees
 //! only its local degrees and port numbers, never an identity, and the terminal is
 //! the only vertex that evaluates a stopping predicate.
@@ -38,6 +43,7 @@ mod error;
 pub mod general_broadcast;
 pub mod labeling;
 pub mod mapping;
+pub mod mass;
 pub mod outcome;
 mod payload;
 pub mod tree_broadcast;

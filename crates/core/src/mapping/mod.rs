@@ -77,27 +77,15 @@
 //! `BTreeMap<Interval, _>`, so absorbing a record is two or three array
 //! index operations instead of ordered-map hops over interval keys.
 //!
-//! # The echo path
+//! # The labelling core
 //!
-//! β floods cycle evidence to every vertex downstream, so on cyclic networks
-//! many deliveries are *echoes*: an empty α, no announcement, no records, and
-//! a β the receiver mostly or wholly holds already. Such a message cannot
-//! touch the record table, so it is answered before the table's `Mutex` is
-//! taken: one allocation-free test `β' ⊆ β` ends the delivery with no clone,
-//! merge or emission when it holds; otherwise the increment `β' \ β` is
-//! carved in place from an O(1) clone of `β'` (a `β'` the vertex holds none
-//! of stays the sender's buffer) and emitted once, to [`OutPort::All`]: the
-//! engine stores that one message and queues it on every out-port in port
-//! order, the same sends, sequence numbers and wire bits as the general
-//! rule's per-port messages. A message with an empty α that does carry
-//! records or an announcement takes the full path — its records are absorbed
-//! and flooded — but its labelling core is the same in-place difference,
-//! with no overlap or fresh-mass work. The full path's composition floods
-//! too whenever every port carries the same message: outside the partition
-//! (and labelling) step, with no fresh mass, each port gets the same β
-//! increment and record batch. The retained [`mod@reference`] still emits
-//! per port, so the differential suite checks each flood against its
-//! per-port form.
+//! The α/β routing rule, its echo path and its re-flood frontier live in
+//! [`crate::mass`]; mapping's claim is part 0 of the first α, kept out of β.
+//! What rides along is this module's: a vertex floods the records its
+//! activation learned or created on every out-port, and announces its label
+//! on each out-port when it claims it. A bare β echo (no α, announcement or
+//! records) is answered before the record table's lock is taken, at sinks
+//! too.
 
 pub mod reference;
 
@@ -107,13 +95,13 @@ use std::sync::{Arc, Mutex};
 use anet_graph::{DiGraph, Network, NodeId};
 use anet_num::bits;
 use anet_num::intern::{IdBag, Interner};
-use anet_num::partition::canonical_partition_nonempty;
 use anet_num::{Interval, IntervalUnion};
 use anet_sim::engine::{run, ExecutionConfig};
 use anet_sim::metrics::RunMetrics;
 use anet_sim::scheduler::Scheduler;
 use anet_sim::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol, SharedSlice, Wire};
 
+use crate::mass::{route, Claim, MassState};
 use crate::CoreError;
 
 /// A reference to a vertex inside flooded records.
@@ -481,12 +469,8 @@ impl TerminalView {
 pub struct MappingState {
     /// The vertex's claimed label (labelling core).
     pub label: IntervalUnion,
-    /// Interval mass routed per out-port (labelling core).
-    pub alpha: Vec<IntervalUnion>,
-    /// Cycle evidence (labelling core).
-    pub beta: IntervalUnion,
-    /// Whether the one-time partition happened.
-    pub partitioned: bool,
+    /// Interval mass routed per out-port and cycle evidence (labelling core).
+    pub mass: MassState,
     /// Whether any message was received.
     pub received: bool,
     /// Ids of records this vertex knows about (flooded plus self-created).
@@ -549,8 +533,8 @@ impl MappingState {
 
     /// The coverage the terminal checks: known labels ∪ own label ∪ β ∪ routed α.
     pub fn coverage(&self) -> IntervalUnion {
-        let mut cov = self.label.union(&self.beta);
-        for routed in &self.alpha {
+        let mut cov = self.label.union(&self.mass.beta);
+        for routed in &self.mass.alpha {
             cov.union_in_place(routed);
         }
         if let Some(view) = &self.terminal_view {
@@ -628,9 +612,7 @@ impl AnonymousProtocol for Mapping {
     fn initial_state(&self, ctx: &NodeContext) -> MappingState {
         MappingState {
             label: IntervalUnion::empty(),
-            alpha: vec![IntervalUnion::empty(); ctx.out_degree],
-            beta: IntervalUnion::empty(),
-            partitioned: false,
+            mass: MassState::new(ctx.out_degree),
             received: false,
             // The terminal eventually knows every record: bitsets. Everyone
             // else holds a small slice of the arena: sorted id vectors.
@@ -672,20 +654,25 @@ impl AnonymousProtocol for Mapping {
     ) {
         state.received = true;
         let d = ctx.out_degree;
+        // 1. Labelling core: a sink keeps all it receives; a routing vertex
+        //    routes the mass, claiming part 0 of its first α as its label.
+        let was_labeled = state.is_labeled();
+        let routed = if d == 0 {
+            state.label.union_in_place(&message.alpha);
+            state.mass.beta.union_in_place(&message.beta);
+            None
+        } else {
+            let claim = Claim::OutOfBeta(&mut state.label);
+            Some(route(&mut state.mass, claim, &message.alpha, &message.beta))
+        };
         if message.alpha.is_empty() && message.announce.is_none() && message.records.is_empty() {
-            // A β echo (see the module docs): held evidence ends it, before
-            // the record table's lock.
-            if message.beta.is_subset_of(&state.beta) {
-                return;
+            // A bare β echo cannot touch the record table, so it ends
+            // before the table's lock.
+            if let Some(routed) = routed {
+                routed.emit(false, out, |_, _, beta| {
+                    MappingMessage::echo(beta, MappingMessage::no_records())
+                });
             }
-            // A β the vertex has none of stays the sender's shared buffer.
-            let mut beta_delta = message.beta.clone();
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-            out.push((
-                OutPort::All,
-                MappingMessage::echo(beta_delta, MappingMessage::no_records()),
-            ));
             return;
         }
         // One table lock per activation covers absorption, record creation and
@@ -695,7 +682,7 @@ impl AnonymousProtocol for Mapping {
         // Ids this activation inserts into `known`: the batch to flood.
         let mut new_ids: Vec<RecordId> = Vec::new();
 
-        // 1. Absorb flooded records — id inserts; only the memoised meta (and
+        // 2. Absorb flooded records — id inserts; only the memoised meta (and
         //    per label, once, its interval) is consulted if this vertex
         //    maintains the terminal index.
         for &id in message.records.items() {
@@ -705,56 +692,6 @@ impl AnonymousProtocol for Mapping {
                     view.absorb(table.meta_of(id), &table);
                 }
             }
-        }
-
-        // 2. Labelling core (note: labels are *not* folded into β here; the vertex
-        //    record carries them instead). As in `general_broadcast`, the per-port
-        //    α increments and the β increment are computed *before* the state is
-        //    updated, so no `old_alpha`/`old_beta` snapshots are cloned. Only the
-        //    one-time partition gives every port an α increment (`parts[j + 1]`
-        //    for port j); otherwise only port d − 1 can carry fresh mass.
-        let was_labeled = state.is_labeled();
-        let mut parts: Vec<IntervalUnion> = Vec::new();
-        let mut fresh = IntervalUnion::empty();
-        let mut beta_delta = IntervalUnion::empty();
-
-        if d == 0 {
-            state.label.union_in_place(&message.alpha);
-            state.beta.union_in_place(&message.beta);
-        } else if message.alpha.is_empty() {
-            // An empty α routes nothing: only β can grow.
-            beta_delta = message.beta.clone();
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-        } else if !state.partitioned {
-            state.partitioned = true;
-            parts = canonical_partition_nonempty(&message.alpha, d + 1).expect("d + 1 >= 2 parts");
-            state.label = std::mem::take(&mut parts[0]);
-            beta_delta = message.beta.clone();
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-            for (routed, part) in state.alpha.iter_mut().zip(&parts[1..]) {
-                debug_assert!(routed.is_empty());
-                *routed = part.clone();
-            }
-        } else {
-            let mut overlap = message.alpha.intersection(&state.label);
-            for routed in &state.alpha {
-                overlap.union_in_place(&message.alpha.intersection(routed));
-            }
-            fresh = message.alpha.clone();
-            for routed in &state.alpha[..d - 1] {
-                fresh.subtract_assign(routed);
-            }
-            fresh.subtract_assign(&state.alpha[d - 1]);
-            // As in `labeling`: the claimed label is not an increment. Only a
-            // re-flooded frontier can carry it back as α, and re-routing it
-            // would assign the same mass to two labels.
-            fresh.subtract_assign(&state.label);
-            beta_delta = message.beta.union(&overlap);
-            beta_delta.subtract_assign(&state.beta);
-            state.beta.union_in_place(&beta_delta);
-            state.alpha[d - 1].union_in_place(&fresh);
         }
 
         let just_labeled = !was_labeled && state.is_labeled();
@@ -809,60 +746,34 @@ impl AnonymousProtocol for Mapping {
             }
         }
 
-        if d == 0 {
+        let Some(routed) = routed else {
             return;
-        }
+        };
 
-        // 5. Compose per-port outgoing messages. Every earlier activation
+        // 5. Compose the outgoing messages. Every earlier activation
         //    flooded all it inserted, so the ids inserted by this one are
         //    exactly the unsent ones; flooded in ascending order, the batch is
-        //    shared by every out-port.
+        //    shared by every out-port. Only the partition step claims the
+        //    label, so only its per-port messages announce it.
         new_ids.sort_unstable();
         let records_bits = bits::elias_gamma_bits(new_ids.len() as u64)
             + new_ids.iter().map(|&id| table.bits_of(id)).sum::<u64>();
         drop(table);
         let records = SharedSlice::new(new_ids, records_bits);
-
-        if parts.is_empty() && fresh.is_empty() {
-            // Neither the partition nor the labelling step (which come
-            // together) and no fresh mass: every port carries the same β
-            // increment and record batch, as one flood.
-            debug_assert!(!just_labeled);
-            if !beta_delta.is_empty() || !records.is_empty() {
-                out.push((OutPort::All, MappingMessage::echo(beta_delta, records)));
-            }
-            return;
-        }
-        for j in 0..d {
-            let alpha_delta = match parts.get_mut(j + 1) {
-                Some(part) => std::mem::take(part),
-                None if j == d - 1 => std::mem::take(&mut fresh),
-                None => IntervalUnion::empty(),
-            };
-            let announce = if just_labeled {
-                Some(Announce {
-                    src: state.own_ref(),
+        let own = just_labeled.then(|| state.own_ref());
+        let rides = own.is_some() || !records.is_empty();
+        routed.emit(rides, out, |port, alpha, beta| MappingMessage {
+            alpha,
+            beta,
+            announce: match (port, &own) {
+                (OutPort::Port(j), Some(src)) => Some(Announce {
+                    src: src.clone(),
                     src_port: j,
-                })
-            } else {
-                None
-            };
-            if !alpha_delta.is_empty()
-                || !beta_delta.is_empty()
-                || announce.is_some()
-                || !records.is_empty()
-            {
-                out.push((
-                    OutPort::Port(j),
-                    MappingMessage {
-                        alpha: alpha_delta,
-                        beta: beta_delta.clone(),
-                        announce,
-                        records: records.clone(),
-                    },
-                ));
-            }
-        }
+                }),
+                _ => None,
+            },
+            records: records.clone(),
+        });
     }
 
     fn should_terminate(&self, terminal_state: &MappingState) -> bool {
@@ -872,7 +783,7 @@ impl AnonymousProtocol for Mapping {
 
 impl RefloodProtocol for Mapping {
     /// Re-sends this vertex's whole mapping frontier on every out-port: the
-    /// routed interval mass (`alpha[j]`), the cycle-echo set (`beta`), a fresh
+    /// routed interval mass and the cycle-echo set ([`MassState`]'s), a fresh
     /// copy of the label announcement (if the vertex is labelled — the
     /// neighbour re-derives the identical edge record, which interns to the
     /// same id and is absorbed idempotently), and **all** records the vertex
@@ -889,28 +800,14 @@ impl RefloodProtocol for Mapping {
                 + ids.iter().map(|&id| table.bits_of(id)).sum::<u64>()
         };
         let records = SharedSlice::new(ids, records_bits);
-
-        let mut out = Vec::new();
-        for j in 0..ctx.out_degree {
-            let alpha = state.alpha[j].clone();
-            let beta = state.beta.clone();
-            let announce = state.is_labeled().then(|| Announce {
-                src: state.own_ref(),
-                src_port: j,
-            });
-            if !alpha.is_empty() || !beta.is_empty() || announce.is_some() || !records.is_empty() {
-                out.push((
-                    j,
-                    MappingMessage {
-                        alpha,
-                        beta,
-                        announce,
-                        records: records.clone(),
-                    },
-                ));
-            }
-        }
-        out
+        let own = state.is_labeled().then(|| state.own_ref());
+        let rides = own.is_some() || !records.is_empty();
+        state.mass.frontier(rides, |j, alpha, beta| MappingMessage {
+            alpha,
+            beta,
+            announce: own.clone().map(|src| Announce { src, src_port: j }),
+            records: records.clone(),
+        })
     }
 }
 
@@ -1131,25 +1028,21 @@ pub fn corrupt_mapping_states(
     states: &mut [MappingState],
 ) {
     use crate::corruption::StateCorruption;
-    let internal: Vec<usize> = network
-        .graph()
-        .nodes()
-        .filter(|&n| n != network.root() && n != network.terminal())
-        .map(|n| n.index())
-        .collect();
     match corruption {
         StateCorruption::ScrambledLabels { seed } => {
-            let labels = crate::corruption::scrambled_labels(internal.len(), *seed);
-            for (&i, label) in internal.iter().zip(labels) {
-                states[i].label = label;
-                states[i].partitioned = true;
-                states[i].received = true;
+            let labels = crate::corruption::scrambled_labels(network.internal_count(), *seed);
+            for (node, label) in network.internal_nodes().zip(labels) {
+                let state = &mut states[node.index()];
+                state.label = label;
+                state.mass.partitioned = true;
+                state.received = true;
             }
         }
         StateCorruption::LostPartition => {
-            for &i in &internal {
-                states[i].partitioned = true;
-                states[i].received = true;
+            for node in network.internal_nodes() {
+                let state = &mut states[node.index()];
+                state.mass.partitioned = true;
+                state.received = true;
             }
         }
         StateCorruption::StaleTerminal => {
@@ -1472,11 +1365,69 @@ mod tests {
     ) {
         (
             state.label.clone(),
-            state.alpha.clone(),
-            state.beta.clone(),
+            state.mass.alpha.clone(),
+            state.mass.beta.clone(),
             state.known.iter().collect(),
             state.pending_announces.len(),
         )
+    }
+
+    /// The re-flood frontier: an unlabelled vertex that knows no record sends
+    /// nothing on a port whose α and β are both empty, and that port's α and
+    /// the whole β on every other port; a labelled vertex re-announces on
+    /// every port, with every record it knows; a sink sends nothing.
+    #[test]
+    fn reflood_resends_each_ports_alpha_the_whole_beta_and_every_record() {
+        let protocol = Mapping::new();
+        let ctx = NodeContext::new(1, 3);
+        let mut state = protocol.initial_state(&ctx);
+        assert!(protocol.reflood(&ctx, &state).is_empty());
+        state.mass.alpha[1] = half(0);
+        let alpha_only = MappingMessage {
+            alpha: half(0),
+            ..echo(IntervalUnion::empty())
+        };
+        assert_eq!(protocol.reflood(&ctx, &state), vec![(1, alpha_only)]);
+        state.mass.beta = half(1);
+        let frontier = protocol.reflood(&ctx, &state);
+        let alphas: Vec<(usize, IntervalUnion)> = frontier
+            .iter()
+            .map(|(port, message)| (*port, message.alpha.clone()))
+            .collect();
+        let empty = IntervalUnion::empty();
+        assert_eq!(alphas, vec![(0, empty.clone()), (1, half(0)), (2, empty)]);
+        for (_, message) in &frontier {
+            assert_eq!(message.beta, half(1));
+            assert!(message.announce.is_none() && message.records.is_empty());
+        }
+
+        let (protocol, ctx, state) = labeled_vertex();
+        let known = state.known_records();
+        assert_eq!(known.len(), 2, "the vertex record and the root's edge");
+        let known_bits = bits::elias_gamma_bits(known.len() as u64)
+            + known.iter().map(MapRecord::wire_bits).sum::<u64>();
+        let frontier = protocol.reflood(&ctx, &state);
+        assert_eq!(frontier.len(), ctx.out_degree);
+        for (j, (port, message)) in frontier.iter().enumerate() {
+            assert_eq!(*port, j);
+            assert_eq!(message.alpha, state.mass.alpha[j]);
+            assert_eq!(message.beta, state.mass.beta);
+            let announce = Announce {
+                src: state.own_ref(),
+                src_port: j,
+            };
+            assert_eq!(message.announce, Some(announce));
+            assert_eq!(protocol.resolve_records(message.records.items()), known);
+            assert_eq!(message.records.encoded_bits(), known_bits);
+        }
+
+        let sink = NodeContext::new(2, 0);
+        let mut terminal = protocol.initial_state(&sink);
+        terminal.label = half(0);
+        terminal.mass.beta = half(1);
+        let id = protocol.table.lock().unwrap().intern(&known[0]);
+        terminal.known.insert(id);
+        assert!(protocol.reflood(&sink, &terminal).is_empty());
     }
 
     /// A bare β echo of held evidence emits nothing, changes nothing and
@@ -1494,8 +1445,8 @@ mod tests {
         assert!(protocol.table.is_poisoned());
         let mut out = Vec::new();
         for beta in [
-            state.beta.clone(),
-            state.beta.deep_clone(),
+            state.mass.beta.clone(),
+            state.mass.beta.deep_clone(),
             IntervalUnion::empty(),
         ] {
             let before = snapshot(&state);
@@ -1507,13 +1458,13 @@ mod tests {
         // table: the part the vertex lacks, and the sender's own buffer when
         // it holds none.
         for (beta, shared) in [(IntervalUnion::unit(), false), (half(0), true)] {
-            state.beta = half(1);
+            state.mass.beta = half(1);
             out.clear();
             let message = echo(beta);
             protocol.on_receive_into(&ctx, &mut state, 0, &message, &mut out);
             assert_eq!(out, vec![(OutPort::All, echo(half(0)))]);
             assert_eq!(out[0].1.beta.shares_storage_with(&message.beta), shared);
-            assert!(state.beta.is_unit());
+            assert!(state.mass.beta.is_unit());
         }
     }
 
@@ -1530,7 +1481,7 @@ mod tests {
         let known_before = state.known.len();
         let message = MappingMessage {
             announce: Some(announce.clone()),
-            ..echo(state.beta.clone())
+            ..echo(state.mass.beta.clone())
         };
         protocol.on_receive_into(&ctx, &mut state, 0, &message, &mut out);
         let edge = MapRecord::Edge {
@@ -1559,7 +1510,7 @@ mod tests {
         };
         let carried = MappingMessage {
             records: SharedSlice::new(vec![id], bits::elias_gamma_bits(1) + bits),
-            ..echo(state.beta.clone())
+            ..echo(state.mass.beta.clone())
         };
         out.clear();
         protocol.on_receive_into(&ctx, &mut state, 0, &carried, &mut out);

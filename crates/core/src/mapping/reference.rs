@@ -366,21 +366,8 @@ pub fn run_mapping(
     network: &Network,
     scheduler: &mut (impl Scheduler + ?Sized),
 ) -> Result<MappingReport, CoreError> {
-    run_mapping_with_config(network, scheduler, ExecutionConfig::default())
-}
-
-/// [`run_mapping`] with an explicit engine configuration.
-///
-/// # Errors
-///
-/// Returns [`CoreError::BudgetExhausted`] if the delivery budget ran out.
-pub fn run_mapping_with_config(
-    network: &Network,
-    scheduler: &mut (impl Scheduler + ?Sized),
-    config: ExecutionConfig,
-) -> Result<MappingReport, CoreError> {
     let protocol = Mapping::new();
-    let result = run(network, &protocol, scheduler, config);
+    let result = run(network, &protocol, scheduler, ExecutionConfig::default());
     if result.outcome == anet_sim::Outcome::BudgetExhausted {
         return Err(CoreError::BudgetExhausted);
     }

@@ -155,7 +155,7 @@ fn reliable_retry_mapping_is_bit_identical_to_pristine() {
             );
             for (a, b) in pristine.states.iter().zip(retry.result.states.iter()) {
                 assert_eq!(a.label, b.label, "sched {}", plain.name());
-                assert_eq!(a.beta, b.beta, "sched {}", plain.name());
+                assert_eq!(a.mass.beta, b.mass.beta, "sched {}", plain.name());
                 assert_eq!(
                     a.known_records(),
                     b.known_records(),

@@ -167,8 +167,8 @@ fn streamed_digest_matches_the_trace_for_mapping() {
         let records = s.known_records();
         (
             s.label.clone(),
-            s.alpha.clone(),
-            s.beta.clone(),
+            s.mass.alpha.clone(),
+            s.mass.beta.clone(),
             s.received,
             records,
         )

@@ -49,12 +49,12 @@
 //!    of their units: any process, any time, same bytes.
 //! 4. **Checkpoint & resume** ([`merge`]) — a shard's JSONL file is its
 //!    checkpoint: a spec-fingerprint header line followed by record lines.
-//!    [`run_shard_to_file`] with `resume` requires the header to match the
-//!    current spec (an edited spec discards the whole checkpoint — record
-//!    indices only mean something in their own manifest) and revalidates each
-//!    line ([`RunRecord::parse_line`] accepts only byte-exact canonical lines,
-//!    so a killed shard's torn tail is discarded), re-executing only missing
-//!    units.
+//!    [`run_shard_to_file_with_opts`] with `resume` requires the header to
+//!    match the current spec (an edited spec discards the whole checkpoint —
+//!    record indices only mean something in their own manifest) and
+//!    revalidates each line ([`RunRecord::parse_line`] accepts only
+//!    byte-exact canonical lines, so a killed shard's torn tail is
+//!    discarded), re-executing only missing units.
 //! 5. **Merge** ([`merge`]) — [`merge_lines`] / [`merge_shard_files`] check
 //!    that the shards cover every unit exactly once and emit the lines sorted
 //!    by unit index. Sharded output is therefore **byte-identical** to the
@@ -111,7 +111,7 @@
 //! The `sweep` binary drives the process layer: the parent re-invokes its own
 //! executable with `--run-shard i` per shard, waits, and merges. Within a
 //! shard process, `--jobs N` fans the shard's units over `N` scoped worker
-//! threads ([`run_shard_to_file_with_jobs`]) so each shard saturates its host;
+//! threads ([`run_shard_to_file_with_opts`]) so each shard saturates its host;
 //! because every record is a pure function of its unit and workers fill
 //! pre-assigned slots of the shard-manifest order, the output is byte-identical
 //! for every job count. See `src/bin/sweep.rs` or `sweep --help`.
@@ -132,9 +132,8 @@ pub use dedup::{cluster_units, unit_fingerprint, DedupStats, UnitCluster};
 pub use exec::execute_unit;
 pub use manifest::{Manifest, Partition, SweepUnit};
 pub use merge::{
-    dedup_shard_lines, merge_lines, merge_shard_files, run_shard_to_file,
-    run_shard_to_file_with_jobs, run_shard_to_file_with_opts, run_sweep_in_process, shard_lines,
-    ShardOutcome, ShardReport, SweepOptions,
+    dedup_shard_lines, merge_lines, merge_shard_files, run_shard_to_file_with_opts,
+    run_sweep_in_process, shard_lines, ShardOutcome, ShardReport, SweepOptions,
 };
 pub use record::RunRecord;
 pub use spec::{ProtocolSpec, ScenarioSpec, SweepSpec, TopologySpec};

@@ -148,73 +148,6 @@ pub fn checkpoint_lines(
     kept
 }
 
-/// Runs shard `shard` of `shards`, writing its JSONL file at `path` (a
-/// [`spec_header`] line followed by one record line per unit).
-///
-/// With `resume`, completed units found in an existing file at `path` are
-/// reused instead of re-executed — but only when the file's header proves it
-/// was produced by a spec with the same canonical text; any other checkpoint
-/// (edited spec, missing header, stale layout) is discarded and the shard runs
-/// from scratch. Without `resume` the shard always runs from scratch. The file
-/// is rewritten atomically (temp + rename) in shard-manifest order either way,
-/// so header and records are always published together.
-///
-/// # Errors
-///
-/// Returns I/O errors from the file system and [`SweepError::Topology`] for
-/// degenerate topology parameters.
-pub fn run_shard_to_file(
-    spec: &SweepSpec,
-    manifest: &Manifest,
-    shards: usize,
-    partition: Partition,
-    shard: usize,
-    path: &Path,
-    resume: bool,
-) -> Result<ShardOutcome, SweepError> {
-    run_shard_to_file_with_jobs(spec, manifest, shards, partition, shard, path, resume, 1)
-}
-
-/// [`run_shard_to_file`] with intra-shard parallelism: the shard's pending
-/// units are fanned over `jobs` scoped worker threads (`jobs <= 1` means the
-/// plain sequential path), so one shard process can saturate its host.
-///
-/// The output is **byte-identical to the sequential run** regardless of
-/// thread count or timing: every record line is a pure function of its unit,
-/// workers write into pre-assigned slots of the shard-manifest order, and the
-/// file is emitted in that order — threads only decide *when* a slot is
-/// filled, never *where*. Checkpoint reuse composes with parallelism (only
-/// missing units are fanned out).
-///
-/// # Errors
-///
-/// Returns I/O errors from the file system and [`SweepError::Topology`] for
-/// degenerate topology parameters.
-///
-/// # Panics
-///
-/// Propagates panics from worker threads.
-#[allow(clippy::too_many_arguments)]
-pub fn run_shard_to_file_with_jobs(
-    spec: &SweepSpec,
-    manifest: &Manifest,
-    shards: usize,
-    partition: Partition,
-    shard: usize,
-    path: &Path,
-    resume: bool,
-    jobs: usize,
-) -> Result<ShardOutcome, SweepError> {
-    let opts = SweepOptions {
-        jobs,
-        resume,
-        dedup: false,
-        cache_dir: None,
-    };
-    run_shard_to_file_with_opts(spec, manifest, shards, partition, shard, path, &opts)
-        .map(|report| report.outcome)
-}
-
 /// Executes `(tag, unit, network)` tasks, fanning over `jobs` scoped worker
 /// threads when `jobs > 1`, and returns `(tag, record)` pairs (in
 /// worker-stripe order — callers address results by tag, never by position).
@@ -351,11 +284,32 @@ fn execute_tagged_dedup(
     Ok((lines, stats))
 }
 
-/// The fully optioned shard runner: [`run_shard_to_file_with_jobs`] plus the
-/// dedup/cache pipeline of [`crate::dedup`]. With `opts.dedup`, the shard's
-/// pending units (checkpoint reuse happens first and composes as usual) are
-/// clustered by canonical fingerprint and only representatives execute; the
-/// written file is byte-identical to the honest path either way.
+/// Runs shard `shard` of `shards`, writing its JSONL file at `path` (a
+/// [`spec_header`] line followed by one record line per unit, in
+/// shard-manifest order).
+///
+/// With `opts.resume`, completed units found in an existing file at `path`
+/// are reused instead of re-executed — but only when the file's header
+/// proves it was produced by a spec with the same canonical text; any other
+/// checkpoint (edited spec, missing header, stale layout) is discarded and
+/// the shard runs from scratch. Without `resume` the shard always runs from
+/// scratch. The file is rewritten atomically (temp + rename) either way, so
+/// header and records are always published together.
+///
+/// The pending units are fanned over `opts.jobs` scoped worker threads
+/// (`jobs <= 1` means the sequential path), so one shard process can
+/// saturate its host. The output is **byte-identical to the sequential
+/// run** regardless of thread count or timing: every record line is a pure
+/// function of its unit, workers write into pre-assigned slots of the
+/// shard-manifest order, and the file is emitted in that order — threads
+/// only decide *when* a slot is filled, never *where*. Checkpoint reuse
+/// composes with parallelism (only missing units are fanned out).
+///
+/// With `opts.dedup`, the pending units (after checkpoint reuse) are
+/// clustered by canonical fingerprint ([`crate::dedup`]) and only
+/// representatives execute, consulting and feeding the cache at
+/// `opts.cache_dir`; the written file is byte-identical to the honest path
+/// either way.
 ///
 /// # Errors
 ///

@@ -9,8 +9,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use anet_sweep::{
-    merge_shard_files, run_shard_to_file, run_shard_to_file_with_jobs, Manifest, Partition,
-    ProtocolSpec, SweepSpec, TopologySpec,
+    merge_shard_files, run_shard_to_file_with_opts, Manifest, Partition, ProtocolSpec,
+    SweepOptions, SweepSpec, TopologySpec,
 };
 
 fn spec() -> SweepSpec {
@@ -29,6 +29,13 @@ fn spec() -> SweepSpec {
         random_schedulers: 1,
         max_deliveries: 1_000_000,
         scenarios: vec![anet_sweep::ScenarioSpec::Pristine],
+    }
+}
+
+fn jobs(jobs: usize) -> SweepOptions {
+    SweepOptions {
+        jobs,
+        ..Default::default()
     }
 }
 
@@ -52,21 +59,28 @@ fn jobs_four_is_byte_identical_to_jobs_one() {
             for shard in 0..shards {
                 let sequential = dir.join(format!("seq-{shard}.jsonl"));
                 let parallel = dir.join(format!("par-{shard}.jsonl"));
-                let a = run_shard_to_file_with_jobs(
+                let a = run_shard_to_file_with_opts(
                     &spec,
                     &manifest,
                     shards,
                     partition,
                     shard,
                     &sequential,
-                    false,
-                    1,
+                    &jobs(1),
                 )
-                .expect("sequential shard runs");
-                let b = run_shard_to_file_with_jobs(
-                    &spec, &manifest, shards, partition, shard, &parallel, false, 4,
+                .expect("sequential shard runs")
+                .outcome;
+                let b = run_shard_to_file_with_opts(
+                    &spec,
+                    &manifest,
+                    shards,
+                    partition,
+                    shard,
+                    &parallel,
+                    &jobs(4),
                 )
-                .expect("parallel shard runs");
+                .expect("parallel shard runs")
+                .outcome;
                 assert_eq!(a, b, "shard outcome diverged (shard {shard}/{shards})");
                 let bytes_a = fs::read(&sequential).expect("read sequential shard");
                 let bytes_b = fs::read(&parallel).expect("read parallel shard");
@@ -81,7 +95,7 @@ fn jobs_four_is_byte_identical_to_jobs_one() {
 }
 
 #[test]
-fn jobs_merged_output_matches_plain_run_shard_to_file() {
+fn jobs_merged_output_matches_the_default_sequential_run() {
     let spec = spec();
     let manifest = Manifest::from_spec(&spec);
     let shards = 2usize;
@@ -90,30 +104,29 @@ fn jobs_merged_output_matches_plain_run_shard_to_file() {
     let mut jobs_paths = Vec::new();
     for shard in 0..shards {
         let plain = dir.join(format!("plain-{shard}.jsonl"));
-        let jobs = dir.join(format!("jobs-{shard}.jsonl"));
-        run_shard_to_file(
+        let parallel = dir.join(format!("jobs-{shard}.jsonl"));
+        run_shard_to_file_with_opts(
             &spec,
             &manifest,
             shards,
             Partition::Hash,
             shard,
             &plain,
-            false,
+            &SweepOptions::default(),
         )
         .expect("plain shard runs");
-        run_shard_to_file_with_jobs(
+        run_shard_to_file_with_opts(
             &spec,
             &manifest,
             shards,
             Partition::Hash,
             shard,
-            &jobs,
-            false,
-            4,
+            &parallel,
+            &jobs(4),
         )
         .expect("jobs shard runs");
         plain_paths.push(plain);
-        jobs_paths.push(jobs);
+        jobs_paths.push(parallel);
     }
     let merged_plain = dir.join("merged-plain.jsonl");
     let merged_jobs = dir.join("merged-jobs.jsonl");
@@ -135,7 +148,7 @@ fn jobs_compose_with_checkpoint_resume() {
     let manifest = Manifest::from_spec(&spec);
     let dir = tmp_dir("resume");
     let clean = dir.join("clean.jsonl");
-    run_shard_to_file_with_jobs(&spec, &manifest, 1, Partition::Hash, 0, &clean, false, 4)
+    run_shard_to_file_with_opts(&spec, &manifest, 1, Partition::Hash, 0, &clean, &jobs(4))
         .expect("clean shard runs");
     let clean_bytes = fs::read_to_string(&clean).unwrap();
 
@@ -145,9 +158,14 @@ fn jobs_compose_with_checkpoint_resume() {
     let torn_tail = &clean_bytes.lines().nth(3).unwrap()[..10];
     fs::write(&victim, format!("{}\n{torn_tail}", keep.join("\n"))).unwrap();
 
+    let resume = SweepOptions {
+        resume: true,
+        ..jobs(4)
+    };
     let outcome =
-        run_shard_to_file_with_jobs(&spec, &manifest, 1, Partition::Hash, 0, &victim, true, 4)
-            .expect("resumed shard runs");
+        run_shard_to_file_with_opts(&spec, &manifest, 1, Partition::Hash, 0, &victim, &resume)
+            .expect("resumed shard runs")
+            .outcome;
     assert_eq!(outcome.reused, 2, "the two intact record lines are reused");
     assert_eq!(outcome.executed, manifest.len() - 2);
     assert_eq!(

@@ -7,8 +7,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use anet_sweep::{
-    merge_shard_files, run_shard_to_file, Manifest, Partition, ProtocolSpec, SweepSpec,
-    TopologySpec,
+    merge_shard_files, run_shard_to_file_with_opts, Manifest, Partition, ProtocolSpec,
+    SweepOptions, SweepSpec, TopologySpec,
 };
 
 fn test_dir(name: &str) -> PathBuf {
@@ -16,6 +16,14 @@ fn test_dir(name: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create test dir");
     dir
+}
+
+/// Sequential shard options, reusing a matching checkpoint when `resume`.
+fn resuming(resume: bool) -> SweepOptions {
+    SweepOptions {
+        resume,
+        ..Default::default()
+    }
 }
 
 fn spec() -> SweepSpec {
@@ -46,8 +54,17 @@ fn truncated_shard_resumes_to_identical_merged_output() {
 
     // Clean 2-shard run.
     for (shard, path) in shard_paths.iter().enumerate() {
-        let outcome = run_shard_to_file(&spec, &manifest, shards, partition, shard, path, false)
-            .expect("clean shard run");
+        let outcome = run_shard_to_file_with_opts(
+            &spec,
+            &manifest,
+            shards,
+            partition,
+            shard,
+            path,
+            &resuming(false),
+        )
+        .expect("clean shard run")
+        .outcome;
         assert_eq!(outcome.reused, 0);
     }
     let clean_merged = dir.join("merged-clean.jsonl");
@@ -79,8 +96,17 @@ fn truncated_shard_resumes_to_identical_merged_output() {
     assert!(err.to_string().contains("invalid record"), "{err}");
 
     // Resume: only the lost units re-run; the survivors are reused.
-    let outcome = run_shard_to_file(&spec, &manifest, shards, partition, 1, victim, true)
-        .expect("resumed shard run");
+    let outcome = run_shard_to_file_with_opts(
+        &spec,
+        &manifest,
+        shards,
+        partition,
+        1,
+        victim,
+        &resuming(true),
+    )
+    .expect("resumed shard run")
+    .outcome;
     assert_eq!(outcome.reused, surviving);
     assert_eq!(outcome.executed, complete_records - surviving);
     assert!(outcome.executed > 0, "resume must re-run the torn tail");
@@ -95,8 +121,17 @@ fn truncated_shard_resumes_to_identical_merged_output() {
     );
 
     // Resuming an already-complete shard executes nothing.
-    let noop = run_shard_to_file(&spec, &manifest, shards, partition, 1, victim, true)
-        .expect("no-op resume");
+    let noop = run_shard_to_file_with_opts(
+        &spec,
+        &manifest,
+        shards,
+        partition,
+        1,
+        victim,
+        &resuming(true),
+    )
+    .expect("no-op resume")
+    .outcome;
     assert_eq!(noop.executed, 0);
     assert_eq!(noop.reused, complete_records);
 
@@ -111,14 +146,14 @@ fn resume_discards_checkpoints_from_an_edited_spec() {
     let dir = test_dir("resume-edited-spec");
     let old = spec();
     let path = dir.join("shard-0.jsonl");
-    run_shard_to_file(
+    run_shard_to_file_with_opts(
         &old,
         &Manifest::from_spec(&old),
         1,
         Partition::Hash,
         0,
         &path,
-        false,
+        &resuming(false),
     )
     .expect("checkpoint under the old spec");
 
@@ -126,8 +161,17 @@ fn resume_discards_checkpoints_from_an_edited_spec() {
     let mut reordered = old.clone();
     reordered.topologies.reverse();
     let manifest = Manifest::from_spec(&reordered);
-    let outcome = run_shard_to_file(&reordered, &manifest, 1, Partition::Hash, 0, &path, true)
-        .expect("resume under reordered spec");
+    let outcome = run_shard_to_file_with_opts(
+        &reordered,
+        &manifest,
+        1,
+        Partition::Hash,
+        0,
+        &path,
+        &resuming(true),
+    )
+    .expect("resume under reordered spec")
+    .outcome;
     assert_eq!(outcome.reused, 0, "stale checkpoint must not be reused");
     assert_eq!(outcome.executed, manifest.len());
     let merged = dir.join("merged.jsonl");
@@ -139,16 +183,17 @@ fn resume_discards_checkpoints_from_an_edited_spec() {
     // potentially different run results; still a full re-run.
     let mut rebudgeted = reordered.clone();
     rebudgeted.max_deliveries /= 2;
-    let outcome = run_shard_to_file(
+    let outcome = run_shard_to_file_with_opts(
         &rebudgeted,
         &Manifest::from_spec(&rebudgeted),
         1,
         Partition::Hash,
         0,
         &path,
-        true,
+        &resuming(true),
     )
-    .expect("resume under rebudgeted spec");
+    .expect("resume under rebudgeted spec")
+    .outcome;
     assert_eq!(outcome.reused, 0);
 
     let _ = fs::remove_dir_all(&dir);
@@ -160,8 +205,17 @@ fn resume_from_a_missing_file_runs_everything() {
     let spec = spec();
     let manifest = Manifest::from_spec(&spec);
     let path = dir.join("shard-0.jsonl");
-    let outcome = run_shard_to_file(&spec, &manifest, 1, Partition::RoundRobin, 0, &path, true)
-        .expect("fresh resume run");
+    let outcome = run_shard_to_file_with_opts(
+        &spec,
+        &manifest,
+        1,
+        Partition::RoundRobin,
+        0,
+        &path,
+        &resuming(true),
+    )
+    .expect("fresh resume run")
+    .outcome;
     assert_eq!(outcome.reused, 0);
     assert_eq!(outcome.executed, manifest.len());
     let _ = fs::remove_dir_all(&dir);
@@ -175,10 +229,27 @@ fn resume_discards_checkpoints_from_a_different_partitioning() {
     let spec = spec();
     let manifest = Manifest::from_spec(&spec);
     let path = dir.join("shard-0.jsonl");
-    run_shard_to_file(&spec, &manifest, 2, Partition::RoundRobin, 0, &path, false)
-        .expect("round-robin shard run");
-    let outcome = run_shard_to_file(&spec, &manifest, 2, Partition::Hash, 0, &path, true)
-        .expect("hash resume over foreign checkpoint");
+    run_shard_to_file_with_opts(
+        &spec,
+        &manifest,
+        2,
+        Partition::RoundRobin,
+        0,
+        &path,
+        &resuming(false),
+    )
+    .expect("round-robin shard run");
+    let outcome = run_shard_to_file_with_opts(
+        &spec,
+        &manifest,
+        2,
+        Partition::Hash,
+        0,
+        &path,
+        &resuming(true),
+    )
+    .expect("hash resume over foreign checkpoint")
+    .outcome;
     let hash_units = manifest.shard_units(2, Partition::Hash, 0).len();
     assert_eq!(outcome.executed + outcome.reused, hash_units);
     // The shared units (round-robin ∩ hash for shard 0) are reused; the rest

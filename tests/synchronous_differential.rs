@@ -164,9 +164,9 @@ fn synchronous_mode_is_fifo_with_pinned_round_counts() {
             let records = s.known_records();
             (
                 s.label.clone(),
-                s.alpha.clone(),
-                s.beta.clone(),
-                s.partitioned,
+                s.mass.alpha.clone(),
+                s.mass.beta.clone(),
+                s.mass.partitioned,
                 s.received,
                 records,
             )
