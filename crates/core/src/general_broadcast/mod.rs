@@ -43,7 +43,7 @@
 
 use anet_graph::Network;
 use anet_num::IntervalUnion;
-use anet_sim::engine::{run, ExecutionConfig};
+use anet_sim::engine::{run, ExecutionConfig, RunResult};
 use anet_sim::scheduler::Scheduler;
 use anet_sim::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol, Wire};
 
@@ -224,22 +224,20 @@ pub fn run_general_broadcast(
     payload: Payload,
     scheduler: &mut (impl Scheduler + ?Sized),
 ) -> Result<BroadcastReport, CoreError> {
-    run_general_broadcast_with_config(network, payload, scheduler, ExecutionConfig::default())
+    let protocol = GeneralBroadcast::new(payload);
+    let result = run(network, &protocol, scheduler, ExecutionConfig::default());
+    report_from_run(network, result)
 }
 
-/// [`run_general_broadcast`] with an explicit engine configuration.
+/// Distils a finished broadcast run into a [`BroadcastReport`].
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::BudgetExhausted`] if the delivery budget ran out.
-pub fn run_general_broadcast_with_config(
+fn report_from_run<M>(
     network: &Network,
-    payload: Payload,
-    scheduler: &mut (impl Scheduler + ?Sized),
-    config: ExecutionConfig,
+    result: RunResult<GeneralState, M>,
 ) -> Result<BroadcastReport, CoreError> {
-    let protocol = GeneralBroadcast::new(payload);
-    let result = run(network, &protocol, scheduler, config);
     if result.outcome == anet_sim::Outcome::BudgetExhausted {
         return Err(CoreError::BudgetExhausted);
     }
@@ -640,8 +638,9 @@ mod tests {
             max_deliveries: 1,
             record_trace: false,
         };
-        let err = run_general_broadcast_with_config(&net, Payload::empty(), &mut fifo(), config)
-            .unwrap_err();
+        let protocol = GeneralBroadcast::new(Payload::empty());
+        let result = run(&net, &protocol, &mut fifo(), config);
+        let err = report_from_run(&net, result).unwrap_err();
         assert_eq!(err, CoreError::BudgetExhausted);
     }
 }

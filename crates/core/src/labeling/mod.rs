@@ -242,21 +242,8 @@ pub fn run_labeling(
     network: &Network,
     scheduler: &mut (impl Scheduler + ?Sized),
 ) -> Result<LabelingReport, CoreError> {
-    run_labeling_with_config(network, scheduler, ExecutionConfig::default())
-}
-
-/// [`run_labeling`] with an explicit engine configuration.
-///
-/// # Errors
-///
-/// Returns [`CoreError::BudgetExhausted`] if the delivery budget ran out.
-pub fn run_labeling_with_config(
-    network: &Network,
-    scheduler: &mut (impl Scheduler + ?Sized),
-    config: ExecutionConfig,
-) -> Result<LabelingReport, CoreError> {
     let protocol = Labeling::new();
-    let result = run(network, &protocol, scheduler, config);
+    let result = run(network, &protocol, scheduler, ExecutionConfig::default());
     report_from_run(network, result)
 }
 

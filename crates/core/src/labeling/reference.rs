@@ -18,7 +18,7 @@ use anet_num::partition::canonical_partition_nonempty;
 use anet_num::{reference as num_reference, IntervalUnion};
 use anet_sim::engine::{run, ExecutionConfig};
 use anet_sim::scheduler::Scheduler;
-use anet_sim::{AnonymousProtocol, NodeContext};
+use anet_sim::{AnonymousProtocol, NodeContext, RefloodProtocol};
 
 use super::{LabelMessage, LabelingReport, LabelingState};
 use crate::{labeling, CoreError};
@@ -106,7 +106,8 @@ impl AnonymousProtocol for Labeling {
                     &num_reference::intersection(&message.alpha, routed),
                 );
             }
-            let mut fresh = message.alpha.deep_clone();
+            // Held mass (every α_j and the label) is overlap, never fresh.
+            let mut fresh = num_reference::difference(&message.alpha, &state.label);
             for routed in &state.mass.alpha {
                 fresh = num_reference::difference(&fresh, routed);
             }
@@ -144,6 +145,24 @@ impl AnonymousProtocol for Labeling {
         // Same O(1) predicate as the fast implementation: `absorbed` is the
         // sink-maintained `label ∪ β`.
         terminal_state.absorbed.is_unit()
+    }
+}
+
+impl RefloodProtocol for Labeling {
+    /// Re-sends `α_j` and `β` on every out-port `j` where either is
+    /// non-empty, each as its own deep clone.
+    fn reflood(&self, _ctx: &NodeContext, state: &LabelingState) -> Vec<(usize, LabelMessage)> {
+        let mut out = Vec::new();
+        for (j, alpha) in state.mass.alpha.iter().enumerate() {
+            if !alpha.is_empty() || !state.mass.beta.is_empty() {
+                let message = LabelMessage {
+                    alpha: alpha.deep_clone(),
+                    beta: state.mass.beta.deep_clone(),
+                };
+                out.push((j, message));
+            }
+        }
+        out
     }
 }
 

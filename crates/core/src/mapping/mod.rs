@@ -37,23 +37,25 @@
 //! time any vertex creates or learns it, and from then on the record travels as a
 //! dense `u32` [`RecordId`]:
 //!
-//! * `known` is an [`IdBag`] — an occupancy-chosen id set: the terminal
-//!   (which eventually absorbs every record) uses the dense bitset
-//!   representation, while internal vertices (which see only the records
-//!   flooded through them) use a sorted id vector, so per-vertex memory is
-//!   proportional to what the vertex actually knows rather than to the run's
-//!   whole record arena. A vertex with out-edges floods, in ascending id
-//!   order, exactly the ids its activation inserted into `known`: every
-//!   earlier activation flooded all it inserted, so these are the records
-//!   not yet sent (the reference's `known \ sent`), found in time
-//!   proportional to the activation's own inserts rather than by a difference
-//!   walking every record the vertex has ever seen;
+//! * `known` is an [`IdBag`], which sizes itself as it grows: a sorted id
+//!   vector while the ids it holds are sparse in the id space (a vertex deep
+//!   in a large tree knows a few records with large ids), a bitset once they
+//!   fill its words (the terminal, and any vertex that comes to know most
+//!   records, as on small cyclic networks), and never more than twice the
+//!   bytes of the sorted vector. A vertex with out-edges floods, in
+//!   ascending id order, exactly the ids its activation inserted into
+//!   `known`: every earlier activation flooded all it inserted, so these are
+//!   the records not yet sent (the reference's `known \ sent`), found in
+//!   time proportional to the activation's own inserts rather than by a
+//!   difference walking every record the vertex has ever seen;
 //! * flooded messages carry one [`SharedSlice<RecordId>`] shared by every
 //!   out-port (an `Arc` slice — cloning it per port or per trace event is O(1)),
 //!   instead of a `Vec<MapRecord>` deep-cloned per port;
 //! * ids are resolved back through the table only where the *values* matter: at
 //!   the terminal (to maintain its completeness view and to extract the
-//!   topology) and when a vertex first absorbs a record.
+//!   topology) and when a vertex first absorbs a record. A delivery whose ids
+//!   the vertex already knows, with no announcement to record and no label
+//!   claimed, interns and resolves nothing and never takes the table's lock.
 //!
 //! **Wire accounting is unchanged**: a [`RecordId`] is a run-local name, not
 //! something the paper's model lets a protocol transmit for free, so
@@ -66,9 +68,11 @@
 //!
 //! The terminal additionally maintains a [`TerminalView`]: an incrementally
 //! updated index of its `known` records (per-label port coverage counters, a
-//! root-edge flag, a dangling-destination counter and the running coverage
-//! union), so evaluating the stopping predicate is O(1) bookkeeping plus one
-//! coverage union — not the nested `iter().any` scans of the original.
+//! root-edge flag and a dangling-destination counter) and its running
+//! coverage `label ∪ β ∪ known labels`, which every delivery and every
+//! absorbed vertex record extends, as labeling's terminal keeps `absorbed`.
+//! Evaluating the stopping predicate is therefore O(1) — not the nested
+//! `iter().any` scans of the original.
 //!
 //! Labels themselves are interned too: the record table assigns every label
 //! interval a dense `u32` id and memoises each record's *shape* as a compact
@@ -83,8 +87,9 @@
 //! [`crate::mass`]; mapping's claim is part 0 of the first α, kept out of β.
 //! What rides along is this module's: a vertex floods the records its
 //! activation learned or created on every out-port, and announces its label
-//! on each out-port when it claims it. A bare β echo (no α, announcement or
-//! records) is answered before the record table's lock is taken, at sinks
+//! on each out-port when it claims it. A delivery that interns nothing (no
+//! new record id, no announcement to record, no label claimed) is answered
+//! like a bare β echo, before the record table's lock is taken, at sinks
 //! too.
 
 pub mod reference;
@@ -96,7 +101,7 @@ use anet_graph::{DiGraph, Network, NodeId};
 use anet_num::bits;
 use anet_num::intern::{IdBag, Interner};
 use anet_num::{Interval, IntervalUnion};
-use anet_sim::engine::{run, ExecutionConfig};
+use anet_sim::engine::{run, ExecutionConfig, RunResult};
 use anet_sim::metrics::RunMetrics;
 use anet_sim::scheduler::Scheduler;
 use anet_sim::{AnonymousProtocol, NodeContext, OutPort, RefloodProtocol, SharedSlice, Wire};
@@ -310,27 +315,20 @@ pub struct MappingMessage {
     /// Newly discovered cycle evidence (labelling core).
     pub beta: IntervalUnion,
     /// Edge-specific announcement, sent once per out-edge when the sender claims
-    /// its label (or by the root at start-up).
-    pub announce: Option<Announce>,
+    /// its label (or by the root at start-up). Boxed: only those messages
+    /// carry one, and every message is copied through the engine's buffers.
+    pub announce: Option<Box<Announce>>,
     /// Newly learned records being flooded, as interned ids. The slice's
     /// declared wire size is the full encoding of the named records.
     pub records: SharedSlice<RecordId>,
 }
 
+// Every send copies the message through the emit buffer and the arena.
+const _: () = assert!(std::mem::size_of::<MappingMessage>() <= 48);
+
 impl MappingMessage {
     fn no_records() -> SharedSlice<RecordId> {
         SharedSlice::empty(bits::elias_gamma_bits(0))
-    }
-
-    /// A message with no α and no announcement: the β increment `beta` and
-    /// the record batch `records`.
-    fn echo(beta: IntervalUnion, records: SharedSlice<RecordId>) -> Self {
-        MappingMessage {
-            alpha: IntervalUnion::empty(),
-            beta,
-            announce: None,
-            records,
-        }
     }
 }
 
@@ -339,7 +337,7 @@ impl Wire for MappingMessage {
         self.alpha.wire_bits()
             + self.beta.wire_bits()
             + 1
-            + self.announce.as_ref().map_or(0, Announce::wire_bits)
+            + self.announce.as_deref().map_or(0, Announce::wire_bits)
             + self.records.wire_bits()
     }
 }
@@ -363,8 +361,8 @@ struct VertexEntry {
 /// stopping predicate's structural conditions (root edge known, every known
 /// vertex's out-ports covered, no edge pointing at an unknown vertex) are O(1)
 /// flag checks instead of the nested `known.iter().any` scans of the original
-/// implementation, and the coverage union over known labels is accumulated as
-/// records arrive instead of being rebuilt per check.
+/// implementation, and the coverage is accumulated as deliveries and records
+/// arrive instead of being rebuilt per check.
 ///
 /// The counters rely on two protocol invariants: a label names exactly one
 /// vertex (labels are disjoint sub-intervals of `[0, 1)`), and each `(src,
@@ -383,8 +381,12 @@ pub struct TerminalView {
     /// first-use order by the record table, so the layout (though not any
     /// observable behaviour) depends only on the delivery order.
     vertices: Vec<VertexEntry>,
-    /// Union of every known vertex record's label.
-    records_coverage: IntervalUnion,
+    /// Coverage the terminal counts without a record to show for it: empty
+    /// unless a `StaleTerminal` corruption planted it.
+    stale_coverage: IntervalUnion,
+    /// The running `label ∪ β ∪ known labels ∪ stale_coverage` that
+    /// [`MappingState::map_complete`] tests.
+    coverage: IntervalUnion,
 }
 
 impl TerminalView {
@@ -409,7 +411,7 @@ impl TerminalView {
                 let resolved_dangling = entry.incoming;
                 self.missing_ports += newly_missing;
                 self.dangling_edges -= resolved_dangling;
-                self.records_coverage
+                self.coverage
                     .union_in_place(&IntervalUnion::from(table.label_interval(label).clone()));
             }
             RecordMeta::Edge { src, src_port, dst } => {
@@ -473,9 +475,8 @@ pub struct MappingState {
     pub mass: MassState,
     /// Whether any message was received.
     pub received: bool,
-    /// Ids of records this vertex knows about (flooded plus self-created).
-    /// Dense (bitset) at the terminal, which absorbs every record of the run;
-    /// sparse (sorted vector) everywhere else, so per-vertex memory scales
+    /// Ids of records this vertex knows about (flooded plus self-created),
+    /// in a bag that sizes itself by occupancy, so per-vertex memory scales
     /// with what the vertex actually saw, not with the run's record arena.
     /// A vertex with out-edges floods every id in the activation that inserts
     /// it, so its `known` is also exactly what it has sent.
@@ -490,8 +491,9 @@ pub struct MappingState {
     table: SharedRecordTable,
     /// The completeness index, maintained only where the stopping predicate can
     /// be evaluated: vertices with out-degree zero (the terminal, in any
-    /// network that can terminate).
-    terminal_view: Option<TerminalView>,
+    /// network that can terminate). Boxed, so the routing vertices, which
+    /// keep none, do not carry its size.
+    terminal_view: Option<Box<TerminalView>>,
 }
 
 impl MappingState {
@@ -512,10 +514,22 @@ impl MappingState {
         }
     }
 
+    /// Interns `record` and adds its id to `known`, and to `new_ids` (and the
+    /// terminal's index) if it is new here.
+    fn learn(&mut self, table: &mut RecordTable, record: &MapRecord, new_ids: &mut Vec<RecordId>) {
+        let id = table.intern(record);
+        if self.known.insert(id) {
+            new_ids.push(id);
+            if let Some(view) = self.terminal_view.as_mut() {
+                view.absorb(table.meta_of(id), table);
+            }
+        }
+    }
+
     /// The terminal's completeness index, if this vertex maintains one (it does
     /// exactly when its out-degree is zero).
     pub fn terminal_view(&self) -> Option<&TerminalView> {
-        self.terminal_view.as_ref()
+        self.terminal_view.as_deref()
     }
 
     /// The records this vertex knows, resolved through the table (sorted, so
@@ -531,36 +545,38 @@ impl MappingState {
         records
     }
 
-    /// The coverage the terminal checks: known labels ∪ own label ∪ β ∪ routed α.
+    /// Known labels ∪ own label ∪ β ∪ routed α (and what a stale terminal
+    /// claims), rebuilt from the known records: O(known), under the record
+    /// table's lock. At the terminal,
+    /// [`map_complete`](Self::map_complete) keeps the same union
+    /// incrementally.
     pub fn coverage(&self) -> IntervalUnion {
         let mut cov = self.label.union(&self.mass.beta);
         for routed in &self.mass.alpha {
             cov.union_in_place(routed);
         }
         if let Some(view) = &self.terminal_view {
-            cov.union_in_place(&view.records_coverage);
-        } else {
-            // Non-terminal vertices keep no index; resolve on demand (ids →
-            // memoised meta → label interval, no record resolution).
-            let table = self.table.lock().expect("record table lock poisoned");
-            for id in self.known.iter() {
-                if let RecordMeta::Vertex { label, .. } = table.meta_of(id) {
-                    cov.union_in_place(&IntervalUnion::from(table.label_interval(label).clone()));
-                }
+            cov.union_in_place(&view.stale_coverage);
+        }
+        // Ids → memoised meta → label interval, no record resolution.
+        let table = self.table.lock().expect("record table lock poisoned");
+        for id in self.known.iter() {
+            if let RecordMeta::Vertex { label, .. } = table.meta_of(id) {
+                cov.union_in_place(&IntervalUnion::from(table.label_interval(label).clone()));
             }
         }
         cov
     }
 
     /// The full termination condition evaluated by the terminal: the indexed
-    /// structural checks plus exact `[0, 1)` coverage.
+    /// structural checks plus exact `[0, 1)` coverage, both O(1).
     pub fn map_complete(&self) -> bool {
         let Some(view) = &self.terminal_view else {
             // A vertex with out-edges is not the terminal; the predicate is
             // never evaluated there, but answer honestly anyway.
             return false;
         };
-        view.structurally_complete() && self.coverage().is_unit()
+        view.structurally_complete() && view.coverage.is_unit()
     }
 }
 
@@ -570,11 +586,11 @@ impl MappingState {
 /// [record table](RecordId); every state a value creates holds a handle to its
 /// table. **`clone` shares the table** (it clones the `Arc`, not the arena) —
 /// fine for reusing one logical protocol, but independent concurrent runs
-/// should each get their own `Mapping::new()`, or every activation funnels
-/// through one `Mutex`. Reusing one value across several sequential runs (as
-/// [`anet_sim::runner::run_under_battery`] does) reuses the table — ids stay
-/// consistent and the arena simply accumulates, which is harmless because ids
-/// never leak between runs' `known` sets.
+/// should each get their own `Mapping::new()`, or every interning activation
+/// funnels through one `Mutex`. Reusing one value across several sequential
+/// runs (as [`anet_sim::runner::run_under_battery`] does) reuses the table —
+/// ids stay consistent and the arena simply accumulates, which is harmless
+/// because ids never leak between runs' `known` sets.
 #[derive(Debug, Clone, Default)]
 pub struct Mapping {
     table: SharedRecordTable,
@@ -614,18 +630,12 @@ impl AnonymousProtocol for Mapping {
             label: IntervalUnion::empty(),
             mass: MassState::new(ctx.out_degree),
             received: false,
-            // The terminal eventually knows every record: bitsets. Everyone
-            // else holds a small slice of the arena: sorted id vectors.
-            known: if ctx.out_degree == 0 {
-                IdBag::dense()
-            } else {
-                IdBag::sparse()
-            },
+            known: IdBag::new(),
             pending_announces: Vec::new(),
             in_degree: ctx.in_degree,
             out_degree: ctx.out_degree,
             table: Arc::clone(&self.table),
-            terminal_view: (ctx.out_degree == 0).then(TerminalView::default),
+            terminal_view: (ctx.out_degree == 0).then(Box::default),
         }
     }
 
@@ -635,10 +645,10 @@ impl AnonymousProtocol for Mapping {
             MappingMessage {
                 alpha: IntervalUnion::unit(),
                 beta: IntervalUnion::empty(),
-                announce: Some(Announce {
+                announce: Some(Box::new(Announce {
                     src: VertexRef::Root,
                     src_port: 0,
-                }),
+                })),
                 records: MappingMessage::no_records(),
             },
         )]
@@ -658,67 +668,76 @@ impl AnonymousProtocol for Mapping {
         //    routes the mass, claiming part 0 of its first α as its label.
         let was_labeled = state.is_labeled();
         let routed = if d == 0 {
-            state.label.union_in_place(&message.alpha);
-            state.mass.beta.union_in_place(&message.beta);
+            // The view's coverage holds `label ∪ β`, so only what grows
+            // either can grow it.
+            let grew_label = state.label.union_in_place(&message.alpha);
+            let grew_beta = state.mass.beta.union_in_place(&message.beta);
+            if let Some(view) = state.terminal_view.as_mut() {
+                if grew_label {
+                    view.coverage.union_in_place(&message.alpha);
+                }
+                if grew_beta {
+                    view.coverage.union_in_place(&message.beta);
+                }
+            }
             None
         } else {
             let claim = Claim::OutOfBeta(&mut state.label);
             Some(route(&mut state.mass, claim, &message.alpha, &message.beta))
         };
-        if message.alpha.is_empty() && message.announce.is_none() && message.records.is_empty() {
-            // A bare β echo cannot touch the record table, so it ends
-            // before the table's lock.
+        let just_labeled = d > 0 && !was_labeled && state.is_labeled();
+
+        // 2. Absorb flooded records: `known` alone tells the new ids.
+        let mut new_ids: Vec<RecordId> = Vec::new();
+        for &id in message.records.items() {
+            if state.known.insert(id) {
+                new_ids.push(id);
+            }
+        }
+
+        // 3. An announcement becomes an edge record once this vertex has a
+        //    label (a sink is always `Sink`); until then it waits.
+        let announce = match message.announce.as_deref() {
+            Some(waiting) if d > 0 && !state.is_labeled() => {
+                state.pending_announces.push(waiting.clone());
+                None
+            }
+            announce => announce,
+        };
+
+        if new_ids.is_empty() && announce.is_none() && !just_labeled {
+            // Nothing to intern or resolve: the delivery ends like a bare β
+            // echo, before the record table's lock.
             if let Some(routed) = routed {
-                routed.emit(false, out, |_, _, beta| {
-                    MappingMessage::echo(beta, MappingMessage::no_records())
+                routed.emit(false, out, |_, alpha, beta| MappingMessage {
+                    alpha,
+                    beta,
+                    announce: None,
+                    records: MappingMessage::no_records(),
                 });
             }
             return;
         }
-        // One table lock per activation covers absorption, record creation and
-        // message composition.
+        // One table lock per interning activation covers absorption, record
+        // creation and message composition.
         let mut table = self.table.lock().expect("record table lock poisoned");
-
-        // Ids this activation inserts into `known`: the batch to flood.
-        let mut new_ids: Vec<RecordId> = Vec::new();
-
-        // 2. Absorb flooded records — id inserts; only the memoised meta (and
-        //    per label, once, its interval) is consulted if this vertex
-        //    maintains the terminal index.
-        for &id in message.records.items() {
-            if state.known.insert(id) {
-                new_ids.push(id);
-                if let Some(view) = state.terminal_view.as_mut() {
-                    view.absorb(table.meta_of(id), &table);
-                }
+        if let Some(view) = state.terminal_view.as_mut() {
+            for &id in &new_ids {
+                view.absorb(table.meta_of(id), &table);
             }
         }
-
-        let just_labeled = !was_labeled && state.is_labeled();
-
-        // 3. Handle the edge announcement carried by this message.
-        if let Some(announce) = &message.announce {
-            if state.is_labeled() || d == 0 {
-                let record = MapRecord::Edge {
-                    src: announce.src.clone(),
-                    src_port: announce.src_port,
-                    dst: state.own_ref(),
-                };
-                let id = table.intern(&record);
-                if state.known.insert(id) {
-                    new_ids.push(id);
-                    if let Some(view) = state.terminal_view.as_mut() {
-                        view.absorb(table.meta_of(id), &table);
-                    }
-                }
-            } else {
-                state.pending_announces.push(announce.clone());
-            }
+        if let Some(announce) = announce {
+            let record = MapRecord::Edge {
+                src: announce.src.clone(),
+                src_port: announce.src_port,
+                dst: state.own_ref(),
+            };
+            state.learn(&mut table, &record, &mut new_ids);
         }
 
         // 4. On claiming a label: publish the vertex record, convert buffered
         //    announcements, and prepare to announce on every out-port.
-        if just_labeled && d > 0 {
+        if just_labeled {
             let own_label = state
                 .label
                 .first_interval()
@@ -728,21 +747,14 @@ impl AnonymousProtocol for Mapping {
                 in_degree: ctx.in_degree,
                 out_degree: d,
             };
-            let id = table.intern(&record);
-            if state.known.insert(id) {
-                new_ids.push(id);
-            }
-            let pending = std::mem::take(&mut state.pending_announces);
-            for announce in pending {
+            state.learn(&mut table, &record, &mut new_ids);
+            for announce in std::mem::take(&mut state.pending_announces) {
                 let record = MapRecord::Edge {
                     src: announce.src,
                     src_port: announce.src_port,
                     dst: state.own_ref(),
                 };
-                let id = table.intern(&record);
-                if state.known.insert(id) {
-                    new_ids.push(id);
-                }
+                state.learn(&mut table, &record, &mut new_ids);
             }
         }
 
@@ -766,10 +778,10 @@ impl AnonymousProtocol for Mapping {
             alpha,
             beta,
             announce: match (port, &own) {
-                (OutPort::Port(j), Some(src)) => Some(Announce {
+                (OutPort::Port(j), Some(src)) => Some(Box::new(Announce {
                     src: src.clone(),
                     src_port: j,
-                }),
+                })),
                 _ => None,
             },
             records: records.clone(),
@@ -805,7 +817,9 @@ impl RefloodProtocol for Mapping {
         state.mass.frontier(rides, |j, alpha, beta| MappingMessage {
             alpha,
             beta,
-            announce: own.clone().map(|src| Announce { src, src_port: j }),
+            announce: own
+                .clone()
+                .map(|src| Box::new(Announce { src, src_port: j })),
             records: records.clone(),
         })
     }
@@ -1016,7 +1030,7 @@ impl ReconstructedTopology {
 ///   but lost the label and the α routing state the flag guards; the one-time
 ///   partition step never re-runs, announcements buffer forever.
 /// * `StaleTerminal` — the terminal's [`TerminalView`] starts claiming the
-///   root edge and `[0, 1/2)` of records coverage it never received, so
+///   root edge and `[0, 1/2)` of coverage it never received, so
 ///   [`MappingState::map_complete`] can accept on fabricated evidence.
 ///
 /// All corruptions stay inside the protocol's representable envelope — no
@@ -1052,7 +1066,8 @@ pub fn corrupt_mapping_states(
                 .as_mut()
                 .expect("the terminal has out-degree zero and keeps a view");
             view.root_edge_known = true;
-            view.records_coverage = crate::corruption::stale_half();
+            view.stale_coverage = crate::corruption::stale_half();
+            view.coverage.union_in_place(&view.stale_coverage);
         }
     }
 }
@@ -1120,21 +1135,20 @@ pub fn run_mapping(
     network: &Network,
     scheduler: &mut (impl Scheduler + ?Sized),
 ) -> Result<MappingReport, CoreError> {
-    run_mapping_with_config(network, scheduler, ExecutionConfig::default())
+    let protocol = Mapping::new();
+    let result = run(network, &protocol, scheduler, ExecutionConfig::default());
+    report_from_run(network, result)
 }
 
-/// [`run_mapping`] with an explicit engine configuration.
+/// Distils a finished mapping run into a [`MappingReport`].
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::BudgetExhausted`] if the delivery budget ran out.
-pub fn run_mapping_with_config(
+fn report_from_run<M>(
     network: &Network,
-    scheduler: &mut (impl Scheduler + ?Sized),
-    config: ExecutionConfig,
+    result: RunResult<MappingState, M>,
 ) -> Result<MappingReport, CoreError> {
-    let protocol = Mapping::new();
-    let result = run(network, &protocol, scheduler, config);
     if result.outcome == anet_sim::Outcome::BudgetExhausted {
         return Err(CoreError::BudgetExhausted);
     }
@@ -1155,12 +1169,14 @@ pub fn run_mapping_with_config(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corruption::StateCorruption;
     use anet_graph::generators::{
         chain_gn, complete_dag, cycle_with_tail, diamond_stack, full_grounded_tree, nested_cycles,
         path_network, random_cyclic, random_dag, star_network, with_stranded_vertex,
     };
+    use anet_sim::run_corrupted;
     use anet_sim::runner::run_under_battery;
-    use anet_sim::scheduler::FifoScheduler;
+    use anet_sim::scheduler::{standard_battery, FifoScheduler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1328,7 +1344,12 @@ mod tests {
     }
 
     fn echo(beta: IntervalUnion) -> MappingMessage {
-        MappingMessage::echo(beta, MappingMessage::no_records())
+        MappingMessage {
+            alpha: IntervalUnion::empty(),
+            beta,
+            announce: None,
+            records: MappingMessage::no_records(),
+        }
     }
 
     /// A vertex of in-degree 1 and out-degree 2 that took its label from a
@@ -1340,10 +1361,10 @@ mod tests {
         let first = MappingMessage {
             alpha: half(0),
             beta: half(1),
-            announce: Some(Announce {
+            announce: Some(Box::new(Announce {
                 src: VertexRef::Root,
                 src_port: 0,
-            }),
+            })),
             records: MappingMessage::no_records(),
         };
         let mut out = Vec::new();
@@ -1416,7 +1437,7 @@ mod tests {
                 src: state.own_ref(),
                 src_port: j,
             };
-            assert_eq!(message.announce, Some(announce));
+            assert_eq!(message.announce.as_deref(), Some(&announce));
             assert_eq!(protocol.resolve_records(message.records.items()), known);
             assert_eq!(message.records.encoded_bits(), known_bits);
         }
@@ -1432,10 +1453,18 @@ mod tests {
 
     /// A bare β echo of held evidence emits nothing, changes nothing and
     /// never takes the record table's lock: it still returns with the lock
-    /// poisoned, which makes every locking path panic.
+    /// poisoned, which makes every locking path panic. Neither does any other
+    /// delivery that interns nothing: a batch of records the vertex knows,
+    /// or later α with no records.
     #[test]
     fn beta_echo_of_held_evidence_is_silent_and_lock_free() {
         let (protocol, ctx, mut state) = labeled_vertex();
+        let known_ids: Vec<RecordId> = state.known.iter().collect();
+        let known_bits = {
+            let table = protocol.table.lock().unwrap();
+            bits::elias_gamma_bits(known_ids.len() as u64)
+                + known_ids.iter().map(|&id| table.bits_of(id)).sum::<u64>()
+        };
         let table = Arc::clone(&protocol.table);
         let _ = std::thread::spawn(move || {
             let _guard = table.lock().unwrap();
@@ -1454,6 +1483,33 @@ mod tests {
             assert!(out.is_empty(), "an echo of held β was forwarded");
             assert_eq!(snapshot(&state), before);
         }
+        // Records the vertex knows, with held β: silent and unchanged.
+        let known = SharedSlice::new(known_ids, known_bits);
+        let before = snapshot(&state);
+        let repeated = MappingMessage {
+            records: known.clone(),
+            ..echo(state.mass.beta.clone())
+        };
+        protocol.on_receive_into(&ctx, &mut state, 0, &repeated, &mut out);
+        assert!(out.is_empty(), "known records were flooded again");
+        assert_eq!(snapshot(&state), before);
+        // Later α outside the held mass is fresh: it goes to the last port,
+        // with no β increment, announcement or records.
+        let fresh = IntervalUnion::from(Interval::from_dyadic_parts(3, 4, 2).unwrap());
+        let later = MappingMessage {
+            alpha: fresh.clone(),
+            records: known,
+            ..echo(state.mass.beta.clone())
+        };
+        protocol.on_receive_into(&ctx, &mut state, 0, &later, &mut out);
+        let onward = MappingMessage {
+            alpha: fresh.clone(),
+            ..echo(IntervalUnion::empty())
+        };
+        assert_eq!(out, vec![(OutPort::Port(1), onward)]);
+        assert_eq!(state.mass.alpha[1], before.1[1].union(&fresh));
+        assert_eq!(state.known.iter().collect::<Vec<_>>(), before.3);
+        out.clear();
         // New β is flooded, once for every out-port, still without the
         // table: the part the vertex lacks, and the sender's own buffer when
         // it holds none.
@@ -1480,7 +1536,7 @@ mod tests {
         };
         let known_before = state.known.len();
         let message = MappingMessage {
-            announce: Some(announce.clone()),
+            announce: Some(Box::new(announce.clone())),
             ..echo(state.mass.beta.clone())
         };
         protocol.on_receive_into(&ctx, &mut state, 0, &message, &mut out);
@@ -1525,6 +1581,80 @@ mod tests {
         protocol.on_receive_into(&ctx, &mut state, 0, &carried, &mut out);
         assert!(out.is_empty());
         assert_eq!(snapshot(&state), before);
+    }
+
+    /// [`Mapping`], checking after every delivery to a vertex with a
+    /// terminal view that the coverage it keeps incrementally is the one
+    /// rebuilt from its parts.
+    struct CoverageChecked(Mapping);
+
+    impl AnonymousProtocol for CoverageChecked {
+        type State = MappingState;
+        type Message = MappingMessage;
+
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn initial_state(&self, ctx: &NodeContext) -> MappingState {
+            self.0.initial_state(ctx)
+        }
+
+        fn root_messages(&self, root_out_degree: usize) -> Vec<(usize, MappingMessage)> {
+            self.0.root_messages(root_out_degree)
+        }
+
+        fn on_receive_into(
+            &self,
+            ctx: &NodeContext,
+            state: &mut MappingState,
+            in_port: usize,
+            message: &MappingMessage,
+            out: &mut Vec<(OutPort, MappingMessage)>,
+        ) {
+            self.0.on_receive_into(ctx, state, in_port, message, out);
+            if let Some(view) = state.terminal_view() {
+                let coverage = state.coverage();
+                assert_eq!(
+                    state.map_complete(),
+                    view.structurally_complete() && coverage.is_unit()
+                );
+                assert_eq!(view.coverage, coverage);
+            }
+        }
+
+        fn should_terminate(&self, terminal_state: &MappingState) -> bool {
+            self.0.should_terminate(terminal_state)
+        }
+    }
+
+    #[test]
+    fn map_complete_agrees_with_the_rebuilt_coverage_after_every_delivery() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let nets = [
+            cycle_with_tail(6).unwrap(),
+            random_cyclic(&mut rng, 12, 0.2, 0.2).unwrap(),
+        ];
+        for net in &nets {
+            for stale in [false, true] {
+                for mut scheduler in standard_battery(67, 3) {
+                    let protocol = CoverageChecked(Mapping::new());
+                    let config = ExecutionConfig::default();
+                    let result =
+                        run_corrupted(net, &protocol, scheduler.as_mut(), config, |states| {
+                            if stale {
+                                corrupt_mapping_states(
+                                    &StateCorruption::StaleTerminal,
+                                    net,
+                                    states,
+                                );
+                            }
+                        });
+                    assert!(stale || result.outcome.terminated());
+                    assert!(result.metrics.messages_delivered > 0);
+                }
+            }
+        }
     }
 
     #[test]

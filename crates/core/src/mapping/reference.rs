@@ -25,9 +25,10 @@ use anet_num::partition::canonical_partition_nonempty;
 use anet_num::{Interval, IntervalUnion};
 use anet_sim::engine::{run, ExecutionConfig};
 use anet_sim::scheduler::Scheduler;
-use anet_sim::{AnonymousProtocol, NodeContext, Wire};
+use anet_sim::{AnonymousProtocol, NodeContext, RefloodProtocol, Wire};
 
 use super::{Announce, MapRecord, MappingReport, ReconstructedTopology, VertexRef};
+use crate::corruption::StateCorruption;
 use crate::CoreError;
 
 /// A message of the reference mapping protocol: records travel as owned values.
@@ -78,6 +79,12 @@ pub struct MappingState {
     pub in_degree: usize,
     /// See [`MappingState::in_degree`].
     pub out_degree: usize,
+    /// Coverage the terminal counts without a record to show for it: empty
+    /// unless a `StaleTerminal` corruption planted it.
+    pub stale_coverage: IntervalUnion,
+    /// Whether the terminal counts the root edge as known without its
+    /// record (a `StaleTerminal` corruption).
+    pub stale_root_edge: bool,
 }
 
 impl MappingState {
@@ -101,6 +108,7 @@ impl MappingState {
     /// The coverage the terminal checks: known labels ∪ own label ∪ β ∪ routed α.
     pub fn coverage(&self) -> IntervalUnion {
         let mut cov = self.label.union(&self.beta);
+        cov.union_in_place(&self.stale_coverage);
         for routed in &self.alpha {
             cov.union_in_place(routed);
         }
@@ -122,7 +130,7 @@ impl MappingState {
         if !self.coverage().is_unit() {
             return false;
         }
-        let mut root_edge_known = false;
+        let mut root_edge_known = self.stale_root_edge;
         let mut vertex_out: HashMap<&Interval, usize> = HashMap::new();
         let mut ports: HashSet<(&Interval, usize)> = HashSet::new();
         for record in &self.known {
@@ -202,6 +210,8 @@ impl AnonymousProtocol for Mapping {
             pending_announces: Vec::new(),
             in_degree: ctx.in_degree,
             out_degree: ctx.out_degree,
+            stale_coverage: IntervalUnion::empty(),
+            stale_root_edge: false,
         }
     }
 
@@ -265,7 +275,9 @@ impl AnonymousProtocol for Mapping {
             for routed in &state.alpha {
                 overlap.union_in_place(&message.alpha.intersection(routed));
             }
+            // Held mass (every α_j and the label) is overlap, never fresh.
             let mut fresh = message.alpha.clone();
+            fresh.subtract_assign(&state.label);
             for routed in &state.alpha[..d - 1] {
                 fresh.subtract_assign(routed);
             }
@@ -354,6 +366,73 @@ impl AnonymousProtocol for Mapping {
 
     fn should_terminate(&self, terminal_state: &MappingState) -> bool {
         terminal_state.map_complete()
+    }
+}
+
+impl RefloodProtocol for Mapping {
+    /// Re-sends, on every out-port `j`, `α_j`, `β`, the label's announcement
+    /// (once labelled) and every record the vertex has sent; a port with
+    /// none of these stays silent, and so does a sink.
+    fn reflood(&self, ctx: &NodeContext, state: &MappingState) -> Vec<(usize, MappingMessage)> {
+        if ctx.out_degree == 0 {
+            return Vec::new();
+        }
+        let records: Vec<MapRecord> = state.sent.iter().cloned().collect();
+        let mut out = Vec::new();
+        for (j, alpha) in state.alpha.iter().enumerate() {
+            let announce = state.is_labeled().then(|| Announce {
+                src: state.own_ref(),
+                src_port: j,
+            });
+            if !alpha.is_empty()
+                || !state.beta.is_empty()
+                || announce.is_some()
+                || !records.is_empty()
+            {
+                out.push((
+                    j,
+                    MappingMessage {
+                        alpha: alpha.clone(),
+                        beta: state.beta.clone(),
+                        announce,
+                        records: records.clone(),
+                    },
+                ));
+            }
+        }
+        out
+    }
+}
+
+/// [`super::corrupt_mapping_states`] in the reference's state space: the
+/// same labels, flags and stale terminal evidence.
+pub fn corrupt_mapping_states(
+    corruption: &StateCorruption,
+    network: &Network,
+    states: &mut [MappingState],
+) {
+    match corruption {
+        StateCorruption::ScrambledLabels { seed } => {
+            let labels = crate::corruption::scrambled_labels(network.internal_count(), *seed);
+            for (node, label) in network.internal_nodes().zip(labels) {
+                let state = &mut states[node.index()];
+                state.label = label;
+                state.partitioned = true;
+                state.received = true;
+            }
+        }
+        StateCorruption::LostPartition => {
+            for node in network.internal_nodes() {
+                let state = &mut states[node.index()];
+                state.partitioned = true;
+                state.received = true;
+            }
+        }
+        StateCorruption::StaleTerminal => {
+            let terminal = &mut states[network.terminal().index()];
+            terminal.stale_root_edge = true;
+            terminal.stale_coverage = crate::corruption::stale_half();
+        }
     }
 }
 

@@ -54,9 +54,10 @@
 //! retained `reference` modules still emit per port, so their differential
 //! suites check each flood against its per-port form.
 //!
-//! In mapping, a *bare* echo (no α, announcement or records) cannot touch
-//! the record table, so the protocol answers it before taking the table's
-//! lock, at sinks too.
+//! In mapping, a delivery that interns nothing (no record id the vertex
+//! lacks, no announcement to record, no label claimed) cannot touch the
+//! record table, so the protocol answers it before taking the table's lock,
+//! at sinks too.
 //!
 //! [`general_broadcast`]: crate::general_broadcast
 //! [`labeling`]: crate::labeling

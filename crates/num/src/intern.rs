@@ -15,8 +15,9 @@
 //!   bulk [`union_with`](IdSet::union_with) is provision for the protocols
 //!   named in the ROADMAP follow-up (`labeling`/`general_broadcast`), which
 //!   merge whole sets.
-//! * [`IdBag`] — an id set whose representation (sorted vector or bitset) is
-//!   chosen by expected occupancy.
+//! * [`IdBag`] — an id set that switches between a sorted vector and a
+//!   bitset by occupancy as it grows, never storing more than twice the
+//!   vector's bytes.
 //!
 //! # Invariants
 //!
@@ -176,8 +177,8 @@ impl IdSet {
 
     /// Creates an empty set with room for ids `0..capacity` pre-allocated.
     /// Provision for callers that know their interner's size up front (the
-    /// mapping protocol's sets start empty and grow with the flood, so it uses
-    /// [`new`](Self::new)).
+    /// mapping protocol's [`IdBag`]s size their bitset by the largest id they
+    /// hold when they switch to one).
     pub fn with_capacity(capacity: usize) -> Self {
         IdSet {
             words: Vec::with_capacity(capacity.div_ceil(64)),
@@ -239,13 +240,41 @@ impl IdSet {
 
     /// Iterates the ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            std::iter::successors((word != 0).then_some(word), |&x| {
-                let rest = x & (x - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |x| w as u32 * 64 + x.trailing_zeros())
-        })
+        Bits::new(&self.words)
+    }
+}
+
+/// The ids of a bitset's words, in ascending order.
+struct Bits<'a> {
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    /// Index of the word `rest` came from.
+    word: usize,
+    /// The bits of that word not yet yielded.
+    rest: u64,
+}
+
+impl<'a> Bits<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        Bits {
+            words: words.iter().enumerate(),
+            word: 0,
+            rest: 0,
+        }
+    }
+}
+
+impl Iterator for Bits<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.rest == 0 {
+            let (word, &bits) = self.words.next()?;
+            self.word = word;
+            self.rest = bits;
+        }
+        let bit = self.rest.trailing_zeros();
+        self.rest &= self.rest - 1;
+        Some(self.word as u32 * 64 + bit)
     }
 }
 
@@ -276,55 +305,113 @@ impl FromIterator<u32> for IdSet {
     }
 }
 
-/// An id set with a representation chosen by expected occupancy.
+/// An id set that sizes its representation by occupancy as it grows.
 ///
-/// A plain [`IdSet`] occupies `⌈max_id / 64⌉` words *regardless of how many
-/// ids it holds*. That is perfect for a set that will eventually hold most of
-/// an interner's ids (the mapping terminal's `known`), and catastrophic for a
-/// set that holds a handful of ids drawn from a huge id space — at
-/// n = 10⁵ nodes, per-vertex bitsets over a ~10⁶-record interner would cost
-/// gigabytes. `IdBag` lets each owner pick at construction time:
+/// A plain [`IdSet`] occupies `⌈(max id + 1) / 64⌉` words *regardless of how
+/// many ids it holds*. That is perfect for a set that holds most of an id
+/// range, and catastrophic for a handful of ids drawn from a huge id space:
+/// at n = 10⁵ nodes, per-vertex bitsets over a ~10⁶-record interner would
+/// cost gigabytes. An `IdBag` chooses as it grows:
 ///
-/// * [`IdBag::sparse`] — a sorted `Vec<u32>`: O(ids held) memory, O(log n)
-///   lookup, O(n) insert (fine for the small sets internal vertices hold);
-/// * [`IdBag::dense`] — a plain [`IdSet`]: O(max id) memory, O(1) everything
-///   (the terminal, which absorbs every record in the run).
+/// * a sorted `Vec<u32>` (4 bytes an id, O(log n) lookup, O(n) insert) while
+///   its ids are sparse;
+/// * an [`IdSet`] (O(1) insert and lookup) from the insert after which it
+///   holds eight ids or more and the bitset's words would take no more
+///   bytes than the vector (one word per two ids), for as long as they take
+///   at most twice as many (one word per id held);
+/// * a sorted vector again when an outlying id would grow the bitset past
+///   that bound.
 ///
-/// All operations observe **identical semantics** in both representations —
-/// `insert` reports a new id identically and `iter` yields ascending ids in
-/// both — so a protocol switching a state field from `IdSet` to `IdBag`
-/// produces bit-identical message batches. Equality is logical
+/// So a bag never stores more than twice the bytes of its sorted vector
+/// ([`storage_bytes`](Self::storage_bytes)). A switch costs O(len), and
+/// between a switch to the vector and the next switch back the bag more than
+/// doubles, so switching adds amortised O(1) per insert.
+///
+/// Both representations observe **identical semantics** — `insert` reports
+/// a new id identically and `iter` yields ascending ids in both — so no
+/// caller can tell which one holds its ids. Equality is logical
 /// (representation-blind).
+///
+/// # Example
+///
+/// ```
+/// use anet_num::intern::IdBag;
+///
+/// let mut known = IdBag::new();
+/// for id in (0..16).rev() {
+///     assert!(known.insert(id));
+/// }
+/// assert!(matches!(known, IdBag::Dense(_))); // sixteen ids in one word
+/// assert!(!known.insert(3));
+/// assert!(known.insert(1 << 20)); // an outlier: back to a sorted vector
+/// assert!(matches!(known, IdBag::Sparse(_)) && known.contains(1 << 20));
+/// assert_eq!(known.iter().last(), Some(1 << 20));
+/// ```
 #[derive(Debug, Clone)]
 pub enum IdBag {
     /// Sorted vector of ids — memory proportional to the ids actually held.
     Sparse(Vec<u32>),
-    /// Bitset over the id space — memory proportional to the largest id.
+    /// Bitset over the id space, holding at least one id per word.
     Dense(IdSet),
 }
 
-impl IdBag {
-    /// An empty bag in the sorted-vector representation.
-    pub fn sparse() -> Self {
+impl Default for IdBag {
+    fn default() -> Self {
         IdBag::Sparse(Vec::new())
     }
+}
 
-    /// An empty bag in the bitset representation.
-    pub fn dense() -> Self {
-        IdBag::Dense(IdSet::new())
+/// The fewest ids an [`IdBag`] holds as a bitset. A shorter sorted vector is
+/// as quick to search as a bit test, and a bag that switched at two ids
+/// would often switch straight back: a vertex deep in a tree learns the
+/// run's first few records (ids 0, 1, …) before its ancestors' larger ones,
+/// and would pay two allocations for nothing.
+const MIN_DENSE_LEN: usize = 8;
+
+impl IdBag {
+    /// An empty bag.
+    pub fn new() -> Self {
+        IdBag::default()
     }
 
-    /// Inserts `id`; returns whether it was newly inserted.
+    /// Inserts `id`; returns whether it was newly inserted. Switches the
+    /// representation when the bag's occupancy calls for it (see the
+    /// [type docs](Self)).
     pub fn insert(&mut self, id: u32) -> bool {
         match self {
-            IdBag::Sparse(ids) => match ids.binary_search(&id) {
-                Ok(_) => false,
-                Err(pos) => {
-                    ids.insert(pos, id);
-                    true
+            IdBag::Dense(set) => {
+                let word = id as usize / 64;
+                // Past the last word, the bitset grows to `word + 1` words for
+                // `len + 1` ids: at most one word per id, or back to a vector.
+                if word >= set.words.len() && word > set.len {
+                    // Collected by doubling, as a vector that had only ever
+                    // been one would have grown: an exact fit would double on
+                    // its next insert.
+                    let mut ids: Vec<u32> = set.iter().collect();
+                    ids.push(id);
+                    *self = IdBag::Sparse(ids);
+                    return true;
                 }
-            },
-            IdBag::Dense(set) => set.insert(id),
+                set.insert(id)
+            }
+            IdBag::Sparse(ids) => {
+                let Err(pos) = ids.binary_search(&id) else {
+                    return false;
+                };
+                ids.insert(pos, id);
+                let words = *ids.last().expect("just inserted") as usize / 64 + 1;
+                if ids.len() >= MIN_DENSE_LEN && 2 * words <= ids.len() {
+                    let mut set = IdSet {
+                        words: vec![0; words],
+                        len: 0,
+                    };
+                    for &id in ids.iter() {
+                        set.insert(id);
+                    }
+                    *self = IdBag::Dense(set);
+                }
+                true
+            }
         }
     }
 
@@ -349,12 +436,23 @@ impl IdBag {
         self.len() == 0
     }
 
-    /// Iterates the ids in ascending order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = u32> + '_> {
+    /// Bytes the representation stores, allocation slack aside: 4 per id as
+    /// a sorted vector, 8 per word as a bitset. Never more than
+    /// `8 * len()`, twice the sorted vector's.
+    pub fn storage_bytes(&self) -> usize {
         match self {
-            IdBag::Sparse(ids) => Box::new(ids.iter().copied()),
-            IdBag::Dense(set) => Box::new(set.iter()),
+            IdBag::Sparse(ids) => 4 * ids.len(),
+            IdBag::Dense(set) => 8 * set.words.len(),
         }
+    }
+
+    /// Iterates the ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let (sparse, dense): (&[u32], &[u64]) = match self {
+            IdBag::Sparse(ids) => (ids, &[]),
+            IdBag::Dense(set) => (&[], &set.words),
+        };
+        sparse.iter().copied().chain(Bits::new(dense))
     }
 }
 
@@ -448,12 +546,12 @@ mod tests {
         assert_eq!(u, v);
     }
 
-    fn bag_from(ids: &[u32], dense: bool) -> IdBag {
-        let mut bag = if dense {
-            IdBag::dense()
-        } else {
-            IdBag::sparse()
-        };
+    fn is_dense(bag: &IdBag) -> bool {
+        matches!(bag, IdBag::Dense(_))
+    }
+
+    fn bag_from(ids: &[u32]) -> IdBag {
+        let mut bag = IdBag::new();
         for &id in ids {
             bag.insert(id);
         }
@@ -462,18 +560,76 @@ mod tests {
 
     #[test]
     fn idbag_representations_agree_on_basic_ops() {
+        // {5, 64, 900} is sparse (15 words for 3 ids); the same ids plus
+        // 0..60 fill the words densely enough for a bitset.
+        let filler: Vec<u32> = (0..60).collect();
         for dense in [false, true] {
-            let mut bag = bag_from(&[5, 900, 5, 64], dense);
-            assert_eq!(bag.len(), 3);
-            assert!(bag.contains(900) && bag.contains(5) && !bag.contains(6));
+            let extra = if dense { &filler[..] } else { &[] };
+            let mut bag = bag_from(&[&[5, 900, 5, 64], extra].concat());
+            let mut expected: Vec<u32> = [&[5, 64, 900], extra].concat();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(is_dense(&bag), dense);
+            assert_eq!(bag.len(), expected.len());
+            assert!(bag.contains(900) && bag.contains(5) && !bag.contains(901));
             assert!(!bag.insert(64));
             assert!(bag.insert(63));
-            assert_eq!(bag.iter().collect::<Vec<_>>(), vec![5, 63, 64, 900]);
+            expected.insert(expected.binary_search(&63).unwrap_err(), 63);
+            assert_eq!(bag.iter().collect::<Vec<_>>(), expected);
+            assert_eq!(is_dense(&bag), dense);
             assert!(!bag.is_empty());
         }
-        assert!(IdBag::sparse().is_empty());
-        // Logical equality crosses representations.
-        assert_eq!(bag_from(&[1, 2, 130], false), bag_from(&[130, 1, 2], true));
-        assert_ne!(bag_from(&[1, 2], false), bag_from(&[1, 3], true));
+        assert!(IdBag::new().is_empty());
+        // Logical equality crosses representations: 0..16 then 640 is a
+        // bitset of 11 words for 17 ids, while 640 first never gives the
+        // vector's 17 ids the 22 a bitset of 11 words would need.
+        let ascending: Vec<u32> = (0..16).chain([640]).collect();
+        let outlier_first: Vec<u32> = [640].into_iter().chain(0..16).collect();
+        let (dense, sparse) = (bag_from(&ascending), bag_from(&outlier_first));
+        assert!(is_dense(&dense) && !is_dense(&sparse));
+        assert_eq!(sparse, dense);
+        assert_ne!(bag_from(&ascending[..16]), sparse);
+        assert_ne!(bag_from(&[1, 2]), bag_from(&[1, 3]));
+    }
+
+    #[test]
+    fn idbag_switches_to_a_bitset_and_back_by_occupancy() {
+        let min = MIN_DENSE_LEN as u32;
+        let mut bag = IdBag::new();
+        for id in 0..min - 1 {
+            assert!(bag.insert(id));
+            assert!(!is_dense(&bag), "{} ids stay a vector", bag.len());
+        }
+        assert!(bag.insert(min - 1));
+        assert!(is_dense(&bag), "{min} ids in one word");
+        assert_eq!(bag.storage_bytes(), 8);
+        // Growing the bitset to one word per id is allowed…
+        assert!(bag.insert(min * 64));
+        assert!(is_dense(&bag), "{} ids in {} words", min + 1, min + 1);
+        assert_eq!(bag.storage_bytes(), 8 * (min as usize + 1));
+        // …one word further is not.
+        let outlier = (min + 2) * 64;
+        assert!(bag.insert(outlier));
+        assert!(!is_dense(&bag), "{} ids in {} words", min + 2, min + 3);
+        assert_eq!(bag.storage_bytes(), 4 * (min as usize + 2));
+        let mut expected: Vec<u32> = (0..min).chain([min * 64, outlier]).collect();
+        assert_eq!(bag.iter().collect::<Vec<_>>(), expected);
+        // Those words are worth a bitset from twice as many ids on.
+        let words = min as usize + 3;
+        while bag.len() + 1 < 2 * words {
+            assert!(bag.insert(bag.len() as u32 - 2));
+            assert!(!is_dense(&bag), "{} ids in {words} words", bag.len());
+        }
+        assert!(bag.insert(bag.len() as u32 - 2));
+        assert!(is_dense(&bag), "{} ids in {words} words", bag.len());
+        assert_eq!(bag.storage_bytes(), 8 * words);
+        let small = 2 * words as u32 - 2;
+        expected = (0..small).chain([min * 64, outlier]).collect();
+        assert_eq!(bag.iter().collect::<Vec<_>>(), expected);
+        assert!(!bag.insert(outlier));
+        assert!(bag.insert(u32::MAX));
+        assert!(!is_dense(&bag));
+        expected.push(u32::MAX);
+        assert_eq!(bag.iter().collect::<Vec<_>>(), expected);
     }
 }

@@ -1,8 +1,13 @@
 //! Direct coverage of `IdSet` word-boundary behaviour and edge cases that the
 //! mapping protocol only exercises indirectly: sets straddling the 64-bit word
-//! boundary (sizes 63/64/65) and `union_with` growth in both directions.
+//! boundary (sizes 63/64/65) and `union_with` growth in both directions; and
+//! of `IdBag` against `BTreeSet<u32>` across its representation switches,
+//! with its storage bound up to `u32::MAX`.
 
-use anet_num::intern::IdSet;
+use std::collections::BTreeSet;
+
+use anet_num::intern::{IdBag, IdSet};
+use proptest::prelude::*;
 
 /// Dense sets of exactly `n` ids `0..n`, the word-boundary workhorses.
 fn dense(n: u32) -> IdSet {
@@ -112,4 +117,78 @@ fn with_capacity_behaves_like_new() {
     }
     assert_eq!(a, b);
     assert_eq!(a.len(), 4);
+}
+
+/// Inserts `ids` into a bag and a `BTreeSet` side by side, checking after
+/// every insert what `insert` returned, `contains`, `len`, the ascending
+/// `iter` and the storage bound; returns the bag's representation after each.
+fn insert_checked(bag: &mut IdBag, model: &mut BTreeSet<u32>, ids: &[u32]) -> Vec<bool> {
+    ids.iter()
+        .map(|&id| {
+            assert_eq!(bag.insert(id), model.insert(id), "insert {id}");
+            assert!(bag.contains(id));
+            assert_eq!(bag.len(), model.len());
+            assert!(bag.storage_bytes() <= 8 * bag.len(), "{bag:?}");
+            matches!(bag, IdBag::Dense(_))
+        })
+        .collect()
+}
+
+fn assert_same_ids(bag: &IdBag, model: &BTreeSet<u32>) {
+    assert_eq!(
+        bag.iter().collect::<Vec<_>>(),
+        model.iter().copied().collect::<Vec<_>>()
+    );
+    for &id in model {
+        assert!(bag.contains(id));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `0..16` makes a bitset, a mid-range outlier past one word per id
+    /// turns it back into a vector, the tail fills its words densely enough
+    /// for a bitset again, and a last id far above them leaves it once more.
+    #[test]
+    fn idbag_agrees_with_a_btreeset_across_switches(
+        head in prop::collection::vec(0u32..64, 0..60),
+        outlier in 8_192u32..16_384,
+        tail in prop::collection::vec(0u32..16_384, 700..1_400),
+        far in (1u32 << 20)..u32::MAX,
+        misses in prop::collection::vec(any::<u32>(), 0..32),
+    ) {
+        let mut bag = IdBag::new();
+        let mut model = BTreeSet::new();
+        let prefix: Vec<u32> = (0..16).collect();
+        let ids: Vec<u32> = [&prefix[..], &head, &[outlier], &tail, &[far], &head].concat();
+        let dense = insert_checked(&mut bag, &mut model, &ids);
+        let switches = dense.windows(2).filter(|pair| pair[0] != pair[1]).count();
+        prop_assert!(dense[15], "0..16 fill one word");
+        prop_assert!(!dense[16 + head.len()], "the outlier ends the bitset");
+        prop_assert!(switches >= 3, "only {switches} switches");
+        assert_same_ids(&bag, &model);
+        for id in misses {
+            prop_assert_eq!(bag.contains(id), model.contains(&id));
+        }
+    }
+}
+
+/// Ids spread up to `u32::MAX`, in ascending, descending and interleaved
+/// order, never build a bitset past one word per id.
+#[test]
+fn idbag_spread_up_to_u32_max_stays_within_the_bound() {
+    let step = u32::MAX / 4_096;
+    let spread: Vec<u32> = (0..=4_096u32).map(|i| i * step).chain([u32::MAX]).collect();
+    let descending: Vec<u32> = spread.iter().rev().copied().collect();
+    let interleaved: Vec<u32> = (0..2_048u32)
+        .flat_map(|i| [i, u32::MAX - i * step])
+        .collect();
+    for ids in [spread, descending, interleaved] {
+        let mut bag = IdBag::new();
+        let mut model = BTreeSet::new();
+        insert_checked(&mut bag, &mut model, &ids);
+        assert_same_ids(&bag, &model);
+        assert!(bag.contains(u32::MAX));
+    }
 }

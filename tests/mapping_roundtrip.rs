@@ -4,9 +4,9 @@
 
 use anet::graph::generators;
 use anet::protocols::mapping::{run_mapping, Mapping, ReconstructedTopology};
-use anet::sim::engine::ExecutionConfig;
+use anet::sim::engine::{run, ExecutionConfig};
 use anet::sim::runner::run_under_battery;
-use anet::sim::scheduler::FifoScheduler;
+use anet::sim::scheduler::{DepthFirstScheduler, FifoScheduler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,6 +61,25 @@ fn mapping_roundtrips_under_adversarial_schedules() {
             named.scheduler
         );
     }
+}
+
+/// A memory guard for the record bags, the height-4 copy of
+/// `anet-core`'s `mapping_footprint` suite: under a depth-first order a vertex
+/// deep in a wide tree knows a few records with ids spread over the run, and
+/// every vertex's `known` must stay within twice its sorted id vector.
+#[test]
+fn mapping_known_bags_stay_within_twice_their_sorted_vectors() {
+    let net = generators::full_grounded_tree(4, 10).unwrap();
+    let result = run(
+        &net,
+        &Mapping::new(),
+        &mut DepthFirstScheduler::new(),
+        ExecutionConfig::default(),
+    );
+    assert!(result.outcome.terminated());
+    let stored: usize = result.states.iter().map(|s| s.known.storage_bytes()).sum();
+    let sorted: usize = result.states.iter().map(|s| 4 * s.known.len()).sum();
+    assert!(stored <= 2 * sorted, "{stored} bytes against {sorted}");
 }
 
 proptest! {
