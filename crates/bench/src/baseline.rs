@@ -1,18 +1,18 @@
 //! Machine-readable benchmark baselines (`BENCH_*.json`) and the key-drift
 //! smoke check.
 //!
-//! The vendored criterion shim cannot compare runs against a stored baseline,
-//! so the workspace commits hand-rolled JSON baselines at its root. Each file
-//! is one [`Baseline`]: a header, rows of deterministic key columns followed
-//! by the measured `median_ns`, and named trailers derived from the rows,
-//! written by the single [`Baseline::to_json`]. [`BASELINES`] registers every
-//! committed file with its generator and its full-effort [`SampleConfig`];
-//! the `baseline` binary regenerates files from it and, with `--smoke`,
-//! regenerates them at [`SampleConfig::smoke`] effort — one run per row, so
-//! the *numbers* are noise but the *rows* are identical — and compares the
-//! [`result_keys`] of both with [`keys_match`]. A grid that gained, lost or
-//! renamed rows, or a deterministic column (outcomes, message counts, wire
-//! bits) that moved, fails the check.
+//! The workspace commits its measurements as hand-rolled JSON baselines at
+//! its root, the paper's experiment tables ([`crate::tables`]) among them.
+//! Each file is one [`Baseline`]: a header, rows of deterministic key columns
+//! followed by the measured `median_ns`, and named trailers derived from the
+//! rows, written by the single [`Baseline::to_json`]. [`BASELINES`] registers
+//! every committed file with its generator and its full-effort
+//! [`SampleConfig`]; the `baseline` binary regenerates files from it and,
+//! with `--smoke`, regenerates them at [`SampleConfig::smoke`] effort — one
+//! run per row, so the *numbers* are noise but the *rows* are identical — and
+//! compares the [`result_keys`] of both with [`keys_match`]. A grid that
+//! gained, lost or renamed rows, or a deterministic column (outcomes, message
+//! counts, wire bits) that moved, fails the check.
 
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
@@ -155,6 +155,28 @@ pub fn median_ns_batched<T, R>(
     samples[samples.len() / 2]
 }
 
+/// Runs `f` once for the row's deterministic columns and reports the median
+/// nanoseconds per call. With calibration on, the first run is a warm-up and
+/// [`median_ns`] times further calls; without it, the first run is one of
+/// `cfg.samples` single-run samples, so the smoke effort runs `f` exactly
+/// once.
+pub(crate) fn timed<T>(cfg: &SampleConfig, mut f: impl FnMut() -> T) -> (T, u64) {
+    let start = Instant::now();
+    let result = f();
+    let first = start.elapsed().as_nanos() as u64;
+    if cfg.min_sample_micros > 0 {
+        return (result, median_ns(cfg, f));
+    }
+    let mut times = vec![first];
+    for _ in 1..cfg.samples.max(1) {
+        let start = Instant::now();
+        black_box(f());
+        times.push(start.elapsed().as_nanos() as u64);
+    }
+    times.sort_unstable();
+    (result, times[times.len() / 2])
+}
+
 /// A key column of a [`Row`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
@@ -181,6 +203,18 @@ impl From<u64> for Value {
 impl From<usize> for Value {
     fn from(n: usize) -> Self {
         Value::Int(n as u64)
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::Str(s)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
     }
 }
 
@@ -381,6 +415,11 @@ pub const BASELINES: &[Entry] = &[
         name: "sweep_dedup",
         full: SampleConfig::full(),
         generate: sweep_dedup_baseline,
+    },
+    Entry {
+        name: "tables",
+        full: SampleConfig::full(),
+        generate: crate::tables::tables_baseline,
     },
 ];
 
@@ -1057,28 +1096,6 @@ fn outcome_name(outcome: Outcome) -> &'static str {
     }
 }
 
-/// Runs `run` once for the deterministic columns, then `cfg.samples - 1`
-/// more times, and reports the per-run median. No iteration calibration: a
-/// scaling run is far above timer resolution, and the smoke pass (1 sample)
-/// must execute each engine exactly once.
-fn scaling_timed<S, M>(
-    cfg: &SampleConfig,
-    mut run: impl FnMut() -> anet_sim::engine::RunResult<S, M>,
-) -> (anet_sim::engine::RunResult<S, M>, u64) {
-    let samples = cfg.samples.max(1);
-    let mut times = Vec::with_capacity(samples);
-    let start = Instant::now();
-    let result = run();
-    times.push(start.elapsed().as_nanos() as u64);
-    for _ in 1..samples {
-        let start = Instant::now();
-        black_box(run());
-        times.push(start.elapsed().as_nanos() as u64);
-    }
-    times.sort_unstable();
-    (result, times[times.len() / 2])
-}
-
 /// Emits the flat (and, with `include_full_scan`, full-scan) rows for one
 /// protocol × tree cell. Every row carries the cell's `trace_digest`: the
 /// [`TraceDigest`] of one untimed, observed flat run, so the timed runs stay
@@ -1146,8 +1163,9 @@ fn scaling_rows<P: RefloodProtocol>(
     }
     let trace_digest = format!("{:016x}", digest.finish());
 
-    let mut push = |engine: &'static str, run: &mut dyn FnMut() -> _| {
-        let (result, median_ns) = scaling_timed(cfg, run);
+    let mut push = |engine: &'static str,
+                    run: &mut dyn FnMut() -> RunResult<P::State, P::Message>| {
+        let (result, median_ns) = timed(cfg, run);
         eprintln!(
             "cell {protocol_name} n={n} engine={engine}: {:.3} s median",
             median_ns as f64 / 1e9

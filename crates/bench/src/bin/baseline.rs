@@ -7,8 +7,8 @@
 //! * `baseline --smoke [NAME…]` — regenerate at smoke effort (one run per
 //!   row) and key-diff against the committed files, all of them when no
 //!   name is given; exits 1 on drift. The drift covers every row's
-//!   deterministic columns, so it also pins the scaling rows' trace digests
-//!   at n = 10³..10⁶.
+//!   deterministic columns, so it also pins every cell of the E1–E9 tables
+//!   and the scaling rows' trace digests at n = 10³..10⁶.
 //!
 //! The names are those of [`anet_bench::baseline::BASELINES`].
 

@@ -1,27 +1,25 @@
-//! # anet-bench — benchmark harness and table-regeneration support
+//! # anet-bench — benchmark baselines and the paper's experiment tables
 //!
 //! The paper is a theory paper: its "tables and figures" are the complexity claims
-//! of Theorems 3.1–5.2 and the constructions in Figures 4–6. Every experiment
-//! `E1`–`E9` (the header of each `table_e*` binary names the claim it checks) has
+//! of Theorems 3.1–5.2 and the constructions in Figures 4–6. Every committed
+//! `BENCH_*.json` at the workspace root comes from the one [`baseline`]
+//! harness, driven by the `baseline` binary (`baseline NAME…` regenerates,
+//! `baseline --smoke` key-diffs them all):
 //!
-//! * a `table_e*` binary (in `src/bin/`) that prints the experiment's table to
-//!   standard output, and
-//! * a Criterion bench (in `benches/`) that tracks the wall-clock cost of the
-//!   protocol runs behind it.
+//! * `BENCH_tables.json` holds the experiments `E1`–`E9` ([`tables`]), one row
+//!   per table line with every reported cell as a key column and the run
+//!   behind it timed;
+//! * the others time the fast paths against their retained references, fault
+//!   and recovery costs, engine scaling and sweep dedup.
 //!
-//! The committed `BENCH_*.json` baselines — fast paths against their
-//! retained references, fault and recovery costs, engine scaling and sweep
-//! dedup — come from the [`baseline`] module, driven by the `baseline`
-//! binary (`baseline NAME…` regenerates, `baseline --smoke` key-diffs them
-//! all).
-//!
-//! This library holds the pieces shared by all of them: deterministic
-//! workload construction and plain-text table rendering.
+//! This library also holds the workloads they share, built deterministically
+//! from [`WORKLOAD_SEED`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod tables;
 
 use anet_graph::generators::{
     chain_gn, complete_dag, cycle_with_tail, diamond_stack, layered_dag, random_cyclic, random_dag,
@@ -145,42 +143,6 @@ pub fn recovery_workloads() -> Vec<Workload> {
             network: random_cyclic(&mut rng, 12, 0.1, 0.15).expect("valid parameters"),
         },
     ]
-}
-
-/// Renders a plain-text table with aligned columns, as the `table_e*`
-/// binaries print them.
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    out.push_str(&format!("## {title}\n\n"));
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        let padded: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:width$}", c, width = widths.get(i).copied().unwrap_or(0)))
-            .collect();
-        format!("| {} |\n", padded.join(" | "))
-    };
-    let header_cells: Vec<String> = headers.iter().map(|h| (*h).to_owned()).collect();
-    out.push_str(&fmt_row(&header_cells, &widths));
-    let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    out.push_str(&fmt_row(&dashes, &widths));
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-    }
-    out
-}
-
-/// Formats a float with three significant decimals for table cells.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
 }
 
 /// Builds an adversarially fragmented element of `U[0, 1)`-style interval
@@ -338,21 +300,5 @@ mod tests {
             assert_eq!(delta.difference(&state).interval_count(), 1);
             assert_eq!(delta.intersection(&state).interval_count(), 1);
         }
-    }
-
-    #[test]
-    fn table_rendering_aligns_columns() {
-        let table = render_table(
-            "Demo",
-            &["name", "value"],
-            &[
-                vec!["a".to_owned(), "1".to_owned()],
-                vec!["long-name".to_owned(), "2".to_owned()],
-            ],
-        );
-        assert!(table.contains("## Demo"));
-        assert!(table.contains("| long-name | 2"));
-        assert!(table.lines().count() >= 5);
-        assert_eq!(f3(1.23456), "1.235");
     }
 }

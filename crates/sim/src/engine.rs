@@ -271,7 +271,13 @@ where
 /// * **"Recovered" means the ordinary success predicate, reached late.** A
 ///   recovered run is one that terminates (and satisfies the protocol's
 ///   `*_recovered()` check) even though the adversary destroyed messages; the
-///   re-flood mechanism adds no new notion of success.
+///   re-flood mechanism adds no new notion of success. Termination alone is
+///   not recovery: for general broadcast and labeling a retry can end
+///   terminated but not recovered, a false acceptance (the terminal accepts
+///   while a vertex lacks the payload or the labels are not unique). Six
+///   `retry` rows of `BENCH_recovery.json` read `"outcome": "terminated",
+///   "recovered": false`: both protocols on `chain-gn/6` at 20 % drops and on
+///   `chain-gn/10` at 20 % and 30 % drops. Mapping has none.
 /// * **Retry budget.** At most `retry_budget` re-flood rounds fire. Under
 ///   total loss the run still drains after the last round, so starvation
 ///   stays detectable — it is reported as [`Outcome::Quiescent`] with
